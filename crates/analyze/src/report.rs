@@ -4,11 +4,12 @@
 //! data: the static makespan bounds, the critical path digest, the
 //! per-rank summaries and the communication-structure report. Both
 //! renderings are deterministic — JSON object keys are emitted in a
-//! fixed order and every float goes through
-//! [`tit_core::json::push_f64`] so a non-finite value can never
-//! corrupt the document.
+//! fixed order and the document goes through the one
+//! [`tit_core::json`] serializer, so a non-finite value renders as
+//! `null` and can never corrupt the document.
 
-use tit_core::json;
+use tit_core::json::Json;
+use tit_core::json_obj;
 use tit_core::{Action, TiTrace};
 
 use crate::cost::clamp;
@@ -254,92 +255,27 @@ fn classify(
 }
 
 impl Analysis {
-    /// Renders the `tit-analyze-v1` JSON document (no trailing newline).
+    /// Renders the `tit-analyze-v1` JSON document as one line.
     pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n\"schema\": \"tit-analyze-v1\",");
-        o.push_str(&format!("\n\"processes\": {},", self.nproc));
-        o.push_str(&format!("\n\"actions\": {},", self.actions));
-        o.push_str(&format!(
-            "\n\"graph\": {{\"nodes\": {}, \"edges\": {}, \"flows\": {}, \
-             \"unmatched_sends\": {}, \"unmatched_recvs\": {}, \"wait_underflows\": {}}},",
-            self.nodes,
-            self.edges,
-            self.flows,
-            self.unmatched_sends,
-            self.unmatched_recvs,
-            self.wait_underflows
-        ));
-        o.push_str("\n\"bounds\": {\"lower_s\": ");
-        json::push_f64(&mut o, self.lower_bound);
-        o.push_str(", \"upper_s\": ");
-        json::push_f64(&mut o, self.upper_bound);
-        o.push_str("},");
-        o.push_str("\n\"critical_path\": {\"length_s\": ");
-        json::push_f64(&mut o, self.critical_path.length);
-        o.push_str(&format!(", \"hops\": {}, \"dominators\": [", self.critical_path.hops));
-        for (i, d) in self.critical_path.dominators.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            o.push_str(&format!("{{\"rank\": {}, \"action\": ", d.rank));
-            json::push_string(&mut o, d.action);
-            o.push_str(", \"seconds\": ");
-            json::push_f64(&mut o, d.seconds);
-            o.push_str(&format!(", \"count\": {}}}", d.count));
-        }
-        o.push_str("]},");
-        o.push_str("\n\"ranks\": [");
-        for (i, r) in self.per_rank.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!("\n  {{\"rank\": {}, \"slack_s\": ", r.rank));
-            json::push_f64(&mut o, r.slack);
-            o.push_str(", \"compute_s\": ");
-            json::push_f64(&mut o, r.compute_seconds);
-            o.push_str(", \"comm_s\": ");
-            json::push_f64(&mut o, r.comm_seconds);
-            o.push_str(", \"flops\": ");
-            json::push_f64(&mut o, r.flops);
-            o.push_str(", \"bytes_sent\": ");
-            json::push_f64(&mut o, r.bytes_sent);
-            o.push_str(&format!(", \"msgs_sent\": {}}}", r.msgs_sent));
-        }
-        o.push_str("\n],");
-        o.push_str("\n\"structure\": {\"pattern\": ");
-        json::push_string(&mut o, self.structure.pattern.as_str());
-        o.push_str(", \"load_imbalance\": ");
-        json::push_f64(&mut o, self.structure.load_imbalance);
-        o.push_str(", \"comm_compute_ratio\": ");
-        json::push_f64(&mut o, self.structure.comm_compute_ratio);
-        o.push_str(", \"p2p_bytes\": ");
-        json::push_f64(&mut o, self.structure.p2p_bytes);
-        o.push_str(", \"collective_bytes\": ");
-        json::push_f64(&mut o, self.structure.collective_bytes);
-        o.push_str(", \"matrix\": ");
-        match &self.structure.matrix {
-            None => o.push_str("null"),
-            Some(m) => {
-                o.push('[');
-                for (i, row) in m.iter().enumerate() {
-                    if i > 0 {
-                        o.push_str(", ");
-                    }
-                    o.push('[');
-                    for (j, &v) in row.iter().enumerate() {
-                        if j > 0 {
-                            o.push(',');
-                        }
-                        json::push_f64(&mut o, v);
-                    }
-                    o.push(']');
-                }
-                o.push(']');
-            }
-        }
-        o.push_str("}\n}");
-        o
+        let (cp, st) = (&self.critical_path, &self.structure);
+        let dominators = cp.dominators.iter().map(|d| json_obj!(d; rank, action, seconds, count));
+        let ranks = self.per_rank.iter().map(|r| {
+            json_obj!(r; rank, slack_s = r.slack, compute_s = r.compute_seconds,
+                comm_s = r.comm_seconds, flops, bytes_sent, msgs_sent)
+        });
+        let matrix = st.matrix.as_ref().map(|m| {
+            Json::Arr(m.iter().map(|row| Json::Arr(row.iter().map(|&v| v.into()).collect())).collect())
+        });
+        let doc = json_obj!(self; schema = "tit-analyze-v1", processes = self.nproc, actions,
+            graph = json_obj!(self; nodes, edges, flows, unmatched_sends, unmatched_recvs,
+                wait_underflows),
+            bounds = json_obj!(self; lower_s = self.lower_bound, upper_s = self.upper_bound),
+            critical_path = json_obj!(cp; length_s = cp.length, hops,
+                dominators = Json::Arr(dominators.collect())),
+            ranks = Json::Arr(ranks.collect()),
+            structure = json_obj!(st; pattern = st.pattern.as_str(), load_imbalance,
+                comm_compute_ratio, p2p_bytes, collective_bytes, matrix = matrix));
+        format!("{doc}\n")
     }
 
     /// Renders the human-readable text report (trailing newline).
@@ -508,15 +444,15 @@ mod tests {
         };
         let a = analysis_with(s.clone());
         let j = a.to_json();
-        assert!(j.contains("\"schema\": \"tit-analyze-v1\""));
-        assert!(j.contains("\"comm_compute_ratio\": null"));
-        assert!(j.contains("\"matrix\": null"));
+        assert!(j.contains("\"schema\":\"tit-analyze-v1\""));
+        assert!(j.contains("\"comm_compute_ratio\":null"));
+        assert!(j.contains("\"matrix\":null"));
         assert!(!j.contains("inf"));
         assert_eq!(j, analysis_with(s.clone()).to_json());
 
         s.matrix = Some(vec![vec![0.0, 8.0], vec![8.0, 0.0]]);
         let j = analysis_with(s).to_json();
-        assert!(j.contains("\"matrix\": [[0,8], [8,0]]"));
+        assert!(j.contains("\"matrix\":[[0,8],[8,0]]"));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use crate::table::Table;
 use npb::Class;
 use simkern::resource::HostId;
+use tit_core::json::{obj, Json};
 use tit_platform::desc::PlatformDesc;
 use tit_platform::presets;
 use tit_replay::{replay_memory, ReplayConfig};
@@ -137,18 +138,15 @@ pub fn sweep(scale: f64, max_ranks: usize) -> (String, Vec<Point>) {
 }
 
 /// Serializes the sweep as `KPROF_replay.json`: the [`KernelReport`]
-/// walls-included documents (already single-object JSON) spliced into
-/// one `tit-kprof-sweep-v1` envelope, newest schema first so
-/// `scripts/check_telemetry.py --kprof` can validate each run.
+/// walls-included documents in one `tit-kprof-sweep-v1` envelope,
+/// newest schema first so `scripts/check_telemetry.py --kprof` can
+/// validate each run.
 pub fn sweep_json(points: &[Point]) -> String {
-    let mut out = String::from("{\"schema\":\"tit-kprof-sweep-v1\",\"bench\":\"kprof\",\"runs\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(p.report.to_json_with_walls().trim_end());
-    }
-    out.push_str("\n]}\n");
-    out
+    let runs = points.iter().map(|p| p.report.to_json_value(true)).collect();
+    let doc = obj(vec![
+        ("schema", "tit-kprof-sweep-v1".into()),
+        ("bench", "kprof".into()),
+        ("runs", Json::Arr(runs)),
+    ]);
+    format!("{doc}\n")
 }

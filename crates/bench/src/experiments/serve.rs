@@ -15,6 +15,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::time::Instant;
+use tit_core::json::{self, obj, Json};
 use tit_core::{Action, ProcessTraceWriter};
 use tit_serve::{Server, ServerConfig};
 
@@ -108,13 +109,22 @@ fn client(port: u16, line: &str, quota: usize) -> Vec<f64> {
         // panics: the in-process server never closes a connection mid-session
         r.read_line(&mut resp).expect("read bench response");
         latencies.push(t0.elapsed().as_secs_f64());
-        assert!(
-            resp.contains("\"status\":\"ok\""),
-            "bench request must be served, got: {}",
-            resp.trim_end()
-        );
+        let served =
+            json::parse(&resp).is_ok_and(|v| v.get("status").and_then(Json::as_str) == Some("ok"));
+        assert!(served, "bench request must be served, got: {}", resp.trim_end());
     }
     latencies
+}
+
+/// The replay request line for the generated trace in `trace_dir`.
+fn request_line(id: &str, trace_dir: &Path) -> String {
+    obj(vec![
+        ("op", "replay".into()),
+        ("id", id.into()),
+        ("trace_dir", trace_dir.display().to_string().into()),
+        ("np", NPROC.into()),
+    ])
+    .to_string()
 }
 
 /// Runs `REQUESTS` identical replay requests against `port` from
@@ -165,10 +175,7 @@ pub fn sweep(scale: f64) -> (String, Vec<ServeRecord>) {
     })
     // panics: a loopback bind failure aborts the bench run
     .expect("start bench server");
-    let line = format!(
-        "{{\"op\":\"replay\",\"id\":\"bench\",\"trace_dir\":{:?},\"np\":{NPROC}}}",
-        dir.display().to_string()
-    );
+    let line = request_line("bench", &dir);
     let records: Vec<ServeRecord> = [1usize, 4, 16]
         .iter()
         .map(|&c| measure_level(server.port(), &line, c, actions_per_req))
@@ -206,10 +213,7 @@ mod tests {
         let per_req = write_ring(&dir, 2);
         assert_eq!(per_req, 2 * (3 + 4 * (NPROC - 1)) as u64);
         let server = Server::start(ServerConfig::default()).unwrap();
-        let line = format!(
-            "{{\"op\":\"replay\",\"id\":\"t\",\"trace_dir\":{:?},\"np\":{NPROC}}}",
-            dir.display().to_string()
-        );
+        let line = request_line("t", &dir);
         let rec = measure_level(server.port(), &line, 2, per_req);
         assert_eq!(rec.concurrency, 2);
         assert_eq!(rec.requests, REQUESTS / 2 * 2);

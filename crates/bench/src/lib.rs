@@ -29,9 +29,8 @@ pub mod perf;
 pub mod table;
 
 pub use perf::{
-    write_bench_json, write_ingest_json, write_replay_bench_json, write_scale_json,
-    write_serve_json, IngestRecord,
-    ObserverOverhead, PerfRecord,
+    write_ingest_json, write_replay_bench_json, write_scale_json, write_serve_json,
+    IngestRecord, ObserverOverhead, PerfRecord,
 };
 pub use table::Table;
 

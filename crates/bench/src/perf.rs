@@ -2,12 +2,13 @@
 //!
 //! Each experiment binary can drop a small JSON file next to its text
 //! report so CI and regression tooling can track performance without
-//! parsing tables. The format is one flat object per measurement plus a
-//! `peak_records_per_sec` headline — hand-rolled (the workspace has no
-//! JSON dependency), keys sorted by construction.
+//! parsing tables. Every file shares one envelope: one flat object per
+//! measurement plus a `peak_records_per_sec` headline, rendered as one
+//! line by the [`tit_core::json`] serializer.
 
-use std::io::Write;
 use std::path::Path;
+use tit_core::json::{obj, Json};
+use tit_core::json_obj;
 
 /// One benchmark measurement.
 #[derive(Debug, Clone)]
@@ -65,60 +66,47 @@ impl ObserverOverhead {
     }
 }
 
-/// Writes `records` as a `BENCH_*.json` file:
-/// `{"bench":name,"peak_records_per_sec":…,"runs":[…]}`.
-pub fn write_bench_json(
+/// Writes the `BENCH_*.json` envelope shared by every bench:
+/// `{"bench":name,"peak_records_per_sec":…,"runs":[…]}` followed by
+/// the `extra` members, as one line. Each run is its throughput
+/// (records per second, the cross-benchmark currency) and its row.
+fn write_envelope(
     path: &Path,
     name: &str,
-    records: &[PerfRecord],
+    runs: impl Iterator<Item = (f64, Json)>,
+    extra: Option<(&str, Json)>,
 ) -> std::io::Result<()> {
-    write_replay_bench_json(path, name, records, None)
+    let (rates, rows): (Vec<f64>, Vec<Json>) = runs.unzip();
+    let peak = rates.into_iter().fold(0.0, f64::max);
+    let mut members = vec![
+        ("bench", name.into()),
+        ("peak_records_per_sec", peak.into()),
+        ("runs", Json::Arr(rows)),
+    ];
+    members.extend(extra);
+    std::fs::write(path, format!("{}\n", obj(members)))
 }
 
-/// Like [`write_bench_json`], optionally appending an
-/// `"observer_overhead"` section after the runs array — same envelope
-/// (`scripts/check_bench.py` gates the peak unchanged) plus the
-/// overhead walls and ratios the observer gate reads.
+/// Writes replay records as `BENCH_replay.json`, optionally with an
+/// `"observer_overhead"` member after the runs — the overhead walls and
+/// ratios the observer gate of `scripts/check_bench.py` reads.
 pub fn write_replay_bench_json(
     path: &Path,
     name: &str,
     records: &[PerfRecord],
     overhead: Option<&ObserverOverhead>,
 ) -> std::io::Result<()> {
-    let peak = records.iter().map(PerfRecord::records_per_sec).fold(0.0, f64::max);
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(w, "{{\"bench\":\"{name}\",\"peak_records_per_sec\":{peak},\"runs\":[")?;
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n{{\"label\":\"{}\",\"actions\":{},\"simulated_time\":{},\"wall_time\":{},\"records_per_sec\":{}}}",
-            r.label,
-            r.actions,
-            r.simulated_time,
-            r.wall_time,
-            r.records_per_sec()
-        )?;
-    }
-    write!(w, "\n]")?;
-    if let Some(o) = overhead {
-        write!(
-            w,
-            ",\n\"observer_overhead\":{{\"label\":\"{}\",\"actions\":{},\"repeats\":{},\"wall_detached\":{},\"wall_noop\":{},\"wall_timeres\":{},\"noop_ratio\":{},\"timeres_ratio\":{}}}",
-            o.label,
-            o.actions,
-            o.repeats,
-            o.wall_detached,
-            o.wall_noop,
-            o.wall_timeres,
-            o.noop_ratio(),
-            o.timeres_ratio()
-        )?;
-    }
-    writeln!(w, "}}")?;
-    w.flush()
+    let runs = records.iter().map(|r| {
+        let row = json_obj!(r; label, actions, simulated_time, wall_time,
+            records_per_sec = r.records_per_sec());
+        (r.records_per_sec(), row)
+    });
+    let overhead = overhead.map(|o| {
+        let section = json_obj!(o; label, actions, repeats, wall_detached, wall_noop, wall_timeres,
+            noop_ratio = o.noop_ratio(), timeres_ratio = o.timeres_ratio());
+        ("observer_overhead", section)
+    });
+    write_envelope(path, name, runs, overhead)
 }
 
 /// One ingestion measurement: the same trace directory loaded by the
@@ -161,126 +149,86 @@ impl IngestRecord {
     }
 }
 
-/// Writes ingestion records as `BENCH_ingest.json`:
-/// `{"bench":name,"peak_records_per_sec":…,"runs":[…]}` — the same
-/// envelope as [`write_bench_json`], with per-run serial/parallel walls,
-/// worker count and speedup.
+/// Writes ingestion records as `BENCH_ingest.json`: per-run
+/// serial/parallel walls, worker count and speedup.
 pub fn write_ingest_json(
     path: &Path,
     name: &str,
     records: &[IngestRecord],
 ) -> std::io::Result<()> {
-    let peak = records.iter().map(IngestRecord::records_per_sec).fold(0.0, f64::max);
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(w, "{{\"bench\":\"{name}\",\"peak_records_per_sec\":{peak},\"runs\":[")?;
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n{{\"label\":\"{}\",\"files\":{},\"actions\":{},\"bytes\":{},\"serial_wall\":{},\"parallel_wall\":{},\"jobs\":{},\"speedup\":{},\"records_per_sec\":{}}}",
-            r.label,
-            r.files,
-            r.actions,
-            r.bytes,
-            r.serial_wall,
-            r.parallel_wall,
-            r.jobs,
-            r.speedup(),
-            r.records_per_sec()
-        )?;
-    }
-    writeln!(w, "\n]}}")?;
-    w.flush()
+    let runs = records.iter().map(|r| {
+        let row = json_obj!(r; label, files, actions, bytes, serial_wall, parallel_wall, jobs,
+            speedup = r.speedup(), records_per_sec = r.records_per_sec());
+        (r.records_per_sec(), row)
+    });
+    write_envelope(path, name, runs, None)
 }
 
 /// Writes memory-governance scale records as `BENCH_scale.json`:
-/// `{"bench":name,"peak_records_per_sec":…,"runs":[…]}` — the same
-/// envelope as [`write_bench_json`], with per-run store size, budget,
-/// governor segment peak and process peak RSS. `scripts/check_bench.py`
-/// gates segment peak against the budget, peak RSS against the cap,
-/// and RSS flatness across the ×4 store-length sweep.
+/// per-run store size, budget, governor segment peak and process peak
+/// RSS. `scripts/check_bench.py` gates segment peak against the budget,
+/// peak RSS against the cap, and RSS flatness across the ×4 sweep.
 pub fn write_scale_json(
     path: &Path,
     name: &str,
     records: &[crate::experiments::scale::ScaleRecord],
 ) -> std::io::Result<()> {
-    use crate::experiments::scale::ScaleRecord;
-    let peak = records.iter().map(ScaleRecord::records_per_sec).fold(0.0, f64::max);
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(w, "{{\"bench\":\"{name}\",\"peak_records_per_sec\":{peak},\"runs\":[")?;
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n{{\"label\":\"{}\",\"ranks\":{},\"actions\":{},\"store_bytes\":{},\"budget_bytes\":{},\"segment_peak_bytes\":{},\"peak_rss_bytes\":{},\"rss_cap_bytes\":{},\"wall\":{},\"records_per_sec\":{},\"bytes_per_sec\":{},\"simulated_time\":{}}}",
-            r.label,
-            r.ranks,
-            r.actions,
-            r.store_bytes,
-            r.budget_bytes,
-            r.segment_peak_bytes,
-            r.peak_rss_bytes,
-            r.rss_cap_bytes,
-            r.wall,
-            r.records_per_sec(),
-            r.bytes_per_sec(),
-            r.simulated_time
-        )?;
-    }
-    writeln!(w, "\n]}}")?;
-    w.flush()
+    let runs = records.iter().map(|r| {
+        let row = json_obj!(r; label, ranks, actions, store_bytes, budget_bytes, segment_peak_bytes,
+            peak_rss_bytes, rss_cap_bytes, wall, records_per_sec = r.records_per_sec(),
+            bytes_per_sec = r.bytes_per_sec(), simulated_time);
+        (r.records_per_sec(), row)
+    });
+    write_envelope(path, name, runs, None)
 }
 
-/// Writes serving records as `BENCH_serve.json`:
-/// `{"bench":name,"peak_records_per_sec":…,"runs":[…]}` — the same
-/// envelope as [`write_bench_json`] (so `scripts/check_bench.py` gates
-/// it unchanged), with per-run concurrency, sustained request rate and
-/// p99 latency. `records_per_sec` counts replayed trace actions, the
-/// cross-benchmark throughput currency (docs/BENCHMARKS.md).
+/// Writes serving records as `BENCH_serve.json`: per-run concurrency,
+/// sustained request rate and p99 latency; `records_per_sec` counts
+/// replayed trace actions (docs/BENCHMARKS.md).
 pub fn write_serve_json(
     path: &Path,
     name: &str,
     records: &[crate::experiments::serve::ServeRecord],
 ) -> std::io::Result<()> {
-    use crate::experiments::serve::ServeRecord;
-    let peak = records.iter().map(ServeRecord::records_per_sec).fold(0.0, f64::max);
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write!(w, "{{\"bench\":\"{name}\",\"peak_records_per_sec\":{peak},\"runs\":[")?;
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "\n{{\"label\":\"{}x\",\"concurrency\":{},\"requests\":{},\"actions\":{},\"wall_time\":{},\"req_per_sec\":{},\"p99_ms\":{},\"records_per_sec\":{}}}",
-            r.concurrency,
-            r.concurrency,
-            r.requests,
-            r.actions,
-            r.wall_time,
-            r.req_per_sec(),
-            r.p99_ms,
-            r.records_per_sec()
-        )?;
-    }
-    writeln!(w, "\n]}}")?;
-    w.flush()
+    let runs = records.iter().map(|r| {
+        let row = json_obj!(r; label = format!("{}x", r.concurrency), concurrency, requests,
+            actions, wall_time, req_per_sec = r.req_per_sec(), p99_ms,
+            records_per_sec = r.records_per_sec());
+        (r.records_per_sec(), row)
+    });
+    write_envelope(path, name, runs, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serve::ServeRecord;
+    use tit_core::json::parse;
+
+    /// Runs `write` on a scratch file and parses what it wrote, which
+    /// must be one line.
+    fn written(tag: &str, write: impl FnOnce(&Path) -> std::io::Result<()>) -> Json {
+        let dir = std::env::temp_dir().join(format!("titr-perf-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH.json");
+        write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(text.lines().count(), 1, "one line: {text}");
+        parse(&text).unwrap()
+    }
+
+    fn run0<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+        doc.get("runs").and_then(Json::as_arr).and_then(|r| r.first()).and_then(|r| r.get(key))
+    }
+
+    fn perf(label: &str, actions: u64, simulated_time: f64, wall_time: f64) -> PerfRecord {
+        PerfRecord { label: label.into(), actions, simulated_time, wall_time }
+    }
 
     #[test]
-    fn ingest_json_is_balanced_and_carries_speedup() {
-        let dir = std::env::temp_dir().join(format!("titr-iperf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_ingest.json");
-        let recs = vec![IngestRecord {
+    fn ingest_json_carries_speedup_and_peak() {
+        let recs = [IngestRecord {
             label: "ring x 4".into(),
             files: 4,
             actions: 1200,
@@ -289,14 +237,11 @@ mod tests {
             parallel_wall: 0.1,
             jobs: 4,
         }];
-        write_ingest_json(&path, "ingest", &recs).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\":\"ingest\""));
-        assert!(text.contains("\"speedup\":4"));
-        assert!(text.contains("\"peak_records_per_sec\":12000"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        let doc = written("ingest", |p| write_ingest_json(p, "ingest", &recs));
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("ingest"));
+        assert_eq!(run0(&doc, "speedup"), Some(&Json::Num(4.0)));
+        assert_eq!(doc.get("peak_records_per_sec"), Some(&Json::Num(12000.0)));
         assert_eq!(recs[0].speedup(), 4.0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -315,76 +260,29 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_balanced_and_carries_peak() {
-        let dir = std::env::temp_dir().join(format!("titr-perf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let recs = vec![
-            PerfRecord {
-                label: "a".into(),
-                actions: 100,
-                simulated_time: 1.0,
-                wall_time: 0.5,
-            },
-            PerfRecord {
-                label: "b".into(),
-                actions: 1000,
-                simulated_time: 2.0,
-                wall_time: 0.5,
-            },
-        ];
-        write_bench_json(&path, "test", &recs).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\":\"test\""));
-        assert!(text.contains("\"peak_records_per_sec\":2000"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn bench_json_carries_peak() {
+        let recs = [perf("a", 100, 1.0, 0.5), perf("b", 1000, 2.0, 0.5)];
+        let doc = written("replay", |p| write_replay_bench_json(p, "test", &recs, None));
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("test"));
+        assert_eq!(doc.get("peak_records_per_sec"), Some(&Json::Num(2000.0)));
+        assert_eq!(doc.get("runs").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
     }
 
     #[test]
-    fn serve_json_is_balanced_and_carries_peak() {
-        use crate::experiments::serve::ServeRecord;
-        let dir = std::env::temp_dir().join(format!("titr-sperf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        let recs = vec![
-            ServeRecord {
-                concurrency: 1,
-                requests: 48,
-                actions: 720,
-                wall_time: 0.5,
-                p99_ms: 12.0,
-            },
-            ServeRecord {
-                concurrency: 4,
-                requests: 48,
-                actions: 720,
-                wall_time: 0.25,
-                p99_ms: 20.0,
-            },
+    fn serve_json_carries_peak_and_rates() {
+        let recs = [
+            ServeRecord { concurrency: 1, requests: 48, actions: 720, wall_time: 0.5, p99_ms: 12.0 },
+            ServeRecord { concurrency: 4, requests: 48, actions: 720, wall_time: 0.25, p99_ms: 20.0 },
         ];
-        write_serve_json(&path, "serve", &recs).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\":\"serve\""));
-        assert!(text.contains("\"peak_records_per_sec\":2880"));
-        assert!(text.contains("\"p99_ms\":12"));
-        assert!(text.contains("\"req_per_sec\":96"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        std::fs::remove_dir_all(&dir).unwrap();
+        let doc = written("serve", |p| write_serve_json(p, "serve", &recs));
+        assert_eq!(doc.get("peak_records_per_sec"), Some(&Json::Num(2880.0)));
+        assert_eq!(run0(&doc, "label").and_then(Json::as_str), Some("1x"));
+        assert_eq!(run0(&doc, "p99_ms"), Some(&Json::Num(12.0)));
+        assert_eq!(run0(&doc, "req_per_sec"), Some(&Json::Num(96.0)));
     }
 
     #[test]
     fn replay_json_carries_observer_overhead_section() {
-        let dir = std::env::temp_dir().join(format!("titr-operf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_replay.json");
-        let recs = vec![PerfRecord {
-            label: "LU.B x 8".into(),
-            actions: 1000,
-            simulated_time: 1.0,
-            wall_time: 0.5,
-        }];
         let o = ObserverOverhead {
             label: "LU.B x 16".into(),
             actions: 2000,
@@ -393,15 +291,22 @@ mod tests {
             wall_timeres: 0.105,
             repeats: 3,
         };
-        write_replay_bench_json(&path, "replay", &recs, Some(&o)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"observer_overhead\":{"), "{text}");
-        assert!(text.contains("\"noop_ratio\":"), "{text}");
-        assert!(text.contains("\"timeres_ratio\":"), "{text}");
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        let recs = [perf("LU.B x 8", 1000, 1.0, 0.5)];
+        let doc = written("overhead", |p| write_replay_bench_json(p, "replay", &recs, Some(&o)));
+        let section = doc.get("observer_overhead").expect("observer_overhead member");
+        assert_eq!(section.get("noop_ratio").and_then(Json::as_f64), Some(o.noop_ratio()));
+        assert_eq!(section.get("timeres_ratio").and_then(Json::as_f64), Some(o.timeres_ratio()));
         assert!((o.noop_ratio() - 1.01).abs() < 1e-9);
         assert!((o.timeres_ratio() - 1.05).abs() < 1e-9);
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_finite_fields_read_back_as_null() {
+        let recs = [perf("LU.B x 8", 1000, f64::INFINITY, f64::NAN)];
+        let doc = written("nonfinite", |p| write_replay_bench_json(p, "replay", &recs, None));
+        assert_eq!(run0(&doc, "simulated_time"), Some(&Json::Null));
+        assert_eq!(run0(&doc, "wall_time"), Some(&Json::Null));
+        assert_eq!(run0(&doc, "actions").and_then(Json::as_u64), Some(1000));
     }
 
     #[test]
@@ -420,12 +325,6 @@ mod tests {
 
     #[test]
     fn zero_wall_time_reports_zero_throughput() {
-        let r = PerfRecord {
-            label: "x".into(),
-            actions: 10,
-            simulated_time: 0.0,
-            wall_time: 0.0,
-        };
-        assert_eq!(r.records_per_sec(), 0.0);
+        assert_eq!(perf("x", 10, 0.0, 0.0).records_per_sec(), 0.0);
     }
 }

@@ -11,11 +11,19 @@
 //! uses, so the output matches what `tit-replay --profile` would have
 //! produced for the same run, up to the CSV's 9-decimal rounding of
 //! timestamps.
+//!
+//! The CSV is untrusted input: a row whose times or volume are not
+//! finite numbers, whose end precedes its start, or whose rank is not
+//! below [`MAX_RANKS`] exits 1 naming `file:line`.
 
 use tit_replay::tags;
 use titobs::Profile;
 
 const USAGE: &str = "tit-profile --input timed.csv [--format text|json] [--out FILE]";
+
+/// Ranks a CSV row may name: far above the paper's largest run (1024
+/// ranks), and small enough that the per-rank tables stay bounded.
+const MAX_RANKS: usize = 1 << 20;
 
 fn die(input: &str, lineno: usize, what: &str, line: &str) -> ! {
     eprintln!("{input}:{}: {what}: {line:?}", lineno + 1);
@@ -51,12 +59,20 @@ fn main() {
         if cols.len() != 5 {
             die(&input, lineno, "expected 5 columns", line);
         }
-        let rank: usize = cols[0].parse().unwrap_or_else(|_| die(&input, lineno, "bad rank", line));
+        let rank = match cols[0].parse::<usize>() {
+            Ok(r) if r < MAX_RANKS => r,
+            Ok(_) => die(&input, lineno, &format!("rank not below {MAX_RANKS}"), line),
+            Err(_) => die(&input, lineno, "bad rank", line),
+        };
         let action = cols[1];
-        let start: f64 = cols[2].parse().unwrap_or_else(|_| die(&input, lineno, "bad start", line));
-        let end: f64 = cols[3].parse().unwrap_or_else(|_| die(&input, lineno, "bad end", line));
-        let volume: f64 =
-            cols[4].parse().unwrap_or_else(|_| die(&input, lineno, "bad volume", line));
+        let num = |col: usize, what: &str| match cols[col].parse::<f64>() {
+            Ok(v) if v.is_finite() => v,
+            _ => die(&input, lineno, &format!("{what} is not a finite number"), line),
+        };
+        let (start, end, volume) = (num(2, "start"), num(3, "end"), num(4, "volume"));
+        if end < start {
+            die(&input, lineno, "end before start", line);
+        }
         // Unknown action names map to tag 0 ("other") rather than
         // aborting: foreign rows degrade to an "other" bucket.
         let tag = tags::from_name(action).unwrap_or(0);

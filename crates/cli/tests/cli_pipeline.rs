@@ -149,6 +149,37 @@ fn corrupt_trace_line_is_diagnosed_with_file_and_line() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `tit-profile` validates every CSV row: non-finite times, an end
+/// before its start and an out-of-range rank exit 1 naming the line,
+/// instead of writing invalid JSON, panicking or allocating per rank.
+#[test]
+fn profile_rejects_untrusted_rows() {
+    let dir = std::env::temp_dir().join(format!("titr-cliprof-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("timed.csv");
+    for (row, reason) in [
+        ("0,compute,0,inf,1", "end is not a finite number"),
+        ("0,compute,NaN,1,1", "start is not a finite number"),
+        ("0,compute,0,1,nan", "volume is not a finite number"),
+        ("0,compute,2,1,1", "end before start"),
+        ("18446744073709551615,compute,0,1,1", "rank not below"),
+        ("4000000000,compute,0,1,1", "rank not below"),
+    ] {
+        std::fs::write(&csv, format!("rank,action,start,end,volume\n0,compute,0,1,1\n{row}\n"))
+            .unwrap();
+        let (code, stderr) = run_code(
+            env!("CARGO_BIN_EXE_tit-profile"),
+            &["--input", csv.to_str().unwrap(), "--format", "json"],
+        );
+        assert_eq!(code, Some(1), "row {row:?} must be refused; stderr:\n{stderr}");
+        assert!(stderr.contains("timed.csv:3:"), "names file:line:\n{stderr}");
+        assert!(stderr.contains(reason), "row {row:?}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "one-line diagnostic:\n{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Writes a per-rank trace set into a fresh temp directory.
 fn write_traces(tag: &str, ranks: &[&str]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("titr-clilint-{tag}-{}", std::process::id()));

@@ -27,8 +27,9 @@
 //! checkpoint container ([`checkpoint`]), wall-clock budgets shared by
 //! the CLI watchdog and the serving layer ([`deadline`]), a small
 //! LRU cache for fingerprint-keyed shared state ([`lru`]), a weighted
-//! DAG arena for happens-before analyses ([`graph`]) and the JSON
-//! escape/number helpers every hand-rolled emitter shares ([`json`]).
+//! DAG arena for happens-before analyses ([`graph`]) and the one JSON
+//! value, parser and serializer that every report and the serve
+//! protocol share ([`json`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use tit_core::json::Json;
+use tit_core::json_obj;
 
 /// How severe a finding is — and therefore what the driver does with it.
 ///
@@ -351,88 +353,24 @@ impl Report {
         out
     }
 
-    /// Machine-readable rendering (the `--format json` output).
+    /// Machine-readable rendering (the `--format json` output): one
+    /// compact JSON line, without a trailing newline.
     ///
     /// Schema: `{"tool","num_processes","num_actions","errors",
     /// "warnings","findings":[{"code","severity","message","rank",
     /// "index","keyword","file","line","related":[…]}]}` where absent
     /// location fields are `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.findings.len() * 160);
-        out.push_str("{\"tool\":\"tit-lint\",");
-        let _ = write!(
-            out,
-            "\"num_processes\":{},\"num_actions\":{},\"errors\":{},\"warnings\":{},",
-            self.num_processes,
-            self.num_actions,
-            self.errors(),
-            self.warnings()
-        );
-        out.push_str("\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_finding(f, &mut out);
-        }
-        out.push_str("]}");
-        out
+        let findings = self.findings.iter().map(|f| {
+            let related = f.related.iter().map(|l| json_obj!(l; rank, index, keyword, file, line));
+            json_obj!(f.primary; code = f.code.id(), severity = f.severity.label(),
+                message = f.message.as_str(), rank, index, keyword, file, line,
+                related = Json::Arr(related.collect()))
+        });
+        json_obj!(self; tool = "tit-lint", num_processes, num_actions, errors = self.errors(),
+            warnings = self.warnings(), findings = Json::Arr(findings.collect()))
+        .to_string()
     }
-}
-
-fn json_finding(f: &Finding, out: &mut String) {
-    out.push_str("{\"code\":\"");
-    out.push_str(f.code.id());
-    out.push_str("\",\"severity\":\"");
-    out.push_str(f.severity.label());
-    out.push_str("\",\"message\":");
-    json_string(&f.message, out);
-    out.push(',');
-    json_location_fields(&f.primary, out);
-    out.push_str(",\"related\":[");
-    for (i, loc) in f.related.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        json_location_fields(loc, out);
-        out.push('}');
-    }
-    out.push_str("]}");
-}
-
-fn json_location_fields(loc: &Location, out: &mut String) {
-    let _ = write!(out, "\"rank\":{}", loc.rank);
-    out.push_str(",\"index\":");
-    match loc.index {
-        Some(i) => {
-            let _ = write!(out, "{i}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"keyword\":");
-    match loc.keyword {
-        Some(kw) => json_string(kw, out),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"file\":");
-    match &loc.file {
-        Some(p) => json_string(p, out),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"line\":");
-    match loc.line {
-        Some(l) => {
-            let _ = write!(out, "{l}");
-        }
-        None => out.push_str("null"),
-    }
-}
-
-/// JSON string encoder: the shared `tit-core` helper, so every emitter
-/// in the repository produces identical RFC 8259 escapes.
-fn json_string(s: &str, out: &mut String) {
-    tit_core::json::push_string(out, s);
 }
 
 #[cfg(test)]

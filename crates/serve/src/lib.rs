@@ -35,11 +35,13 @@
 pub mod accesslog;
 pub mod cache;
 pub mod exec;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod server;
 
+/// The wire protocol's JSON value, parser and serializer: the
+/// workspace's one JSON module.
+pub use tit_core::json;
 pub use accesslog::{AccessLog, Spans};
 pub use cache::TraceCache;
 pub use exec::{Job, Shared, SharedWriter};

@@ -255,16 +255,12 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, draining: &Arc<Atom
                 respond(&out, &obj(vec![("status", Json::Str("draining".into()))]));
             }
             Ok(Request::Metrics) => {
-                // Live registry snapshot: re-parse the deterministic
-                // titobs rendering into a single-line protocol payload.
-                let snapshot = crate::json::parse(shared.metrics.to_json().trim())
-                    .unwrap_or(Json::Null);
                 respond(
                     &out,
                     &obj(vec![
                         ("status", Json::Str("ok".into())),
                         ("op", Json::Str("metrics".into())),
-                        ("metrics", snapshot),
+                        ("metrics", shared.metrics.to_json_value()),
                     ]),
                 );
             }

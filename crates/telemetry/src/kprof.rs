@@ -11,11 +11,13 @@
 //! renders the deterministic core (`tit-kprof-v1`): counters plus
 //! derived per-operation ratios, byte-identical across runs and
 //! `--jobs` values, suitable for CI diffing.
-//! [`KernelReport::to_json_with_walls`] appends the wall-clock phase
+//! [`KernelReport::to_json_value`] can add the wall-clock phase
 //! attribution — meaningful for humans and benches, **not**
 //! reproducible across runs.
 
 use simkern::KernelProfile;
+use tit_core::json::Json;
+use tit_core::json_obj;
 
 /// A kernel self-profile plus the replay context needed for derived
 /// per-operation ratios.
@@ -41,79 +43,47 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 impl KernelReport {
-    /// Serialises the deterministic core as JSON (`tit-kprof-v1`):
-    /// engine and solver counters plus derived ratios, **no wall
-    /// clock** — identical replays produce byte-identical output. See
-    /// `docs/OBSERVABILITY.md` for the schema.
+    /// The report as one `tit-kprof-v1` object: engine and solver
+    /// counters plus derived ratios, and with `walls` a `"wall"`
+    /// member — phase-attributed wall seconds and replay throughput,
+    /// **not** reproducible across runs. See `docs/OBSERVABILITY.md`
+    /// for the schema.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let p = &self.profile;
-        let s = &p.solver;
-        let mut out = String::with_capacity(768);
-        out.push_str("{\"schema\":\"tit-kprof-v1\"");
-        out.push_str(&format!(",\"num_ranks\":{}", self.num_ranks));
-        out.push_str(&format!(",\"actions_replayed\":{}", self.actions_replayed));
-        out.push_str(&format!(",\"simulated_time\":{}", self.simulated_time));
-        out.push_str(&format!(
-            ",\n\"engine\":{{\"actor_steps\":{},\"ops_completed\":{},\"heap_pushes\":{},\"heap_pops\":{},\"heap_peak\":{},\"latency_events\":{},\"sleep_events\":{},\"completion_updates\":{},\"lazy_rekeys\":{},\"stale_pops\":{},\"completion_pops\":{},\"completions_peak\":{},\"activities_peak\":{}}}",
-            p.actor_steps,
-            p.ops_completed,
-            p.heap_pushes,
-            p.heap_pops,
-            p.heap_peak,
-            p.latency_events,
-            p.sleep_events,
-            p.completion_updates,
-            p.lazy_rekeys,
-            p.stale_pops,
-            p.completion_pops,
-            p.completions_peak,
-            p.activities_peak
-        ));
-        out.push_str(&format!(
-            ",\n\"solver\":{{\"solves\":{},\"partial_solves\":{},\"islands\":{},\"constraints_touched\":{},\"constraints_skipped\":{},\"vars_touched\":{},\"rate_changes\":{}}}",
-            s.solves,
-            s.partial_solves,
-            s.islands,
-            s.constraints_touched,
-            s.constraints_skipped,
-            s.vars_touched,
-            s.rate_changes
-        ));
-        out.push_str(&format!(
-            ",\n\"derived\":{{\"constraints_per_solve\":{},\"vars_per_solve\":{},\"islands_per_solve\":{},\"solves_per_op\":{},\"heap_ops_per_op\":{},\"completion_updates_per_op\":{},\"rate_changes_per_solve\":{}}}}}\n",
-            ratio(s.constraints_touched, s.solves),
-            ratio(s.vars_touched, s.solves),
-            ratio(s.islands, s.solves),
-            ratio(s.solves, p.ops_completed),
-            ratio(p.heap_pushes + p.heap_pops, p.ops_completed),
-            ratio(p.completion_updates, p.ops_completed),
-            ratio(s.rate_changes, s.solves)
-        ));
-        out
+    pub fn to_json_value(&self, walls: bool) -> Json {
+        let (p, s, w) = (&self.profile, &self.profile.solver, &self.profile.wall);
+        let engine = json_obj!(p; actor_steps, ops_completed, heap_pushes, heap_pops, heap_peak,
+            latency_events, sleep_events, completion_updates, lazy_rekeys, stale_pops,
+            completion_pops, completions_peak, activities_peak);
+        let solver = json_obj!(s; solves, partial_solves, islands, constraints_touched,
+            constraints_skipped, vars_touched, rate_changes);
+        let derived = json_obj!(s;
+            constraints_per_solve = ratio(s.constraints_touched, s.solves),
+            vars_per_solve = ratio(s.vars_touched, s.solves),
+            islands_per_solve = ratio(s.islands, s.solves),
+            solves_per_op = ratio(s.solves, p.ops_completed),
+            heap_ops_per_op = ratio(p.heap_pushes + p.heap_pops, p.ops_completed),
+            completion_updates_per_op = ratio(p.completion_updates, p.ops_completed),
+            rate_changes_per_solve = ratio(s.rate_changes, s.solves));
+        let mut doc = json_obj!(self; schema = "tit-kprof-v1", num_ranks, actions_replayed,
+            simulated_time, engine = engine, solver = solver, derived = derived);
+        if !walls {
+            return doc;
+        }
+        let rps = if w.total_s > 0.0 { self.actions_replayed as f64 / w.total_s } else { 0.0 };
+        let wall = json_obj!(w; drain_s, solve_s, events_s, completions_s, total_s,
+            records_per_sec = rps);
+        if let Json::Obj(members) = &mut doc {
+            members.push(("wall".to_owned(), wall));
+        }
+        doc
     }
 
-    /// Like [`KernelReport::to_json`] but with a `"wall"` section
-    /// appended — phase-attributed wall seconds and replay throughput.
-    /// Useful for benches and humans, **not** reproducible across runs.
+    /// Serialises the deterministic core ([`KernelReport::to_json_value`]
+    /// without walls) as one JSON line: identical replays produce
+    /// byte-identical output.
     #[must_use]
-    pub fn to_json_with_walls(&self) -> String {
-        let mut out = self.to_json();
-        // strip the trailing "}\n" and splice the wall object in
-        out.truncate(out.len() - 2);
-        let w = &self.profile.wall;
-        let rps = if w.total_s > 0.0 {
-            #[allow(clippy::cast_precision_loss)] // counters stay far below 2^52
-            let n = self.actions_replayed as f64;
-            n / w.total_s
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            ",\n\"wall\":{{\"drain_s\":{},\"solve_s\":{},\"events_s\":{},\"completions_s\":{},\"total_s\":{},\"records_per_sec\":{}}}}}\n",
-            w.drain_s, w.solve_s, w.events_s, w.completions_s, w.total_s, rps
-        ));
-        out
+    pub fn to_json(&self) -> String {
+        format!("{}\n", self.to_json_value(false))
     }
 
     /// Renders a human-readable summary naming where the time and the
@@ -201,14 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn walls_section_splices_balanced() {
+    fn walls_member_comes_last() {
         let r = demo();
-        let t = r.to_json_with_walls();
-        assert!(t.contains("\"wall\":{"));
-        assert!(t.contains("\"records_per_sec\":500"));
-        assert_eq!(t.matches('{').count(), t.matches('}').count());
-        assert!(t.ends_with("}\n"));
+        let t = r.to_json_value(true);
+        let Json::Obj(members) = &t else { panic!("an object: {t}") };
+        assert_eq!(members.last().map(|(k, _)| k.as_str()), Some("wall"));
+        assert_eq!(t.get("wall").and_then(|w| w.get("records_per_sec")), Some(&Json::Num(500.0)));
+        assert_eq!(Json::Obj(members[..members.len() - 1].to_vec()), r.to_json_value(false));
     }
+
 
     #[test]
     fn zero_denominators_render_zero() {

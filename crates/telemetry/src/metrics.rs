@@ -4,16 +4,16 @@
 //!
 //! Keys are dotted strings (`"gather.retries"`, `"replay.ops"`); the
 //! registry is a cheap clonable handle, so every pipeline stage can hold
-//! one without plumbing mutable references around. The deterministic
-//! rendering ([`Metrics::to_json`]) deliberately excludes wall-clock
-//! timers so that identical replays produce byte-identical metrics
-//! files; [`Metrics::to_json_with_timers`] adds them for humans.
+//! one without plumbing mutable references around. The JSON rendering
+//! ([`Metrics::to_json`]) deliberately excludes wall-clock timers so
+//! that identical replays produce byte-identical metrics files; the
+//! text table ([`Metrics::render_text`]) shows them for humans.
 
 use simkern::observer::{Observer, OpRecord};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tit_core::json;
+use tit_core::json::{obj, Json};
 
 #[derive(Default)]
 struct Inner {
@@ -21,12 +21,6 @@ struct Inner {
     values: BTreeMap<String, f64>,
     timers: BTreeMap<String, f64>,
     notes: BTreeMap<String, String>,
-}
-
-/// Appends `key` as an escaped JSON object key followed by a colon.
-fn push_key(out: &mut String, key: &str) {
-    json::push_string(out, key);
-    out.push(':');
 }
 
 /// Handle to a metrics registry. Clones share the same underlying state.
@@ -137,65 +131,30 @@ impl Metrics {
         Box::new(MetricsObserver { metrics: self.clone(), prefix: prefix.to_owned() })
     }
 
-    /// Serialises counters, gauge values and notes as deterministic JSON
-    /// (`titobs-metrics-v1`): keys sorted, **no wall-clock timers** —
-    /// identical runs produce byte-identical output. See `DESIGN.md`
-    /// §5d for the schema.
+    /// Counters, gauge values and notes as one `titobs-metrics-v1`
+    /// object: keys sorted, **no wall-clock timers**. This is the value
+    /// [`Metrics::to_json`] renders and the serve `metrics` op embeds.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json_value(&self) -> Json {
+        fn section<V: Clone + Into<Json>>(m: &BTreeMap<String, V>) -> Json {
+            Json::Obj(m.iter().map(|(k, v)| (k.clone(), v.clone().into())).collect())
+        }
         // panics: mutex poisoned only if another thread already panicked
         let g = self.inner.lock().unwrap();
-        let mut out = String::from("{\"schema\":\"titobs-metrics-v1\",\"counters\":{");
-        for (i, (k, v)) in g.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            push_key(&mut out, k);
-            out.push_str(&format!("{v}"));
-        }
-        out.push_str("},\"values\":{");
-        for (i, (k, v)) in g.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            push_key(&mut out, k);
-            json::push_f64(&mut out, *v);
-        }
-        out.push_str("},\"notes\":{");
-        for (i, (k, v)) in g.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            push_key(&mut out, k);
-            json::push_string(&mut out, v);
-        }
-        out.push_str("}}\n");
-        out
+        obj(vec![
+            ("schema", "titobs-metrics-v1".into()),
+            ("counters", section(&g.counters)),
+            ("values", section(&g.values)),
+            ("notes", section(&g.notes)),
+        ])
     }
 
-    /// Like [`Metrics::to_json`] but with a `"wall_timers"` section
-    /// appended — useful for humans, **not** reproducible across runs.
+    /// Serialises [`Metrics::to_json_value`] as one deterministic JSON
+    /// line: identical runs produce byte-identical output. See
+    /// `DESIGN.md` §5d for the schema.
     #[must_use]
-    pub fn to_json_with_timers(&self) -> String {
-        let mut out = self.to_json();
-        // strip the trailing "}\n" and splice the timers object in
-        out.truncate(out.len() - 2);
-        out.push_str(",\"wall_timers\":{");
-        // panics: mutex poisoned only if another thread already panicked
-        let g = self.inner.lock().unwrap();
-        for (i, (k, v)) in g.timers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            push_key(&mut out, k);
-            json::push_f64(&mut out, *v);
-        }
-        out.push_str("}}\n");
-        out
+    pub fn to_json(&self) -> String {
+        format!("{}\n", self.to_json_value())
     }
 
     /// Renders everything (counters, values, wall timers) as an aligned
@@ -294,9 +253,8 @@ mod tests {
         // sorted keys: a.count before b.count
         assert!(a.find("a.count").unwrap() < a.find("b.count").unwrap());
         assert!(!a.contains("wall.secs"));
-        let t = m.to_json_with_timers();
-        assert!(t.contains("wall.secs"));
-        assert_eq!(t.matches('{').count(), t.matches('}').count());
+        assert!(m.render_text().contains("wall.secs"));
+        assert_eq!(a.lines().count(), 1, "one compact line: {a}");
     }
 
     #[test]
@@ -340,11 +298,7 @@ mod tests {
         assert!(j.contains("\"notes\":{"));
         assert!(j.contains("\"degraded.rank0\":\"missing-file: SG_process0.trace\""));
         assert!(j.contains("\"weird\":\"a\\\"b\\\\c\\nd\""));
-        // the timers splice still produces balanced JSON with notes present
-        m.observe_wall("w", 1.0);
-        let t = m.to_json_with_timers();
-        assert_eq!(t.matches('{').count(), t.matches('}').count());
-        assert!(t.ends_with("}}\n"));
+        assert!(j.ends_with("}}\n"));
         assert!(m.render_text().contains("degraded.rank0"));
     }
 

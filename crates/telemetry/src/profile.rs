@@ -17,6 +17,8 @@ use crate::{TagClassifier, TagNamer};
 use simkern::observer::{Observer, OpRecord};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use tit_core::json::Json;
+use tit_core::json_obj;
 
 /// Number of histogram buckets (fixed, log-scale).
 pub const HIST_BUCKETS: usize = 16;
@@ -204,46 +206,23 @@ impl ProfileReport {
         out
     }
 
-    /// Serialises the profile as deterministic JSON
+    /// Serialises the profile as one deterministic JSON line
     /// (`titobs-profile-v1`): ranks ascending, tags by numeric id,
-    /// shortest-roundtrip number formatting. See `DESIGN.md` §5d for the
-    /// schema.
+    /// shortest-roundtrip numbers, non-finite numbers as `null`. See
+    /// `DESIGN.md` §5d for the schema.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.ranks.len() * 256);
-        out.push_str("{\"schema\":\"titobs-profile-v1\"");
-        out.push_str(&format!(",\"num_ranks\":{}", self.ranks.len()));
-        out.push_str(&format!(",\"simulated_time\":{}", self.simulated_time));
-        out.push_str(&format!(",\"total_ops\":{}", self.total_ops));
-        out.push_str(",\"ranks\":[");
-        for (rank, r) in self.ranks.iter().enumerate() {
-            if rank > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"rank\":{rank},\"compute_time\":{},\"comm_time\":{},\"compute_ops\":{},\"comm_ops\":{},\"flops\":{},\"bytes\":{},\"end_time\":{},\"tags\":[",
-                r.compute_time, r.comm_time, r.compute_ops, r.comm_ops, r.flops, r.bytes, r.end_time
-            ));
-            for (i, (tag, s)) in r.tags.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"tag\":{tag},\"name\":\"{}\",\"count\":{},\"time\":{},\"volume\":{},\"hist\":[",
-                    s.name, s.count, s.time, s.volume
-                ));
-                for (b, n) in s.hist.buckets.iter().enumerate() {
-                    if b > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&n.to_string());
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n]}\n");
-        out
+        let ranks = self.ranks.iter().enumerate().map(|(rank, r)| {
+            let tags = r.tags.iter().map(|(tag, s)| {
+                let hist = s.hist.buckets.iter().map(|&n| n.into()).collect();
+                json_obj!(s; tag = *tag, name, count, time, volume, hist = Json::Arr(hist))
+            });
+            json_obj!(r; rank = rank, compute_time, comm_time, compute_ops, comm_ops, flops, bytes,
+                end_time, tags = Json::Arr(tags.collect()))
+        });
+        let doc = json_obj!(self; schema = "titobs-profile-v1", num_ranks = self.ranks.len(),
+            simulated_time, total_ops, ranks = Json::Arr(ranks.collect()));
+        format!("{doc}\n")
     }
 }
 

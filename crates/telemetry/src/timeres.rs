@@ -45,6 +45,8 @@ use crate::TagClassifier;
 use simkern::observer::{Observer, OpRecord};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+use tit_core::json::Json;
+use tit_core::json_obj;
 
 /// Window boundary configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,57 +179,24 @@ pub struct TimeResReport {
 }
 
 impl TimeResReport {
-    /// Serialises the report as deterministic JSON (`tit-timeres-v1`):
-    /// windows in time order, ranks ascending, shortest-roundtrip
-    /// number formatting. See `docs/OBSERVABILITY.md` for the schema.
+    /// Serialises the report as one deterministic JSON line
+    /// (`tit-timeres-v1`): windows in time order, ranks ascending,
+    /// shortest-roundtrip numbers, non-finite numbers as `null`. See
+    /// `docs/OBSERVABILITY.md` for the schema.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.windows.len() * 192);
-        out.push_str("{\"schema\":\"tit-timeres-v1\"");
-        out.push_str(&format!(",\"num_ranks\":{}", self.num_ranks));
-        match self.window_width {
-            Some(w) => out.push_str(&format!(",\"window_width\":{w}")),
-            None => out.push_str(",\"window_width\":null"),
-        }
-        out.push_str(&format!(",\"phase_boundaries\":{}", self.phases));
-        out.push_str(&format!(",\"simulated_time\":{}", self.simulated_time));
-        out.push_str(&format!(",\"total_ops\":{}", self.total_ops));
-        out.push_str(&format!(",\"num_windows\":{}", self.windows.len()));
-        out.push_str(",\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"index\":{},\"start\":{},\"end\":{},\"kind\":\"{}\",\"ops\":{},\"compute_time\":{},\"comm_time\":{},\"compute_ops\":{},\"comm_ops\":{},\"flops\":{},\"bytes\":{},\"comm_ratio\":{},\"imbalance\":{},\"active_peak\":{}}}",
-                w.index,
-                w.start,
-                w.end,
-                w.kind.as_str(),
-                w.ops,
-                w.compute_time,
-                w.comm_time,
-                w.compute_ops,
-                w.comm_ops,
-                w.flops,
-                w.bytes,
-                w.comm_ratio,
-                w.imbalance,
-                w.active_peak
-            ));
-        }
-        out.push_str("\n],\"ranks\":[");
-        for (rank, r) in self.ranks.iter().enumerate() {
-            if rank > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"rank\":{rank},\"compute_time\":{},\"comm_time\":{},\"compute_ops\":{},\"comm_ops\":{},\"flops\":{},\"bytes\":{}}}",
-                r.compute_time, r.comm_time, r.compute_ops, r.comm_ops, r.flops, r.bytes
-            ));
-        }
-        out.push_str("\n]}\n");
-        out
+        let windows = self.windows.iter().map(|w| {
+            json_obj!(w; index, start, end, kind = w.kind.as_str(), ops, compute_time, comm_time,
+                compute_ops, comm_ops, flops, bytes, comm_ratio, imbalance, active_peak)
+        });
+        let ranks = self.ranks.iter().enumerate().map(|(rank, r)| {
+            json_obj!(r; rank = rank, compute_time, comm_time, compute_ops, comm_ops, flops, bytes)
+        });
+        let doc = json_obj!(self; schema = "tit-timeres-v1", num_ranks, window_width,
+            phase_boundaries = self.phases, simulated_time, total_ops,
+            num_windows = self.windows.len(), windows = Json::Arr(windows.collect()),
+            ranks = Json::Arr(ranks.collect()));
+        format!("{doc}\n")
     }
 }
 
