@@ -32,10 +32,12 @@
 //! against the reference one. Two implementation rules make per-island
 //! filling reproduce global filling exactly:
 //!
-//! 1. **Canonical fill order.** Collected islands are sorted by slab id
-//!    before filling, and the full solve iterates slabs in id order, so
-//!    the per-constraint share-subtraction sequence — floating-point
+//! 1. **Canonical variable order.** Island variables are filled in
+//!    ascending slab id, as the full solve iterates them, so each
+//!    constraint's share-subtraction sequence — floating-point
 //!    subtraction is order-sensitive — is the same in both paths.
+//!    Constraint order does not matter: constraints only feed the
+//!    water level, which is a min.
 //! 2. **Exact level comparisons.** An entity binds only when its ratio
 //!    or bound equals the current water level *exactly* (the level is a
 //!    min over those quantities, so at least one entity binds per
@@ -46,11 +48,16 @@
 //!    ulp-level divergence that compounds. Exact comparisons make every
 //!    binding value a function of island-local state only.
 //!
-//! The hot path is also allocation-free: island collection and filling
-//! reuse scratch buffers owned by the [`System`], and each variable's
-//! constraint list is stored inline (up to [`INLINE_CNSTS`]) instead of
-//! in a heap `Vec` — activity churn is the kernel's allocation
-//! bottleneck at scale (docs/KERNEL.md §5).
+//! The incremental fill runs on packed island-local arrays rather than
+//! on the slabs: one pass marks island membership in bitsets and packs
+//! each constraint's remaining capacity, active count and cached ratio,
+//! and each variable's bound and constraint list (compressed rows of
+//! local indices). Reading the variable bitset in word order yields
+//! ascending ids, so rule 1 costs no sort. The buffers are owned by the
+//! [`System`], so a solve is allocation-free once they have grown, and
+//! each variable's constraint list is stored inline (up to
+//! [`INLINE_CNSTS`]) instead of in a heap `Vec` — activity churn is the
+//! kernel's allocation bottleneck at scale (docs/KERNEL.md §5).
 
 use crate::slab::Slab;
 
@@ -122,8 +129,6 @@ struct Cnst {
     nactive: usize,
     /// In the dirty queue already?
     queued_dirty: bool,
-    /// Scratch: visited during island collection.
-    visited: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -136,8 +141,142 @@ struct Var {
     value: f64,
     /// Scratch: fixed during the current solve.
     fixed: bool,
-    /// Scratch: visited during island collection.
-    visited: bool,
+}
+
+/// A set of slab ids, one bit each.
+#[derive(Debug, Default)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// Makes room for ids below `n`.
+    fn grow(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Adds `i`; true when it was not in the set yet.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+}
+
+/// Working set of one [`System::solve_dirty`]: the dirty islands packed
+/// into dense arrays indexed by island-local position. Rebuilt by every
+/// solve, so it is not simulation state: snapshots leave it out.
+#[derive(Debug, Default)]
+struct Islands {
+    /// Island membership by slab id.
+    cnst_seen: BitSet,
+    var_seen: BitSet,
+    /// Local index of each member constraint, by slab id (stale for
+    /// non-members).
+    cnst_local: Vec<u32>,
+    /// Constraints in discovery order (doubling as the breadth-first
+    /// queue): slab id, capacity left, unfixed crossing variables, and
+    /// `remaining / nactive` while `nactive > 0`.
+    cnst_id: Vec<usize>,
+    remaining: Vec<f64>,
+    nactive: Vec<u32>,
+    ratio: Vec<f64>,
+    /// Variables in ascending slab id: id, bound, solved rate, and the
+    /// local constraint indices `cols[rows[i]..rows[i + 1]]`.
+    var_id: Vec<usize>,
+    bound: Vec<f64>,
+    value: Vec<f64>,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
+    /// Local indices of the unfixed variables (ascending) and of the
+    /// constraints they still cross, compacted after every round.
+    unfixed: Vec<u32>,
+    active: Vec<u32>,
+}
+
+impl Islands {
+    /// Appends constraint `c` to the island.
+    fn push_cnst(&mut self, c: usize, capacity: f64) {
+        self.cnst_local[c] = self.cnst_id.len() as u32;
+        self.cnst_id.push(c);
+        self.remaining.push(capacity);
+        self.nactive.push(0);
+    }
+
+    /// Progressive filling on the packed arrays: the same rounds, level
+    /// and binding rule as [`System::fill`], so the rates are
+    /// bit-identical to it (docs/KERNEL.md §2). Ratios are cached and
+    /// recomputed exactly when a fix changes them.
+    fn fill(&mut self) {
+        let Islands {
+            remaining, nactive, ratio, bound, value, rows, cols, unfixed, active, ..
+        } = self;
+        ratio.clear();
+        ratio.extend(remaining.iter().zip(nactive.iter()).map(|(&r, &n)| r / n as f64));
+        active.clear();
+        active.extend((0..nactive.len() as u32).filter(|&c| nactive[c as usize] > 0));
+        value.clear();
+        value.resize(bound.len(), 0.0);
+        unfixed.clear();
+        unfixed.extend(0..bound.len() as u32);
+        // The level's two halves, each a min over a list that the
+        // previous round's pass already walks (min is order-free).
+        let mut min_ratio = active.iter().fold(f64::INFINITY, |m, &c| m.min(ratio[c as usize]));
+        let mut min_bound = bound.iter().fold(f64::INFINITY, |m, &b| m.min(b));
+
+        while !unfixed.is_empty() {
+            // Water level at which the next entity binds.
+            let level = min_ratio.min(min_bound);
+            debug_assert!(level.is_finite(), "no binding entity for unfixed variables");
+
+            // Fix every variable bound at `level`, in ascending id
+            // order, with exact comparisons (bit-identity rules 1–2).
+            let mut kept = 0;
+            min_bound = f64::INFINITY;
+            for k in 0..unfixed.len() {
+                let v = unfixed[k] as usize;
+                let cs = &cols[rows[v] as usize..rows[v + 1] as usize];
+                if !(bound[v] <= level || cs.iter().any(|&c| ratio[c as usize] <= level)) {
+                    unfixed[kept] = v as u32;
+                    kept += 1;
+                    min_bound = min_bound.min(bound[v]);
+                    continue;
+                }
+                let x = level.min(bound[v]);
+                value[v] = x;
+                for &c in cs {
+                    let c = c as usize;
+                    remaining[c] = (remaining[c] - x).max(0.0);
+                    nactive[c] -= 1;
+                    if nactive[c] > 0 {
+                        ratio[c] = remaining[c] / nactive[c] as f64;
+                    }
+                }
+            }
+            let progressed = kept < unfixed.len();
+            debug_assert!(progressed, "progressive filling made no progress");
+            if !progressed {
+                break; // defensive: avoid an infinite loop in release
+            }
+            unfixed.truncate(kept);
+            min_ratio = f64::INFINITY;
+            active.retain(|&c| {
+                let c = c as usize;
+                if nactive[c] > 0 {
+                    min_ratio = min_ratio.min(ratio[c]);
+                }
+                nactive[c] > 0
+            });
+        }
+    }
 }
 
 /// Cumulative counters over every incremental solve since the system
@@ -176,11 +315,9 @@ pub struct System {
     dirty_free_vars: Vec<usize>,
     dirty: bool,
     stats: SolverStats,
-    /// Scratch reused across solves (hot path is allocation-free).
-    scratch_vars: Vec<usize>,
-    scratch_cnsts: Vec<usize>,
-    scratch_queue: Vec<usize>,
-    scratch_old: Vec<f64>,
+    /// Packed working set reused across solves (allocation-free once
+    /// grown).
+    islands: Islands,
 }
 
 impl System {
@@ -202,7 +339,6 @@ impl System {
             remaining: capacity,
             nactive: 0,
             queued_dirty: false,
-            visited: false,
         }))
     }
 
@@ -239,7 +375,6 @@ impl System {
             cnsts: CnstList::from_ids(cnsts),
             value: 0.0,
             fixed: false,
-            visited: false,
         });
         if cnsts.is_empty() {
             self.dirty_free_vars.push(id);
@@ -365,7 +500,6 @@ impl System {
                         remaining: c.capacity,
                         nactive: 0,
                         queued_dirty: false,
-                        visited: false,
                     })
                 })
                 .collect(),
@@ -382,37 +516,25 @@ impl System {
                         ),
                         value: v.value,
                         fixed: false,
-                        visited: false,
                     })
                 })
                 .collect(),
             snap.var_free.clone(),
         )?;
-        // Cross-validate the bipartite references.
         for (c, cn) in cnsts.iter() {
-            for &v in &cn.vars {
-                let var = vars.get(v).ok_or_else(|| {
-                    format!("lmm restore: constraint {c} references missing variable {v}")
-                })?;
-                if !var.cnsts.as_slice().contains(&c) {
-                    return Err(format!(
-                        "lmm restore: constraint {c} lists variable {v} but not vice versa"
-                    ));
-                }
+            if !(cn.capacity > 0.0 && cn.capacity.is_finite()) {
+                return Err(format!(
+                    "lmm restore: constraint {c} has capacity {}, not positive and finite",
+                    cn.capacity
+                ));
             }
         }
         for (v, var) in vars.iter() {
             if var.bound.is_nan() || var.bound <= 0.0 {
                 return Err(format!("lmm restore: variable {v} has non-positive bound"));
             }
-            for &c in var.cnsts.as_slice() {
-                if !cnsts.contains(c) {
-                    return Err(format!(
-                        "lmm restore: variable {v} references missing constraint {c}"
-                    ));
-                }
-            }
         }
+        check_edges(&cnsts, &vars)?;
         Ok(System {
             cnsts,
             vars,
@@ -420,10 +542,7 @@ impl System {
             dirty_free_vars: Vec::new(),
             dirty: false,
             stats: SolverStats::default(),
-            scratch_vars: Vec::new(),
-            scratch_cnsts: Vec::new(),
-            scratch_queue: Vec::new(),
-            scratch_old: Vec::new(),
+            islands: Islands::default(),
         })
     }
 
@@ -453,93 +572,89 @@ impl System {
             }
         }
 
-        // Collect the islands reachable from dirty constraints. The
-        // scratch buffers are owned by the system, so a solve performs
-        // no allocation once they have grown to the workload's island
-        // size. Iteration is by index (not by cloning adjacency lists):
-        // a slab lookup per edge beats a heap allocation per node.
-        let mut comp_vars = std::mem::take(&mut self.scratch_vars);
-        let mut comp_cnsts = std::mem::take(&mut self.scratch_cnsts);
-        let mut queue = std::mem::take(&mut self.scratch_queue);
-        comp_vars.clear();
-        comp_cnsts.clear();
-        queue.clear();
-        let seeds = std::mem::take(&mut self.dirty_cnsts);
-        for &seed in &seeds {
-            let Some(cn) = self.cnsts.get_mut(seed) else { continue };
+        // One breadth-first pass from the dirty constraints marks the
+        // islands' members in the bitsets and packs each constraint;
+        // the packed constraint list is the queue.
+        let System { cnsts, vars, dirty_cnsts, stats, islands: isl, .. } = self;
+        isl.cnst_seen.grow(cnsts.slot_count());
+        isl.var_seen.grow(vars.slot_count());
+        isl.cnst_local.resize(cnsts.slot_count(), 0);
+        isl.cnst_id.clear();
+        isl.remaining.clear();
+        isl.nactive.clear();
+        // `lo..=hi` bounds the bitset words that hold member variables.
+        let (mut nvars, mut lo, mut hi) = (0usize, usize::MAX, 0usize);
+        let mut head = 0;
+        for &seed in dirty_cnsts.iter() {
+            let Some(cn) = cnsts.get_mut(seed) else { continue };
             cn.queued_dirty = false;
-            if cn.visited {
+            if !isl.cnst_seen.insert(seed) {
                 continue;
             }
-            cn.visited = true;
-            self.stats.islands += 1;
-            queue.push(seed);
-            while let Some(c) = queue.pop() {
-                comp_cnsts.push(c);
-                let nvars = self.cnsts[c].vars.len();
-                for i in 0..nvars {
-                    let v = self.cnsts[c].vars[i];
-                    if self.vars[v].visited {
+            stats.islands += 1;
+            isl.push_cnst(seed, cn.capacity);
+            while let Some(&c) = isl.cnst_id.get(head) {
+                head += 1;
+                for &v in &cnsts[c].vars {
+                    if !isl.var_seen.insert(v) {
                         continue;
                     }
-                    self.vars[v].visited = true;
-                    comp_vars.push(v);
-                    let ncn = self.vars[v].cnsts.len();
-                    for j in 0..ncn {
-                        let vc = self.vars[v].cnsts.get(j);
-                        let cn = &mut self.cnsts[vc];
-                        if !cn.visited {
-                            cn.visited = true;
-                            queue.push(vc);
+                    nvars += 1;
+                    (lo, hi) = (lo.min(v / 64), hi.max(v / 64));
+                    for &vc in vars[v].cnsts.as_slice() {
+                        if isl.cnst_seen.insert(vc) {
+                            isl.push_cnst(vc, cnsts[vc].capacity);
                         }
                     }
                 }
             }
         }
-        let mut seeds = seeds;
-        seeds.clear();
-        self.dirty_cnsts = seeds;
-
-        self.stats.constraints_touched += comp_cnsts.len() as u64;
-        self.stats.constraints_skipped +=
-            (self.cnsts.len() - comp_cnsts.len()) as u64;
-        if comp_cnsts.len() < self.cnsts.len() {
-            self.stats.partial_solves += 1;
+        dirty_cnsts.clear();
+        for &c in &isl.cnst_id {
+            isl.cnst_seen.remove(c);
         }
-        self.stats.vars_touched += comp_vars.len() as u64;
 
-        // Canonical fill order (docs/KERNEL.md §2): sorting by slab id
-        // makes the island fill bit-identical to the full-system fill,
-        // whose slab iteration is id-ordered.
-        comp_vars.sort_unstable();
-        comp_cnsts.sort_unstable();
+        let ncnsts = isl.cnst_id.len();
+        stats.constraints_touched += ncnsts as u64;
+        stats.constraints_skipped += (cnsts.len() - ncnsts) as u64;
+        if ncnsts < cnsts.len() {
+            stats.partial_solves += 1;
+        }
+        stats.vars_touched += nvars as u64;
 
-        // Solve the collected sub-system.
-        let mut old = std::mem::take(&mut self.scratch_old);
-        old.clear();
-        old.extend(comp_vars.iter().map(|&v| self.vars[v].value));
-        self.fill(&comp_vars, &comp_cnsts);
-        for (&v, &before) in comp_vars.iter().zip(&old) {
-            if self.vars[v].value != before {
-                changed.push(VarId(v));
+        // Pack the variables in ascending id (bit-identity rule 1)
+        // straight off the bitset, clearing it on the way.
+        isl.var_id.clear();
+        isl.bound.clear();
+        isl.rows.clear();
+        isl.cols.clear();
+        isl.rows.push(0);
+        for w in lo..=hi {
+            let mut bits = std::mem::take(&mut isl.var_seen.words[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let var = &vars[v];
+                isl.var_id.push(v);
+                isl.bound.push(var.bound);
+                for &c in var.cnsts.as_slice() {
+                    let lc = isl.cnst_local[c];
+                    isl.cols.push(lc);
+                    isl.nactive[lc as usize] += 1;
+                }
+                isl.rows.push(isl.cols.len() as u32);
             }
         }
 
-        self.stats.rate_changes += (changed.len() - changed_before) as u64;
-
-        // Clear the scratch marks.
-        for &v in &comp_vars {
-            self.vars[v].visited = false;
+        isl.fill();
+        for (&v, &x) in isl.var_id.iter().zip(&isl.value) {
+            let var = &mut vars[v];
+            if var.value != x {
+                var.value = x;
+                changed.push(VarId(v));
+            }
         }
-        for &c in &comp_cnsts {
-            self.cnsts[c].visited = false;
-            self.cnsts[c].queued_dirty = false;
-        }
-
-        self.scratch_vars = comp_vars;
-        self.scratch_cnsts = comp_cnsts;
-        self.scratch_queue = queue;
-        self.scratch_old = old;
+        stats.rate_changes += (changed.len() - changed_before) as u64;
     }
 
     /// Computes the max-min fair allocation of the whole system
@@ -566,12 +681,14 @@ impl System {
         self.fill(&all_vars, &all_cnsts);
     }
 
-    /// Progressive filling over the given sub-system. Variables without
-    /// constraints in the list keep `value = bound` behaviour.
+    /// Progressive filling over the given sub-system, walking the slabs.
+    /// Variables without constraints in the list keep `value = bound`
+    /// behaviour. This is the oracle that the packed incremental fill
+    /// ([`Islands::fill`]) must match bit for bit.
     ///
-    /// `vars` and `cnsts` must be sorted ascending by id — the caller
-    /// guarantees canonical order so partial and full solves subtract
-    /// shares in the same sequence (bit-identity rule 1).
+    /// `vars` must be sorted ascending by id — the caller guarantees
+    /// canonical order so partial and full solves subtract shares in the
+    /// same sequence (bit-identity rule 1).
     fn fill(&mut self, vars: &[usize], cnsts: &[usize]) {
         // Reset scratch state.
         for &c in cnsts {
@@ -656,6 +773,34 @@ impl System {
                 break; // defensive: avoid an infinite loop in release
             }
         }
+    }
+}
+
+/// Checks that the constraint → variable and variable → constraint
+/// lists hold the same edges, each as often on both sides (a missing
+/// slot lists nothing): removal drops one entry per listing, so a
+/// mismatch would leave a dangling reference for the next solve to
+/// trip on.
+fn check_edges(cnsts: &Slab<Cnst>, vars: &Slab<Var>) -> Result<(), String> {
+    let mut listed: Vec<(usize, usize)> =
+        cnsts.iter().flat_map(|(c, cn)| cn.vars.iter().map(move |&v| (c, v))).collect();
+    let mut back: Vec<(usize, usize)> = vars
+        .iter()
+        .flat_map(|(v, var)| var.cnsts.as_slice().iter().map(move |&c| (c, v)))
+        .collect();
+    listed.sort_unstable();
+    back.sort_unstable();
+    // The first difference between the sorted edge lists names an edge
+    // listed more often on one side than on the other.
+    let k = listed.iter().zip(&back).take_while(|(a, b)| a == b).count();
+    match (listed.get(k), back.get(k)) {
+        (Some(&(c, v)), b) if b.is_none_or(|&b| (c, v) < b) => Err(format!(
+            "lmm restore: constraint {c} lists variable {v} more often than the variable lists it"
+        )),
+        (_, Some(&(c, v))) => Err(format!(
+            "lmm restore: variable {v} lists constraint {c} more often than the constraint lists it"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -878,6 +1023,64 @@ mod tests {
             var_free: vec![],
         };
         assert!(System::restore_snapshot(&snap).is_err());
+        let snap = LmmSnapshot {
+            cnsts: vec![],
+            cnst_free: vec![],
+            vars: vec![Some(VarSnap { bound: 1.0, cnsts: vec![3], value: 0.0 })],
+            var_free: vec![],
+        };
+        assert!(System::restore_snapshot(&snap).is_err());
+    }
+
+    /// A clean two-constraint system: variable 0 crosses both
+    /// constraints, variable 1 only constraint 0, variable 2 only
+    /// constraint 1.
+    fn small_snapshot() -> LmmSnapshot {
+        let mut s = System::new();
+        let a = s.new_constraint(10.0);
+        let b = s.new_constraint(20.0);
+        s.new_variable(f64::INFINITY, &[a, b]);
+        s.new_variable(5.0, &[a]);
+        s.new_variable(f64::INFINITY, &[b]);
+        s.solve_dirty(&mut Vec::new());
+        s.export_snapshot().unwrap()
+    }
+
+    #[test]
+    fn restore_rejects_a_variable_listed_twice_by_one_constraint() {
+        let mut snap = small_snapshot();
+        snap.cnsts[0].as_mut().unwrap().vars.push(1);
+        let err = System::restore_snapshot(&snap).unwrap_err();
+        assert!(err.contains("constraint 0 lists variable 1 more often"), "{err}");
+
+        // A route that crosses one constraint twice lists it twice on
+        // both sides; that layout is consistent and restores.
+        let mut s = System::new();
+        let c = s.new_constraint(10.0);
+        let v = s.new_variable(f64::INFINITY, &[c, c]);
+        s.solve_dirty(&mut Vec::new());
+        let mut r = System::restore_snapshot(&s.export_snapshot().unwrap()).unwrap();
+        r.remove_variable(v);
+        r.solve_dirty(&mut Vec::new());
+        assert_eq!(r.num_variables(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_a_constraint_that_does_not_list_its_variable_back() {
+        let mut snap = small_snapshot();
+        snap.vars[1].as_mut().unwrap().cnsts.push(1);
+        let err = System::restore_snapshot(&snap).unwrap_err();
+        assert!(err.contains("variable 1 lists constraint 1 more often"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_non_positive_or_non_finite_capacities() {
+        for capacity in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut snap = small_snapshot();
+            snap.cnsts[1].as_mut().unwrap().capacity = capacity;
+            let err = System::restore_snapshot(&snap).unwrap_err();
+            assert!(err.contains("constraint 1 has capacity"), "{capacity}: {err}");
+        }
     }
 
     // ------------------------------------------------------------------
@@ -997,6 +1200,96 @@ mod tests {
                     vars.len()
                 );
             }
+        }
+    }
+
+    /// Capacities and bounds from small integer sets, so that ratios and
+    /// bounds tie exactly — the cases the mid-round ratio rule governs.
+    const TIE_CAPS: [f64; 6] = [1.0, 2.0, 3.0, 4.0, 6.0, 12.0];
+    const TIE_BOUNDS: [f64; 6] = [1.0, 2.0, 3.0, 4.0, f64::INFINITY, f64::INFINITY];
+
+    /// Solves `inc` incrementally and `full` from scratch, then checks
+    /// every rate bit for bit and that `changed` names exactly the
+    /// variables whose rate moved.
+    fn solve_both(inc: &mut System, full: &mut System, vars: &[VarId]) -> usize {
+        let before: Vec<u64> = vars.iter().map(|&v| inc.rate(v).to_bits()).collect();
+        let touched = inc.stats().vars_touched;
+        let mut changed = Vec::new();
+        inc.solve_dirty(&mut changed);
+        full.solve();
+        for &v in vars {
+            assert_eq!(inc.rate(v).to_bits(), full.rate(v).to_bits(), "variable {}", v.0);
+        }
+        let mut moved: Vec<usize> = vars
+            .iter()
+            .zip(&before)
+            .filter(|&(&v, &b)| inc.rate(v).to_bits() != b)
+            .map(|(v, _)| v.0)
+            .collect();
+        let mut changed: Vec<usize> = changed.iter().map(|v| v.0).collect();
+        moved.sort_unstable();
+        changed.sort_unstable();
+        assert_eq!(changed, moved, "changed list");
+        (inc.stats().vars_touched - touched) as usize
+    }
+
+    proptest::proptest! {
+        /// Incremental solves match the full solve bit for bit on big
+        /// islands with exact ties: 20–60 live variables over at most
+        /// ten constraints, routes of up to seven constraints (longer
+        /// than [`INLINE_CNSTS`]), and interleaved adds, removes (whose
+        /// slab ids are reused), bound changes and solves.
+        #[test]
+        fn incremental_matches_full_solve_on_tied_big_islands(
+            caps in proptest::collection::vec(0..TIE_CAPS.len(), 3..11),
+            ops in proptest::collection::vec(
+                (
+                    0u8..8,
+                    proptest::collection::vec(0usize..10, 2..8),
+                    0..TIE_BOUNDS.len(),
+                    0usize..64,
+                ),
+                40..160,
+            ),
+        ) {
+            let mut inc = System::new();
+            let mut full = System::new();
+            let mut cnsts = Vec::new();
+            for &k in &caps {
+                let c = inc.new_constraint(TIE_CAPS[k]);
+                assert_eq!(c, full.new_constraint(TIE_CAPS[k]));
+                cnsts.push(c);
+            }
+            let mut vars: Vec<VarId> = Vec::new();
+            let mut biggest = 0;
+            for (choice, route, bound, pick) in ops {
+                let live = vars.len();
+                if live >= 60 || (live >= 20 && choice < 2) {
+                    let v = vars.swap_remove(pick % live);
+                    inc.remove_variable(v);
+                    full.remove_variable(v);
+                } else if live >= 20 && choice == 2 {
+                    let v = vars[pick % live];
+                    inc.set_bound(v, TIE_BOUNDS[bound]);
+                    full.set_bound(v, TIE_BOUNDS[bound]);
+                } else {
+                    let mut cs: Vec<CnstId> = Vec::new();
+                    for r in route {
+                        let c = cnsts[r % cnsts.len()];
+                        if !cs.contains(&c) {
+                            cs.push(c);
+                        }
+                    }
+                    let v = inc.new_variable(TIE_BOUNDS[bound], &cs);
+                    assert_eq!(v, full.new_variable(TIE_BOUNDS[bound], &cs));
+                    vars.push(v);
+                }
+                if vars.len() >= 20 && choice >= 5 {
+                    biggest = biggest.max(solve_both(&mut inc, &mut full, &vars));
+                }
+            }
+            biggest = biggest.max(solve_both(&mut inc, &mut full, &vars));
+            proptest::prop_assert!(biggest >= 20, "largest island solve touched {biggest} variables");
         }
     }
 }

@@ -45,6 +45,11 @@ impl<T> Slab<T> {
         self.len == 0
     }
 
+    /// Number of slots, occupied or vacant: every key is below it.
+    pub fn slot_count(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Inserts a value, returning its key.
     pub fn insert(&mut self, value: T) -> usize {
         self.len += 1;

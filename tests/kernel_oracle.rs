@@ -22,6 +22,7 @@ use titr::platform::desc::PlatformDesc;
 use titr::platform::presets;
 use titr::replay::collectives::CollectiveAlgo;
 use titr::replay::{replay_memory, ReplayConfig};
+use titr::simkern::lmm::SolverStats;
 use titr::simkern::netmodel::NetworkConfig;
 use titr::simkern::resource::HostId;
 use titr::simkern::KernelMode;
@@ -38,12 +39,13 @@ struct Fingerprint {
     timeline: Vec<(usize, u32, u64, u64, u64)>,
 }
 
-fn replay_fingerprint(trace: &TiTrace, cfg: &ReplayConfig) -> Fingerprint {
+/// Replays `trace` and returns its fingerprint and solver counters.
+fn replay_fingerprint(trace: &TiTrace, cfg: &ReplayConfig) -> (Fingerprint, SolverStats) {
     let nproc = trace.num_processes();
     let desc = PlatformDesc::single(presets::bordereau_one_core(nproc));
     let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
     let out = replay_memory(trace, desc.build(), &hosts, cfg).expect("replay succeeds");
-    Fingerprint {
+    let fingerprint = Fingerprint {
         simulated_time_bits: out.simulated_time.to_bits(),
         actions_replayed: out.actions_replayed,
         timeline: out
@@ -52,28 +54,31 @@ fn replay_fingerprint(trace: &TiTrace, cfg: &ReplayConfig) -> Fingerprint {
             .iter()
             .map(|r| (r.actor, r.tag, r.start.to_bits(), r.end.to_bits(), r.volume.to_bits()))
             .collect(),
-    }
+    };
+    (fingerprint, out.kernel_profile.expect("kernel_profile was set").solver)
 }
 
 /// Replays `trace` under both kernels and asserts the fingerprints are
-/// identical. Returns the (shared) simulated time so callers can add
-/// workload-specific sanity checks.
-fn assert_modes_agree(trace: &TiTrace, network: NetworkConfig, algo: CollectiveAlgo) -> f64 {
+/// identical. Returns the (shared) simulated time and the incremental
+/// kernel's solver counters so callers can add workload-specific
+/// sanity checks.
+fn assert_modes_agree(
+    trace: &TiTrace,
+    network: NetworkConfig,
+    algo: CollectiveAlgo,
+) -> (f64, SolverStats) {
     let cfg = |kernel| ReplayConfig {
         network: network.clone(),
         algo,
         collect_records: true,
-        kernel_profile: false,
+        kernel_profile: true,
         kernel,
     };
-    let reference = replay_fingerprint(trace, &cfg(KernelMode::Reference));
-    let incremental = replay_fingerprint(trace, &cfg(KernelMode::Incremental));
+    let (reference, _) = replay_fingerprint(trace, &cfg(KernelMode::Reference));
+    let (incremental, solver) = replay_fingerprint(trace, &cfg(KernelMode::Incremental));
     assert!(!reference.timeline.is_empty(), "oracle replayed an empty timeline");
-    assert_eq!(
-        reference, incremental,
-        "incremental kernel diverged from the full-solve reference"
-    );
-    f64::from_bits(reference.simulated_time_bits)
+    assert_eq!(reference, incremental, "incremental kernel diverged from the full-solve reference");
+    (f64::from_bits(reference.simulated_time_bits), solver)
 }
 
 #[test]
@@ -82,15 +87,17 @@ fn ring_agrees_across_kernels_and_networks() {
     for network in
         [NetworkConfig::mpi_cluster(), NetworkConfig::default(), NetworkConfig::constant()]
     {
-        let t = assert_modes_agree(&trace, network, CollectiveAlgo::Binomial);
+        let (t, _) = assert_modes_agree(&trace, network, CollectiveAlgo::Binomial);
         assert!(t > 0.0);
     }
 }
 
 #[test]
 fn stencil_agrees_across_kernels() {
-    let cfg = StencilConfig { n: 256, px: 2, py: 2, iters: 8, check_every: 2, ..Default::default() };
-    let t = assert_modes_agree(&cfg.trace(), NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
+    let cfg =
+        StencilConfig { n: 256, px: 2, py: 2, iters: 8, check_every: 2, ..Default::default() };
+    let (t, _) =
+        assert_modes_agree(&cfg.trace(), NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
     assert!(t > 0.0);
 }
 
@@ -99,17 +106,26 @@ fn allreduce_heavy_cg_agrees_across_kernels() {
     let cfg = CgConfig::new(Class::S, 8).with_niter(2);
     let trace = titr::npb::program_trace(&cfg.program(), 8);
     for algo in [CollectiveAlgo::Binomial, CollectiveAlgo::Flat] {
-        let t = assert_modes_agree(&trace, NetworkConfig::mpi_cluster(), algo);
+        let (t, _) = assert_modes_agree(&trace, NetworkConfig::mpi_cluster(), algo);
         assert!(t > 0.0);
     }
 }
 
+/// At ×8 LU's islands are NIC pairs; at ×64 the wavefront couples
+/// flows through shared NICs into islands of about a dozen constraints
+/// (docs/KERNEL.md §2), where the incremental kernel's packed island
+/// fill does its real work.
 #[test]
 fn lu_agrees_across_kernels() {
-    let cfg = LuConfig::new(Class::S, 8).with_itmax(3);
-    let trace = titr::npb::program_trace(&cfg.program(), 8);
-    let t = assert_modes_agree(&trace, NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
-    assert!(t > 0.0);
+    for (nproc, itmax, min_island) in [(8, 3, 0.0), (64, 1, 10.0)] {
+        let cfg = LuConfig::new(Class::S, nproc).with_itmax(itmax);
+        let trace = titr::npb::program_trace(&cfg.program(), nproc);
+        let (t, solver) =
+            assert_modes_agree(&trace, NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
+        assert!(t > 0.0);
+        let per_solve = solver.constraints_touched as f64 / solver.solves as f64;
+        assert!(per_solve >= min_island, "x{nproc}: {per_solve:.2} constraints per solve");
+    }
 }
 
 /// Same balanced-trace generator contract as `proptests.rs`: every send
@@ -155,7 +171,8 @@ proptest! {
         ),
     ) {
         let t = balanced_trace(nproc, &ops);
-        let time = assert_modes_agree(&t, NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
+        let (time, _) =
+            assert_modes_agree(&t, NetworkConfig::mpi_cluster(), CollectiveAlgo::Binomial);
         prop_assert!(time.is_finite() && time > 0.0);
     }
 }
