@@ -329,7 +329,7 @@ fn build_rank(
             Some(op) => st.apply(index, &op, &mut nproc),
             None => {
                 ops.clear();
-                let ctx = ExpandCtx { rank, nproc, algo };
+                let ctx = ExpandCtx { rank, ranks: np, nproc, algo };
                 registry.expand(&ctx, action, &mut ops).map_err(|e| AnalyzeError::Expand {
                     rank,
                     index,
@@ -520,7 +520,7 @@ mod tests {
     #[test]
     fn fast_path_matches_the_registry() {
         let registry = Registry::with_defaults();
-        let ctx = ExpandCtx { rank: 1, nproc: 4, algo: CollectiveAlgo::Binomial };
+        let ctx = ExpandCtx { rank: 1, ranks: 4, nproc: 4, algo: CollectiveAlgo::Binomial };
         let cases = [
             Action::Compute { flops: 5.0 },
             Action::Send { dst: 2, bytes: 7.0 },

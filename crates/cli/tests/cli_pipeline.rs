@@ -149,6 +149,38 @@ fn corrupt_trace_line_is_diagnosed_with_file_and_line() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `comm_size` larger than the replayed ranks is a one-line error
+/// (exit 1) raised before any collective is expanded: expanding it
+/// would size work by the declared count (the flat tree's per-rank
+/// micro-ops, the binomial mask loop), and an allocation failure aborts
+/// the process instead of returning an error.
+#[test]
+fn oversized_comm_size_exits_one_for_every_algorithm_and_loader() {
+    for nproc in ["3000000000", "18446744073709551615"] {
+        let body = |r: usize| format!("p{r} comm_size {nproc}\np{r} barrier\n");
+        let dir = write_traces(&format!("cs{}", nproc.len()), &[&body(0), &body(1)]);
+        let trace_dir = dir.to_str().unwrap();
+        for algo in ["flat", "binomial"] {
+            for jobs in ["1", "2"] {
+                let (code, stderr) = run_code(
+                    env!("CARGO_BIN_EXE_tit-replay"),
+                    &["--trace-dir", trace_dir, "--np", "2", "--collectives", algo, "--jobs", jobs],
+                );
+                assert_eq!(code, Some(1), "{nproc} {algo} jobs {jobs}; stderr:\n{stderr}");
+                assert!(stderr.contains(nproc) && stderr.contains("rank 0"), "{stderr}");
+                assert_eq!(stderr.trim_end().lines().count(), 1, "one line:\n{stderr}");
+            }
+            let (code, stderr) = run_code(
+                env!("CARGO_BIN_EXE_tit-analyze"),
+                &["--trace-dir", trace_dir, "--np", "2", "--collectives", algo],
+            );
+            assert_eq!(code, Some(1), "analyze {nproc} {algo}; stderr:\n{stderr}");
+            assert!(stderr.contains(&format!("comm_size {nproc} exceeds")), "{stderr}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// `tit-profile` validates every CSV row: non-finite times, an end
 /// before its start and an out-of-range rank exit 1 naming the line,
 /// instead of writing invalid JSON, panicking or allocating per rank.

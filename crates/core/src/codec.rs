@@ -10,6 +10,13 @@
 //! and scientific (`1e6`) notation, as in the paper's Figure 1. Writing
 //! uses integer form whenever the volume is integral — the compact form
 //! dominates the trace-size measurements of Table 3.
+//!
+//! The parser works on bytes: fields split at ASCII whitespace by byte
+//! comparison (a `char` is decoded only at a byte >= 0x80, so Unicode
+//! whitespace still separates fields), keywords match as bytes, and a
+//! field of ASCII digits converts directly. Every other number goes
+//! through `str::parse`, so the accepted language is exactly the
+//! `split_whitespace` / `str::parse` one.
 
 use crate::action::{Action, Pid};
 use std::fmt::Write as _;
@@ -31,18 +38,163 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+#[cold]
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
 }
 
-fn parse_pid(tok: &str, line: usize) -> Result<Pid, ParseError> {
-    let digits = tok.strip_prefix('p').unwrap_or(tok);
-    digits
-        .parse::<usize>()
-        .map_err(|_| err(line, format!("invalid process id {tok:?}")))
+/// Byte classes for the tokenizer: a field byte, an ASCII byte with the
+/// Unicode `White_Space` property (tab, line feed, vertical tab, form
+/// feed, carriage return, space — exactly the ASCII characters
+/// `char::is_whitespace` accepts), or a byte >= 0x80 whose character
+/// must be decoded to tell.
+const FIELD: u8 = 0;
+const SPACE: u8 = 1;
+const NON_ASCII: u8 = 2;
+static CLASS: [u8; 256] = {
+    let mut t = [FIELD; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = match b as u8 {
+            b'\t'..=b'\r' | b' ' => SPACE,
+            0x80..=0xFF => NON_ASCII,
+            _ => FIELD,
+        };
+        b += 1;
+    }
+    t
+};
+
+/// Byte length of the whitespace character that starts at a non-ASCII
+/// byte `line[i]`, or 0 when that character is not whitespace
+/// (continuation bytes never start one). Off the hot path: traces are
+/// ASCII.
+#[cold]
+#[inline(never)]
+fn unicode_space_len(line: &[u8], i: usize) -> usize {
+    let width = match line.get(i) {
+        Some(0xC0..=0xDF) => 2,
+        Some(0xE0..=0xEF) => 3,
+        Some(0xF0..=0xF7) => 4,
+        _ => return 0,
+    };
+    let c = line
+        .get(i..i + width)
+        .and_then(|b| std::str::from_utf8(b).ok())
+        .and_then(|s| s.chars().next());
+    match c {
+        Some(c) if c.is_whitespace() => width,
+        _ => 0,
+    }
 }
 
-fn parse_vol(tok: &str, line: usize) -> Result<f64, ParseError> {
+/// The whitespace-separated fields of one line — what
+/// `str::split_whitespace` yields, found by byte comparison.
+struct Fields<'a> {
+    line: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a [u8];
+
+        fn next(&mut self) -> Option<&'a [u8]> {
+        let line = self.line;
+        let mut i = self.pos;
+        loop {
+            let &b = line.get(i)?;
+            match CLASS[usize::from(b)] {
+                FIELD => break,
+                SPACE => i += 1,
+                _ => match unicode_space_len(line, i) {
+                    0 => break,
+                    n => i += n,
+                },
+            }
+        }
+        let start = i;
+        while let Some(&b) = line.get(i) {
+            let end = match CLASS[usize::from(b)] {
+                FIELD => false,
+                SPACE => true,
+                _ => unicode_space_len(line, i) > 0,
+            };
+            if end {
+                break;
+            }
+            i += 1;
+        }
+        self.pos = i;
+        line.get(start..i)
+    }
+}
+
+/// A field as text, for `str::parse` and messages. Fields are cut at
+/// character boundaries of valid UTF-8, so this never substitutes.
+fn text(tok: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(tok)
+}
+
+/// The value of a field made only of ASCII digits, when it has at most
+/// `max_digits` of them; `None` sends every other field to `str::parse`.
+fn digits(tok: &[u8], max_digits: usize) -> Option<u64> {
+    if tok.is_empty() || tok.len() > max_digits {
+        return None;
+    }
+    tok.iter().try_fold(0u64, |v, &b| {
+        let d = b.wrapping_sub(b'0');
+        (d < 10).then(|| v * 10 + u64::from(d))
+    })
+}
+
+/// A rank or process count: up to 19 digits cannot overflow `u64`, so
+/// they convert directly; anything else (`+7`, 20 digits) is
+/// `str::parse`'s to accept or refuse.
+fn parse_count(tok: &[u8]) -> Option<usize> {
+    match digits(tok, 19) {
+        Some(v) => usize::try_from(v).ok(),
+        None => parse_count_slow(tok),
+    }
+}
+
+// The slow paths and error constructors stay out of line, so the
+// all-digit fast paths inline into a tight tokenizer loop.
+#[cold]
+#[inline(never)]
+fn parse_count_slow(tok: &[u8]) -> Option<usize> {
+    text(tok).parse().ok()
+}
+
+fn parse_pid(tok: &[u8], line: usize) -> Result<Pid, ParseError> {
+    let digits = tok.strip_prefix(b"p").unwrap_or(tok);
+    parse_count(digits).ok_or_else(|| bad_pid(tok, line))
+}
+
+#[cold]
+#[inline(never)]
+fn bad_pid(tok: &[u8], line: usize) -> ParseError {
+    err(line, format!("invalid process id {:?}", text(tok)))
+}
+
+#[cold]
+#[inline(never)]
+fn missing(kw: &[u8], what: &str, line: usize) -> ParseError {
+    err(line, format!("{}: missing {what}", text(kw)))
+}
+
+fn parse_vol(tok: &[u8], line: usize) -> Result<f64, ParseError> {
+    // At most 15 digits is below 2^53: exact in f64, so the same value
+    // `str::parse` returns.
+    match digits(tok, 15) {
+        Some(v) => Ok(v as f64),
+        None => parse_vol_slow(tok, line),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn parse_vol_slow(tok: &[u8], line: usize) -> Result<f64, ParseError> {
+    let tok = text(tok);
     let v: f64 =
         tok.parse().map_err(|_| err(line, format!("invalid volume {tok:?}")))?;
     if !v.is_finite() || v < 0.0 {
@@ -53,75 +205,78 @@ fn parse_vol(tok: &str, line: usize) -> Result<f64, ParseError> {
 
 /// Parses one trace line into `(pid, action)`.
 ///
-/// Empty lines and `#` comments yield `Ok(None)`.
+/// Empty lines and `#` comments yield `Ok(None)`. Fields are separated
+/// by any run of Unicode `White_Space` characters.
 pub fn parse_line(raw: &str, line_no: usize) -> Result<Option<(Pid, Action)>, ParseError> {
-    let raw = raw.trim();
-    if raw.is_empty() || raw.starts_with('#') {
+    parse_fields(raw.as_bytes(), line_no)
+}
+
+/// [`parse_line`] on the raw bytes of a line, as the trace readers hold
+/// it (a trailing `\n` is whitespace). A line holding a non-ASCII byte
+/// must be valid UTF-8, or it is an error naming the line.
+pub(crate) fn parse_line_bytes(
+    line: &[u8],
+    line_no: usize,
+) -> Result<Option<(Pid, Action)>, ParseError> {
+    if !line.is_ascii() && std::str::from_utf8(line).is_err() {
+        return Err(err(line_no, "not valid UTF-8"));
+    }
+    parse_fields(line, line_no)
+}
+
+/// The tokenizer behind both entry points; `line` is valid UTF-8.
+fn parse_fields(line: &[u8], line_no: usize) -> Result<Option<(Pid, Action)>, ParseError> {
+    let mut it = Fields { line, pos: 0 };
+    let Some(pid_tok) = it.next() else { return Ok(None) };
+    if pid_tok.first() == Some(&b'#') {
         return Ok(None);
     }
-    let mut it = it_fields(raw);
-    let pid_tok = it.next().ok_or_else(|| err(line_no, "empty line"))?;
     let pid = parse_pid(pid_tok, line_no)?;
     let kw = it.next().ok_or_else(|| err(line_no, "missing action keyword"))?;
-    let mut arg = |what: &str| {
-        it.next().ok_or_else(|| err(line_no, format!("{kw}: missing {what}")))
-    };
+    let mut arg = |what: &str| it.next().ok_or_else(|| missing(kw, what, line_no));
     let action = match kw {
-        "compute" => Action::Compute { flops: parse_vol(arg("volume")?, line_no)? },
-        "send" => Action::Send {
+        b"compute" => Action::Compute { flops: parse_vol(arg("volume")?, line_no)? },
+        b"send" => Action::Send {
             dst: parse_pid(arg("destination")?, line_no)?,
             bytes: parse_vol(arg("volume")?, line_no)?,
         },
-        "Isend" | "isend" => Action::Isend {
+        b"Isend" | b"isend" => Action::Isend {
             dst: parse_pid(arg("destination")?, line_no)?,
             bytes: parse_vol(arg("volume")?, line_no)?,
         },
-        "recv" => {
+        b"recv" => {
             let src = parse_pid(arg("source")?, line_no)?;
-            let bytes = match it_next_opt(&mut it) {
-                Some(tok) => Some(parse_vol(tok, line_no)?),
-                None => None,
-            };
+            let bytes = it.next().map(|tok| parse_vol(tok, line_no)).transpose()?;
             Action::Recv { src, bytes }
         }
-        "Irecv" | "irecv" => {
+        b"Irecv" | b"irecv" => {
             let src = parse_pid(arg("source")?, line_no)?;
-            let bytes = match it_next_opt(&mut it) {
-                Some(tok) => Some(parse_vol(tok, line_no)?),
-                None => None,
-            };
+            let bytes = it.next().map(|tok| parse_vol(tok, line_no)).transpose()?;
             Action::Irecv { src, bytes }
         }
-        "bcast" => Action::Bcast { bytes: parse_vol(arg("volume")?, line_no)? },
-        "reduce" => Action::Reduce {
+        b"bcast" => Action::Bcast { bytes: parse_vol(arg("volume")?, line_no)? },
+        b"reduce" => Action::Reduce {
             vcomm: parse_vol(arg("vcomm")?, line_no)?,
             vcomp: parse_vol(arg("vcomp")?, line_no)?,
         },
-        "allReduce" | "allreduce" => Action::AllReduce {
+        b"allReduce" | b"allreduce" => Action::AllReduce {
             vcomm: parse_vol(arg("vcomm")?, line_no)?,
             vcomp: parse_vol(arg("vcomp")?, line_no)?,
         },
-        "barrier" => Action::Barrier,
-        "comm_size" => Action::CommSize {
-            nproc: arg("#proc")?
-                .parse()
-                .map_err(|_| err(line_no, "comm_size: invalid process count"))?,
+        b"barrier" => Action::Barrier,
+        b"comm_size" => Action::CommSize {
+            nproc: parse_count(arg("#proc")?)
+                .ok_or_else(|| err(line_no, "comm_size: invalid process count"))?,
         },
-        "wait" => Action::Wait,
-        other => return Err(err(line_no, format!("unknown action keyword {other:?}"))),
+        b"wait" => Action::Wait,
+        other => {
+            return Err(err(line_no, format!("unknown action keyword {:?}", text(other))))
+        }
     };
     if it.next().is_some() {
-        return Err(err(line_no, format!("{kw}: trailing garbage")));
+        return Err(err(line_no, format!("{}: trailing garbage", text(kw))));
     }
     Ok(Some((pid, action)))
-}
-
-fn it_fields(s: &str) -> std::str::SplitWhitespace<'_> {
-    s.split_whitespace()
-}
-
-fn it_next_opt<'a>(it: &mut std::str::SplitWhitespace<'a>) -> Option<&'a str> {
-    it.next()
 }
 
 /// Appends a volume in its most compact form (integer when integral).

@@ -219,11 +219,7 @@ impl CompactTrace {
     /// produce (see [`CompactError`]).
     pub fn from_trace(t: &TiTrace) -> Result<Self, CompactError> {
         let mut c = CompactTrace::new();
-        let n = t.num_actions();
-        c.tags.reserve_exact(n);
-        c.peers.reserve_exact(n);
-        c.vols.reserve_exact(n);
-        c.offsets.reserve_exact(t.num_processes());
+        c.reserve(t.num_processes(), t.num_actions());
         for actions in &t.actions {
             c.begin_process();
             for a in actions {
@@ -262,6 +258,15 @@ impl CompactTrace {
         // panics: offsets always holds at least the opening boundary
         *self.offsets.last_mut().unwrap() += 1;
         Ok(())
+    }
+
+    /// Reserves room for `ranks` more processes and `actions` more
+    /// actions, so joining known-size parts never regrows the arrays.
+    pub(crate) fn reserve(&mut self, ranks: usize, actions: usize) {
+        self.offsets.reserve_exact(ranks);
+        self.tags.reserve_exact(actions);
+        self.peers.reserve_exact(actions);
+        self.vols.reserve_exact(actions);
     }
 
     /// Number of processes.
@@ -338,17 +343,15 @@ impl CompactTrace {
             return Err(CompactError::TooManyReduces);
         }
         let base = self.aux.len() as u32;
-        for i in 0..seg.tags.len() {
-            let t = seg.tags[i];
-            let peer = if t == tag::REDUCE || t == tag::ALLREDUCE {
-                seg.peers[i] + base
+        self.tags.extend_from_slice(&seg.tags);
+        self.vols.extend_from_slice(&seg.vols);
+        self.peers.extend(seg.tags.iter().zip(&seg.peers).map(|(&t, &peer)| {
+            if t == tag::REDUCE || t == tag::ALLREDUCE {
+                peer + base
             } else {
-                seg.peers[i]
-            };
-            self.tags.push(t);
-            self.peers.push(peer);
-            self.vols.push(seg.vols[i]);
-        }
+                peer
+            }
+        }));
         self.aux.extend_from_slice(&seg.aux);
         // panics: offsets always holds at least the opening boundary
         *self.offsets.last_mut().unwrap() += seg.tags.len();

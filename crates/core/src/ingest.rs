@@ -31,9 +31,11 @@
 //! ```
 
 use crate::action::Action;
-use crate::compact::CompactTrace;
-use crate::trace::{process_trace_filename, TiTrace};
-use std::io;
+use crate::compact::{CompactError, CompactTrace};
+use crate::tib2::SegmentColumns;
+use crate::trace::{process_trace_filename, ByteLines, TiTrace};
+use std::fs::File;
+use std::io::{self, BufReader};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -162,24 +164,44 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// Loads one clean rank file: every line must carry the file's own pid
-/// (the same rule the replayer's streaming `FileSource` enforces).
-fn load_rank_exact(dir: &Path, rank: usize) -> Result<Vec<Action>, IngestError> {
+/// Bytes of trace text per action assumed when sizing a rank's
+/// columns from its file: about the shortest real lines (`p12 wait`),
+/// so the columns rarely regrow while a worker fills them.
+const BYTES_PER_ACTION_HINT: u64 = 10;
+
+/// The most actions a rank is sized for up front; past it the columns
+/// grow as they fill, so a huge or damaged file cannot make the loader
+/// reserve memory it never uses.
+const MAX_ACTIONS_HINT: u64 = 1 << 20;
+
+/// Reads one clean rank file line by line into a container made by
+/// `with_capacity` (sized from the file length), handing each action to
+/// `keep` as it is parsed: every line must carry the file's own pid (the
+/// same rule the replayer's streaming `FileSource` enforces). The first
+/// defective line — unparseable, foreign or not internable — is the one
+/// reported.
+fn read_rank_exact<T>(
+    dir: &Path,
+    rank: usize,
+    with_capacity: impl FnOnce(usize) -> T,
+    mut keep: impl FnMut(&mut T, &Action) -> Result<(), CompactError>,
+) -> Result<T, IngestError> {
+    fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
     let path = dir.join(process_trace_filename(rank));
     let fail = |source: io::Error| IngestError { rank, path: path.clone(), source };
-    let sub = TiTrace::load_merged(&path).map_err(fail)?;
-    let mut own = Vec::new();
-    for (pid, actions) in sub.actions.into_iter().enumerate() {
-        if pid == rank {
-            own = actions;
-        } else if !actions.is_empty() {
-            return Err(fail(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace line for p{pid} in p{rank}'s file"),
-            )));
+    let file = File::open(&path).map_err(fail)?;
+    let hint = file.metadata().map_or(0, |m| m.len() / BYTES_PER_ACTION_HINT);
+    let mut out = with_capacity(usize::try_from(hint.min(MAX_ACTIONS_HINT)).unwrap_or(0));
+    let mut lines = ByteLines::new(BufReader::with_capacity(1 << 16, file));
+    while let Some((pid, a)) = lines.next_action().map_err(|e| fail(invalid(e)))? {
+        if pid != rank {
+            return Err(fail(invalid(format!("trace line for p{pid} in p{rank}'s file"))));
         }
+        keep(&mut out, &a).map_err(|e| fail(invalid(e)))?;
     }
-    Ok(own)
+    Ok(out)
 }
 
 /// Loads exactly ranks `0..nproc` (the replay tool's `--np` contract)
@@ -187,29 +209,36 @@ fn load_rank_exact(dir: &Path, rank: usize) -> Result<Vec<Action>, IngestError> 
 /// only its own pid's lines. The result always has `nproc` processes
 /// (ranks whose file is empty get an empty action list).
 pub fn load_exact(dir: &Path, nproc: usize, jobs: usize) -> Result<TiTrace, IngestError> {
-    let per_rank = for_each_rank(nproc, jobs, |rank| load_rank_exact(dir, rank))?;
+    let per_rank = for_each_rank(nproc, jobs, |rank| {
+        read_rank_exact(dir, rank, Vec::with_capacity, |actions, a| {
+            actions.push(*a);
+            Ok(())
+        })
+    })?;
     Ok(TiTrace { actions: per_rank })
 }
 
-/// Like [`load_exact`], interning straight into the replay simulator's
-/// [`CompactTrace`] form (each rank's boxed action list is dropped as
-/// soon as it is interned).
+/// Like [`load_exact`], straight into the replay simulator's
+/// [`CompactTrace`] form: each worker interns its rank into the rank's
+/// own compact columns as it parses, and the ranks are then joined in
+/// rank order, one append each.
 pub fn load_compact_exact(
     dir: &Path,
     nproc: usize,
     jobs: usize,
 ) -> Result<CompactTrace, IngestError> {
-    let per_rank = for_each_rank(nproc, jobs, |rank| load_rank_exact(dir, rank))?;
+    let per_rank = for_each_rank(nproc, jobs, |rank| {
+        read_rank_exact(dir, rank, SegmentColumns::with_capacity, SegmentColumns::push)
+    })?;
     let mut c = CompactTrace::new();
-    for (rank, actions) in per_rank.into_iter().enumerate() {
+    c.reserve(per_rank.len(), per_rank.iter().map(SegmentColumns::len).sum());
+    for (rank, cols) in per_rank.into_iter().enumerate() {
         c.begin_process();
-        for a in &actions {
-            c.push(a).map_err(|e| IngestError {
-                rank,
-                path: dir.join(process_trace_filename(rank)),
-                source: io::Error::new(io::ErrorKind::InvalidData, e),
-            })?;
-        }
+        c.append_segment(&cols).map_err(|e| IngestError {
+            rank,
+            path: dir.join(process_trace_filename(rank)),
+            source: io::Error::new(io::ErrorKind::InvalidData, e),
+        })?;
     }
     Ok(c)
 }

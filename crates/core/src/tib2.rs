@@ -194,6 +194,16 @@ impl SegmentColumns {
         SegmentColumns { tags: Vec::new(), peers: Vec::new(), vols: Vec::new(), aux: Vec::new() }
     }
 
+    /// An empty segment with room for `n` actions.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SegmentColumns {
+            tags: Vec::with_capacity(n),
+            peers: Vec::with_capacity(n),
+            vols: Vec::with_capacity(n),
+            aux: Vec::new(),
+        }
+    }
+
     /// Actions held.
     pub fn len(&self) -> usize {
         self.tags.len()

@@ -7,9 +7,9 @@
 //! what should be resident during replay.
 
 use crate::action::{Action, Pid};
-use crate::codec::{format_action_into, parse_line, ParseError};
+use crate::codec::{format_action_into, parse_line_bytes, ParseError};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Conventional per-process trace file name (`SG_process<N>.trace`).
@@ -52,14 +52,9 @@ impl TiTrace {
     /// Parses a merged trace (one file, lines of all processes).
     pub fn from_reader<R: BufRead>(r: R) -> Result<Self, ParseError> {
         let mut t = TiTrace::default();
-        for (i, line) in r.lines().enumerate() {
-            let line = line.map_err(|e| ParseError {
-                line: i + 1,
-                message: format!("io error: {e}"),
-            })?;
-            if let Some((pid, a)) = parse_line(&line, i + 1)? {
-                t.push(pid, a);
-            }
+        let mut lines = ByteLines::new(r);
+        while let Some((pid, a)) = lines.next_action()? {
+            t.push(pid, a);
         }
         Ok(t)
     }
@@ -211,40 +206,103 @@ impl ProcessTraceWriter {
     }
 }
 
+/// The byte-line reader under every text trace loader. It reads `r`
+/// through the reader's fixed-size buffer (never the whole stream):
+/// a line that lies inside the buffer is parsed in place, and only a
+/// line that straddles a refill is gathered into one reused `Vec`. Lines
+/// are numbered from 1 and parsed with the byte tokenizer, so a line is
+/// checked for UTF-8 only when it holds a non-ASCII byte.
+pub(crate) struct ByteLines<R> {
+    r: R,
+    /// A line gathered across buffer refills.
+    line: Vec<u8>,
+    /// Bytes of the buffer the previous in-place line still occupies.
+    pending: usize,
+    line_no: usize,
+}
+
+impl<R: BufRead> ByteLines<R> {
+    pub(crate) fn new(r: R) -> Self {
+        ByteLines { r, line: Vec::new(), pending: 0, line_no: 0 }
+    }
+
+    /// The next line, `\n` included when present; `None` at end of
+    /// stream.
+    fn next_line(&mut self) -> io::Result<Option<&[u8]>> {
+        self.r.consume(std::mem::take(&mut self.pending));
+        self.line.clear();
+        loop {
+            let buf = match self.r.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let (newline, n) = (buf.iter().position(|&b| b == b'\n'), buf.len());
+            match newline {
+                Some(k) if self.line.is_empty() => {
+                    self.pending = k + 1;
+                    break;
+                }
+                Some(k) => {
+                    self.line.extend_from_slice(&buf[..=k]);
+                    self.r.consume(k + 1);
+                    return Ok(Some(&self.line));
+                }
+                None if n == 0 => return Ok((!self.line.is_empty()).then_some(&self.line[..])),
+                None => {
+                    self.line.extend_from_slice(buf);
+                    self.r.consume(n);
+                }
+            }
+        }
+        // The line lies inside the buffer: `fill_buf` hands back the
+        // bytes it already holds, and the line is consumed on the next
+        // call.
+        Ok(self.r.fill_buf()?.get(..self.pending))
+    }
+
+    /// The next `(pid, action)`, skipping blank and comment lines:
+    /// `Ok(Ok(None))` at end of stream, `Ok(Err)` for a defective line,
+    /// `Err` when reading line `line_no + 1` failed.
+    fn read_action(&mut self) -> io::Result<Result<Option<(Pid, Action)>, ParseError>> {
+        loop {
+            let line_no = self.line_no + 1;
+            let Some(line) = self.next_line()? else { return Ok(Ok(None)) };
+            let parsed = parse_line_bytes(line, line_no);
+            self.line_no = line_no;
+            if !matches!(parsed, Ok(None)) {
+                return Ok(parsed);
+            }
+        }
+    }
+
+    /// [`ByteLines::read_action`] for whole-stream loads, which report a
+    /// read failure as the parse error of the line it hit.
+    pub(crate) fn next_action(&mut self) -> Result<Option<(Pid, Action)>, ParseError> {
+        self.read_action().unwrap_or_else(|e| {
+            Err(ParseError { line: self.line_no + 1, message: format!("io error: {e}") })
+        })
+    }
+}
+
 /// Streaming reader over one process's trace file.
 pub struct ProcessTraceReader {
-    r: BufReader<File>,
-    line: String,
-    line_no: usize,
+    lines: ByteLines<BufReader<File>>,
 }
 
 impl ProcessTraceReader {
     /// Opens `path` (a per-process or merged trace file).
     pub fn open(path: &Path) -> std::io::Result<Self> {
         Ok(ProcessTraceReader {
-            r: BufReader::with_capacity(1 << 20, File::open(path)?),
-            line: String::with_capacity(64),
-            line_no: 0,
+            lines: ByteLines::new(BufReader::with_capacity(1 << 16, File::open(path)?)),
         })
     }
 
-    /// Reads the next `(pid, action)`; `Ok(None)` at end of file.
+    /// Reads the next `(pid, action)`; `Ok(None)` at end of file. A
+    /// defective line (invalid UTF-8 included) is an `InvalidData`
+    /// error naming the line.
     pub fn next_action(&mut self) -> std::io::Result<Option<(Pid, Action)>> {
-        loop {
-            self.line.clear();
-            let n = self.r.read_line(&mut self.line)?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            match parse_line(&self.line, self.line_no) {
-                Ok(Some(pa)) => return Ok(Some(pa)),
-                Ok(None) => {} // comment or blank line: read on
-                Err(e) => {
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-                }
-            }
-        }
+        self.lines.read_action()?.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 

@@ -88,6 +88,8 @@ pub enum MicroOp {
 pub struct ExpandCtx {
     /// This process's rank.
     pub rank: usize,
+    /// Number of ranks replayed: no communicator can be larger.
+    pub ranks: usize,
     /// Current communicator size (0 before any `comm_size`).
     pub nproc: usize,
     /// Collective decomposition shape.
@@ -240,18 +242,21 @@ impl Registry {
 }
 
 impl ExpandCtx {
+    /// Checks the communicator a collective runs over, before anything
+    /// is expanded: it must be declared, and no larger than the replayed
+    /// ranks — the tree shapes emit work for every rank up to its size.
     fn require_comm_size(&self, what: &str) -> Result<(), ExpandError> {
-        if self.nproc > 0 {
-            Ok(())
+        let detail = if self.nproc == 0 {
+            format!("p{}: {what} before comm_size (the trace is malformed)", self.rank)
+        } else if self.nproc > self.ranks {
+            format!(
+                "p{}: comm_size {} exceeds the {} replayed ranks",
+                self.rank, self.nproc, self.ranks
+            )
         } else {
-            Err(ExpandError {
-                keyword: what.to_string(),
-                detail: format!(
-                    "p{}: {what} before comm_size (the trace is malformed)",
-                    self.rank
-                ),
-            })
-        }
+            return Ok(());
+        };
+        Err(ExpandError { keyword: what.to_string(), detail })
     }
 }
 
@@ -260,7 +265,7 @@ mod tests {
     use super::*;
 
     fn ctx(rank: usize, nproc: usize) -> ExpandCtx {
-        ExpandCtx { rank, nproc, algo: CollectiveAlgo::Binomial }
+        ExpandCtx { rank, ranks: 64, nproc, algo: CollectiveAlgo::Binomial }
     }
 
     fn expand1(ctx_: &ExpandCtx, a: Action) -> Vec<MicroOp> {
@@ -310,6 +315,33 @@ mod tests {
         assert_eq!(err.keyword, "barrier");
         assert!(err.detail.contains("before comm_size"), "{err}");
         assert!(err.detail.contains("p0"), "{err}");
+    }
+
+    #[test]
+    fn oversized_comm_size_is_a_typed_error_before_expansion() {
+        let r = Registry::with_defaults();
+        let collectives = [
+            Action::Barrier,
+            Action::Bcast { bytes: 8.0 },
+            Action::Reduce { vcomm: 8.0, vcomp: 1.0 },
+            Action::AllReduce { vcomm: 8.0, vcomp: 1.0 },
+        ];
+        for algo in [CollectiveAlgo::Binomial, CollectiveAlgo::Flat] {
+            for nproc in [3, 3_000_000_000, usize::MAX] {
+                for a in &collectives {
+                    let c = ExpandCtx { rank: 1, ranks: 2, nproc, algo };
+                    let mut out = Vec::new();
+                    let err = r.expand(&c, a, &mut out).unwrap_err();
+                    assert_eq!(err.keyword, a.keyword());
+                    assert!(err.detail.contains("p1"), "{err}");
+                    assert!(err.detail.contains(&format!("comm_size {nproc} ")), "{err}");
+                    assert!(out.is_empty(), "nothing expanded for {a:?}");
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let full = ExpandCtx { rank: 1, ranks: 2, nproc: 2, algo: CollectiveAlgo::Flat };
+        r.expand(&full, &Action::Barrier, &mut out).unwrap();
     }
 
     #[test]

@@ -118,6 +118,8 @@ impl ActionSource for FileSource {
 /// The replaying state machine for one rank.
 pub struct ReplayActor {
     rank: usize,
+    /// Ranks in the replay, the bound on any declared communicator.
+    ranks: usize,
     nproc: usize,
     src: Box<dyn ActionSource>,
     registry: Arc<Registry>,
@@ -134,10 +136,11 @@ pub struct ReplayActor {
 }
 
 impl ReplayActor {
-    /// Builds the actor for `rank`, incrementing `actions_replayed`
-    /// once per action pulled from `src`.
+    /// Builds the actor for `rank` of a replay of `ranks` processes,
+    /// incrementing `actions_replayed` once per action pulled from `src`.
     pub fn new(
         rank: usize,
+        ranks: usize,
         src: Box<dyn ActionSource>,
         registry: Arc<Registry>,
         algo: CollectiveAlgo,
@@ -145,6 +148,7 @@ impl ReplayActor {
     ) -> Self {
         ReplayActor {
             rank,
+            ranks,
             nproc: 0,
             src,
             registry,
@@ -290,7 +294,12 @@ impl Actor for ReplayActor {
             };
             self.actions_replayed.fetch_add(1, Ordering::Relaxed);
             self.cursor += 1;
-            let ectx = ExpandCtx { rank: self.rank, nproc: self.nproc, algo: self.algo };
+            let ectx = ExpandCtx {
+                rank: self.rank,
+                ranks: self.ranks,
+                nproc: self.nproc,
+                algo: self.algo,
+            };
             self.expand_buf.clear();
             if let Err(e) = self.registry.expand(&ectx, &action, &mut self.expand_buf) {
                 return Step::Fail { reason: e.to_string() };

@@ -379,7 +379,8 @@ impl<'a> Replay<'a> {
         let registry = Arc::new(Registry::with_defaults());
         let counter = Arc::new(AtomicU64::new(0));
         for (rank, src) in sources.into_iter().enumerate() {
-            let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
+            let actor =
+                ReplayActor::new(rank, nproc, src, registry.clone(), cfg.algo, counter.clone());
             engine.spawn(Box::new(actor), self.hosts[rank]);
         }
         // Only runs that export or restore state pay for the fingerprint.

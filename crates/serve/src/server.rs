@@ -3,9 +3,9 @@
 //!
 //! Thread anatomy (all std, no async):
 //!
-//! * the **supervisor** (spawned by [`Server::start`]) owns a
-//!   non-blocking accept loop; on drain it closes the admission
-//!   queue, joins the workers, flushes metrics atomically and exits;
+//! * the **supervisor** (spawned by [`Server::start`]) blocks in
+//!   `accept`; on drain it closes the admission queue, joins the
+//!   workers, flushes metrics atomically and exits;
 //! * one **reader** per connection parses length-bounded request
 //!   lines; control ops answer inline, replay ops go through
 //!   admission;
@@ -15,9 +15,13 @@
 //! Drain is triggered by the protocol (`{"op":"drain"}`), by
 //! [`Server::drain`], or — in the binary — by stdin EOF, the
 //! supervisor-friendly analogue of SIGTERM (a std-only daemon cannot
-//! install signal handlers without `unsafe`). A SIGKILL instead of a
-//! drain loses no durable state: the only file the daemon writes (the
-//! metrics snapshot) goes through [`tit_core::write_atomic`].
+//! install signal handlers without `unsafe`). Every trigger goes
+//! through one function: it sets the drain flag and wakes the blocked
+//! `accept` with a throwaway connection to the listener, which the
+//! supervisor drops like any connection that arrives once the flag is
+//! set. A SIGKILL instead of a drain loses no durable state: the only
+//! file the daemon writes (the metrics snapshot) goes through
+//! [`tit_core::write_atomic`].
 
 use crate::accesslog::AccessLog;
 use crate::exec::{error_response, process_job, respond, Job, Shared, SharedWriter};
@@ -26,17 +30,37 @@ use crate::proto::{parse_request, Request};
 use crate::queue::Refusal;
 use crate::{cache::TraceCache, Admission, ServerConfig};
 use std::io::{BufReader, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use titobs::Metrics;
 
+/// The drain flag and the listener address that wakes the supervisor.
+struct Drain {
+    flag: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Drain {
+    /// Sets the flag, then connects to the listener so the supervisor's
+    /// blocking `accept` returns and sees it. A failed connect means the
+    /// listener is already closed: the supervisor has drained.
+    fn trigger(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
 /// A running daemon.
 pub struct Server {
     shared: Arc<Shared>,
-    draining: Arc<AtomicBool>,
+    drain: Arc<Drain>,
     port: u16,
     supervisor: Option<JoinHandle<std::io::Result<()>>>,
 }
@@ -45,8 +69,14 @@ impl Server {
     /// Binds, spawns the worker pool and the supervisor, and returns.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let port = listener.local_addr()?.port();
+        let mut wake = listener.local_addr()?;
+        let port = wake.port();
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let access = match &cfg.access_log {
             Some(path) => Some(crate::accesslog::AccessLog::open(path)?),
             None => None,
@@ -64,7 +94,7 @@ impl Server {
         if let Some(log) = &shared.access {
             shared.metrics.incr("serve.lost_recovered", log.recovered());
         }
-        let draining = Arc::new(AtomicBool::new(false));
+        let drain = Arc::new(Drain { flag: AtomicBool::new(false), wake });
 
         let mut workers = Vec::new();
         for _ in 0..shared.cfg.workers.max(1) {
@@ -73,10 +103,10 @@ impl Server {
         }
 
         let sh = Arc::clone(&shared);
-        let dr = Arc::clone(&draining);
+        let dr = Arc::clone(&drain);
         let supervisor =
             std::thread::spawn(move || supervise(&listener, &sh, &dr, workers));
-        Ok(Server { shared, draining, port, supervisor: Some(supervisor) })
+        Ok(Server { shared, drain, port, supervisor: Some(supervisor) })
     }
 
     /// The bound port (useful with `addr` port 0).
@@ -93,7 +123,7 @@ impl Server {
 
     /// Programmatic drain: same effect as the protocol op.
     pub fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.drain.trigger();
     }
 
     /// Waits for the daemon to finish draining; returns the
@@ -111,18 +141,18 @@ impl Server {
 fn supervise(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    draining: &Arc<AtomicBool>,
+    drain: &Arc<Drain>,
     workers: Vec<JoinHandle<()>>,
 ) -> std::io::Result<()> {
-    while !draining.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The drain trigger's wake-up, or a client arriving once
+            // the flag is set: dropped unserved.
+            Ok(_) if drain.is_set() => break,
             Ok((stream, _)) => {
                 let sh = Arc::clone(shared);
-                let dr = Arc::clone(draining);
+                let dr = Arc::clone(drain);
                 std::thread::spawn(move || serve_connection(stream, &sh, &dr));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -192,7 +222,7 @@ fn read_line_bounded(
     Ok(Ok(Some(String::from_utf8_lossy(&buf).into_owned())))
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, draining: &Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, drain: &Drain) {
     let Ok(write_half) = stream.try_clone() else { return };
     let out: SharedWriter =
         Arc::new(std::sync::Mutex::new(Box::new(std::io::BufWriter::new(write_half))));
@@ -245,13 +275,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, draining: &Arc<Atom
                         ("queue_depth", Json::Num(shared.queue.depth() as f64)),
                         ("queue_capacity", Json::Num(shared.queue.capacity() as f64)),
                         ("cached_traces", Json::Num(shared.cache.len() as f64)),
-                        ("draining", Json::Bool(draining.load(Ordering::SeqCst))),
+                        ("draining", Json::Bool(drain.is_set())),
                     ]),
                 );
             }
             Ok(Request::Drain) => {
                 shared.metrics.incr("serve.drains", 1);
-                draining.store(true, Ordering::SeqCst);
+                drain.trigger();
                 respond(&out, &obj(vec![("status", Json::Str("draining".into()))]));
             }
             Ok(Request::Metrics) => {
@@ -265,7 +295,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, draining: &Arc<Atom
                 );
             }
             Ok(Request::Replay(req)) => {
-                if draining.load(Ordering::SeqCst) {
+                if drain.is_set() {
                     shared.metrics.incr("serve.shed", 1);
                     if let Some(log) = &shared.access {
                         log.shed(&req.id);

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 use tit_core::{Action, ProcessTraceWriter};
 use tit_serve::{Server, ServerConfig};
 
@@ -302,6 +303,84 @@ fn store_requests_match_trace_dir_and_fail_closed_when_damaged() {
     server.drain();
     server.wait().unwrap();
     let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A trace declaring a communicator larger than the replayed ranks is
+/// answered with a typed error, and the daemon keeps serving: the
+/// check must come before expansion, since an allocation failure
+/// aborts the process and `catch_unwind` cannot contain it.
+#[test]
+fn oversized_comm_size_is_an_error_response_not_an_abort() {
+    let d = scratch("commsize");
+    for r in 0..2 {
+        std::fs::write(
+            d.join(format!("SG_process{r}.trace")),
+            format!("p{r} comm_size 3000000000\np{r} barrier\n"),
+        )
+        .unwrap();
+    }
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.port());
+    let dir = d.display().to_string();
+    for algo in ["flat", "binomial"] {
+        let resp = c.roundtrip(&format!(
+            "{{\"op\":\"replay\",\"id\":\"cs\",\"trace_dir\":{dir:?},\"np\":2,\"collectives\":\"{algo}\"}}"
+        ));
+        assert_eq!(field(&resp, "status"), Some("error"), "{algo}: {resp}");
+        assert!(resp.contains("comm_size 3000000000 exceeds"), "{algo}: {resp}");
+        let pong = c.roundtrip(r#"{"op":"ping"}"#);
+        assert_eq!(field(&pong, "status"), Some("ok"), "{algo}: {pong}");
+    }
+    server.drain();
+    server.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// Waits for `server` to finish draining; fails after `limit`.
+fn drains_within(server: Server, limit: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(server.wait()));
+    let done = rx.recv_timeout(limit);
+    done.unwrap_or_else(|_| panic!("drain took longer than {limit:?}")).unwrap();
+}
+
+/// The supervisor blocks in `accept`; every drain trigger must wake it
+/// with no client left to do so: `Server::drain`, the protocol op (its
+/// client gone), and stdin EOF in the binary each finish within 1 s.
+#[test]
+fn every_drain_trigger_wakes_the_blocked_accept() {
+    let limit = Duration::from_secs(1);
+    let server = Server::start(ServerConfig::default()).unwrap();
+    server.drain();
+    drains_within(server, limit);
+
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let resp = Client::connect(server.port()).roundtrip(r#"{"op":"drain"}"#);
+    assert_eq!(field(&resp, "status"), Some("draining"), "{resp}");
+    drains_within(server, limit);
+
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_tit-serve"))
+        .args(["--addr", "127.0.0.1:0", "--drain-on-stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut banner = String::new();
+    BufReader::new(daemon.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("listening on"), "{banner}");
+    let t0 = Instant::now();
+    drop(daemon.stdin.take());
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if t0.elapsed() > limit {
+            let _ = daemon.kill();
+            panic!("stdin EOF did not drain the daemon within {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "{status}");
 }
 
 #[test]
