@@ -13,9 +13,10 @@
 //!   channel reuses [`tit_core::match_p2p`] (the lint matcher); the
 //!   collective channel, whose micro-ops only exist after expansion,
 //!   gets its own per-pair FIFO zip here.
-//! * **collective synchronization** — collectives are expanded through
-//!   the *same* [`Registry`] the replayer uses, so their
-//!   send/receive trees induce identical cross-rank edges.
+//! * **collective synchronization** — every action, collectives
+//!   included, is expanded through the *same* [`expand`] function the
+//!   replayer uses, so their send/receive trees induce identical
+//!   cross-rank edges.
 //!
 //! Because every edge weight under-estimates the engine's delay, the
 //! longest weighted path is a sound makespan lower bound; the
@@ -32,11 +33,7 @@
 //! then merged in rank order — node ids shifted by a prefix-sum offset
 //! — which reproduces, id for id and edge for edge, exactly the graph
 //! the old single-pass construction built; the result is therefore
-//! byte-identical for every `jobs` value. Single-micro-op actions
-//! (compute, send/recv, Isend/Irecv, wait, comm_size) are expanded
-//! inline — the construction mirrors the registry's default handlers,
-//! pinned by `fast_path_matches_the_registry` below — while
-//! collectives and any rebound keyword go through the [`Registry`].
+//! byte-identical for every `jobs` value.
 
 use crate::cost::{clamp, CostModel};
 use crate::AnalyzeError;
@@ -48,8 +45,7 @@ use tit_core::graph::{DagBuilder, NodeId};
 use tit_core::ingest::for_each_rank;
 use tit_core::{match_p2p, Action, Dag, TiTrace};
 use tit_replay::collectives::CollectiveAlgo;
-use tit_replay::handlers::{ExpandCtx, MicroOp, Registry};
-use tit_replay::tags;
+use tit_replay::handlers::{expand, ExpandCtx, MicroOp};
 
 /// Sentinel for "no pend recorded here" in the per-action tables
 /// (also the hard cap on node count, enforced at node creation).
@@ -279,16 +275,13 @@ impl RankState<'_, '_> {
     }
 }
 
-/// Runs one rank's program-order pass. The hot single-micro-op actions
-/// are expanded inline (identically to the registry defaults — see
-/// `fast_path_matches_the_registry`); collectives and anything else go
-/// through `registry`.
+/// Runs one rank's program-order pass, expanding every action through
+/// the replayer's [`expand`].
 fn build_rank(
     rank: usize,
     actions: &[Action],
     np: usize,
     cost: &mut CostModel<'_>,
-    registry: &Registry,
     algo: CollectiveAlgo,
 ) -> Result<RankBuild, AnalyzeError> {
     let mut st = RankState {
@@ -313,32 +306,15 @@ fn build_rank(
     let mut nproc = 0usize;
     let mut ops: Vec<MicroOp> = Vec::new();
     for (index, action) in actions.iter().enumerate() {
-        let fast = match *action {
-            Action::Compute { flops } => Some(MicroOp::Exec { flops, tag: tags::COMPUTE }),
-            Action::Send { dst, bytes } => Some(MicroOp::Send { dst, bytes, tag: tags::SEND }),
-            Action::Isend { dst, bytes } => {
-                Some(MicroOp::IsendReq { dst, bytes, tag: tags::ISEND })
-            }
-            Action::Recv { src, .. } => Some(MicroOp::Recv { src, tag: tags::RECV }),
-            Action::Irecv { src, .. } => Some(MicroOp::IrecvReq { src, tag: tags::IRECV }),
-            Action::Wait => Some(MicroOp::WaitReq { tag: tags::WAIT }),
-            Action::CommSize { nproc } => Some(MicroOp::SetCommSize { nproc }),
-            _ => None,
-        };
-        match fast {
-            Some(op) => st.apply(index, &op, &mut nproc),
-            None => {
-                ops.clear();
-                let ctx = ExpandCtx { rank, ranks: np, nproc, algo };
-                registry.expand(&ctx, action, &mut ops).map_err(|e| AnalyzeError::Expand {
-                    rank,
-                    index,
-                    detail: e.detail,
-                })?;
-                for op in &ops {
-                    st.apply(index, op, &mut nproc);
-                }
-            }
+        ops.clear();
+        let ctx = ExpandCtx { rank, ranks: np, nproc, algo };
+        expand(&ctx, action, &mut ops).map_err(|e| AnalyzeError::Expand {
+            rank,
+            index,
+            detail: e.detail,
+        })?;
+        for op in &ops {
+            st.apply(index, op, &mut nproc);
         }
     }
     Ok(st.rb)
@@ -356,11 +332,10 @@ pub(crate) fn build(
 
     // Phase 1, per rank in parallel: program-order nodes and edges in
     // local ids. Each worker gets its own cost model (the route cache
-    // is just that — a cache) and registry.
+    // is just that — a cache).
     let mut per: Vec<RankBuild> = for_each_rank(np, jobs, |rank| {
-        let registry = Registry::with_defaults();
         let mut cost = CostModel::new(platform, net, hosts);
-        build_rank(rank, &trace.actions[rank], np, &mut cost, &registry, algo)
+        build_rank(rank, &trace.actions[rank], np, &mut cost, algo)
     })?;
 
     // Merge in rank order: ids shift by the node-count prefix sum,
@@ -506,46 +481,5 @@ fn link_flow(
         g.add_edge(r.post, r.done, w);
         g.add_edge(r.post, s.done, w);
         // send.post → send.done already carries `w` from phase 1.
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pins the inline fast path in [`build_rank`] to the registry's
-    /// default expansion: for every single-micro-op action the two
-    /// must produce the same micro-op, or the analyzer and the
-    /// replayer would silently model different programs.
-    #[test]
-    fn fast_path_matches_the_registry() {
-        let registry = Registry::with_defaults();
-        let ctx = ExpandCtx { rank: 1, ranks: 4, nproc: 4, algo: CollectiveAlgo::Binomial };
-        let cases = [
-            Action::Compute { flops: 5.0 },
-            Action::Send { dst: 2, bytes: 7.0 },
-            Action::Isend { dst: 2, bytes: 7.0 },
-            Action::Recv { src: 0, bytes: None },
-            Action::Irecv { src: 0, bytes: Some(4.0) },
-            Action::Wait,
-            Action::CommSize { nproc: 4 },
-        ];
-        for action in &cases {
-            let fast = match *action {
-                Action::Compute { flops } => MicroOp::Exec { flops, tag: tags::COMPUTE },
-                Action::Send { dst, bytes } => MicroOp::Send { dst, bytes, tag: tags::SEND },
-                Action::Isend { dst, bytes } => {
-                    MicroOp::IsendReq { dst, bytes, tag: tags::ISEND }
-                }
-                Action::Recv { src, .. } => MicroOp::Recv { src, tag: tags::RECV },
-                Action::Irecv { src, .. } => MicroOp::IrecvReq { src, tag: tags::IRECV },
-                Action::Wait => MicroOp::WaitReq { tag: tags::WAIT },
-                Action::CommSize { nproc } => MicroOp::SetCommSize { nproc },
-                _ => unreachable!("case list holds single-micro-op actions only"),
-            };
-            let mut ops = Vec::new();
-            registry.expand(&ctx, action, &mut ops).unwrap();
-            assert_eq!(ops, vec![fast], "divergent expansion for {action:?}");
-        }
     }
 }

@@ -181,6 +181,36 @@ fn oversized_comm_size_exits_one_for_every_algorithm_and_loader() {
     }
 }
 
+/// A platform or deployment file nested 20,000 elements deep is refused
+/// with a one-line diagnostic (exit 1) by every command that reads one,
+/// instead of overflowing the parser's stack.
+#[test]
+fn deeply_nested_xml_exits_one_with_a_one_line_message() {
+    let dir = std::env::temp_dir().join(format!("titr-clideepxml-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.xml");
+    let levels = 20_000;
+    std::fs::write(
+        &deep,
+        format!("<?xml version='1.0'?>\n{}{}\n", "<a>".repeat(levels), "</a>".repeat(levels)),
+    )
+    .unwrap();
+    let traces = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/traces/ring4");
+    let (traces, deep) = (traces.to_str().unwrap(), deep.to_str().unwrap());
+    for (bin, flag) in [
+        (env!("CARGO_BIN_EXE_tit-replay"), "--platform"),
+        (env!("CARGO_BIN_EXE_tit-analyze"), "--platform"),
+        (env!("CARGO_BIN_EXE_tit-replay"), "--deploy"),
+    ] {
+        let (code, stderr) = run_code(bin, &["--trace-dir", traces, "--np", "4", flag, deep]);
+        assert_eq!(code, Some(1), "{bin} {flag}; stderr:\n{stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "one-line diagnostic:\n{stderr}");
+        assert!(stderr.contains("levels deep"), "{bin} {flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `tit-profile` validates every CSV row: non-finite times, an end
 /// before its start and an out-of-range rank exit 1 naming the line,
 /// instead of writing invalid JSON, panicking or allocating per rank.
@@ -577,4 +607,89 @@ fn acquire_rejects_unknown_mode() {
     );
     assert!(!ok);
     assert!(text.contains("unknown acquisition mode"), "{text}");
+}
+
+/// Queued micro-ops and pending requests in one saved actor state
+/// (the replay actor's checkpoint encoding).
+fn queued_work(state: &[u8]) -> (usize, usize) {
+    let mut d = tit_core::checkpoint::Dec::new(state);
+    let (_rank, _nproc, _cursor) = (d.usize().unwrap(), d.usize().unwrap(), d.u64().unwrap());
+    let micro = d.usize().unwrap();
+    for _ in 0..micro {
+        // Discriminant, then the op's fields: (peer,) (volume,) tag.
+        match d.u8().unwrap() {
+            0 => drop((d.f64(), d.u32())),
+            1 | 3 | 5 => drop((d.usize(), d.f64(), d.u32())),
+            2 | 4 | 6 => drop((d.usize(), d.u32())),
+            7 => drop(d.u32()),
+            8 => drop(d.usize()),
+            k => panic!("unknown micro-op {k}"),
+        }
+    }
+    (micro, d.usize().unwrap())
+}
+
+/// Writes a 4-rank trace whose ranks post a receive, compute for
+/// different times and meet in an `allReduce`: a pause there finds
+/// pending requests on every rank and queued collective micro-ops on
+/// the ranks that arrived first.
+fn write_posted_allreduce_trace(dir: &std::path::Path) {
+    std::fs::create_dir_all(dir).unwrap();
+    for r in 0..4 {
+        let (left, right) = ((r + 3) % 4, (r + 1) % 4);
+        let mut text = format!("p{r} comm_size 4\n");
+        for _ in 0..3 {
+            text += &format!(
+                "p{r} Irecv p{left}\np{r} compute {}\np{r} allReduce 10000 100000\n\
+                 p{r} Isend p{right} 10000\np{r} wait\np{r} wait\n",
+                1_000_000 * (r + 1)
+            );
+        }
+        std::fs::write(dir.join(format!("SG_process{r}.trace")), text).unwrap();
+    }
+}
+
+/// A `TICK1` checkpoint written by an earlier build still resumes to
+/// the uninterrupted run's simulated-time bits and action count. The
+/// fixture holds queued collective micro-ops and pending non-blocking
+/// requests, so it pins the actor state encoding. It was written by
+/// the build before the single-cursor replay, on the trace of
+/// [`write_posted_allreduce_trace`], with
+///
+/// ```text
+/// tit-replay --trace-dir posted --np 4 --checkpoint posted-ar.tick \
+///     --checkpoint-every 14 --stop-after-checkpoints 1
+/// ```
+#[test]
+fn checkpoint_from_an_earlier_build_still_resumes() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/posted-ar.tick");
+    let ck = tit_replay::ReplayCheckpoint::load(&fixture).unwrap();
+    let work: Vec<(usize, usize)> =
+        ck.engine.actors.iter().filter_map(|a| a.state.as_deref()).map(queued_work).collect();
+    assert!(work.iter().any(|&(micro, _)| micro > 0), "no queued micro-op: {work:?}");
+    assert!(work.iter().any(|&(_, req)| req > 0), "no pending request: {work:?}");
+
+    let dir = std::env::temp_dir().join(format!("titr-clifixture-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let traces = dir.join("posted");
+    write_posted_allreduce_trace(&traces);
+    let replay = |extra: &[&str], metrics: &str| {
+        let metrics = dir.join(metrics);
+        let mut argv = vec!["--trace-dir", traces.to_str().unwrap(), "--np", "4"];
+        argv.extend(extra);
+        argv.extend(["--metrics", metrics.to_str().unwrap()]);
+        let out = Command::new(env!("CARGO_BIN_EXE_tit-replay")).args(&argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let actions = stdout.lines().find(|l| l.starts_with("actions replayed:"));
+        let actions = actions.unwrap().to_owned();
+        let doc = tit_core::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let time = doc.get("values").and_then(|v| v.get("replay.simulated_time")).unwrap().as_f64();
+        (time.unwrap().to_bits(), actions)
+    };
+    let uninterrupted = replay(&[], "full.json");
+    let resumed = replay(&["--resume", fixture.to_str().unwrap()], "resumed.json");
+    assert_eq!(resumed, uninterrupted);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,9 +4,9 @@
 //! payload slots), and a [`TiTrace`] adds one `Vec` per rank on top.
 //! The paper's Section 6.5 replay keeps a class D × 1024 trace resident
 //! — hundreds of millions of actions — so the replay simulator stores
-//! traces as a [`CompactTrace`]: four parallel arrays (interned `u32`
-//! [`tag`], `u32` peer, `f64` volume, and a rank-offset index) at
-//! 16 bytes per action, reconstructing each [`Action`] on demand.
+//! traces as a [`CompactTrace`]: per rank, three parallel arrays
+//! (interned `u32` [`tag`], `u32` peer, `f64` volume) at 16 bytes per
+//! action plus a side table, reconstructing each [`Action`] on demand.
 //!
 //! The encoding is lossless: [`CompactTrace::from_trace`] followed by
 //! [`CompactTrace::to_trace`] reproduces the input exactly for every
@@ -30,15 +30,18 @@
 //! ```
 
 use crate::action::{Action, Pid};
+use crate::tib2::SegmentColumns;
 use crate::trace::TiTrace;
+use std::sync::Arc;
 
 pub mod tag {
     //! Interned action tag ids: one `u32` per Table 1 keyword.
     //!
-    //! Values 1–10 deliberately match the replay layer's observer tags
-    //! (`tit_replay::tags`), so a tag read out of a compact trace can
-    //! label timed-trace entries without translation; `comm_size` never
-    //! reaches the observer layer and takes the next free id.
+    //! Values 1–10 are also the replay layer's observer tags
+    //! (`tit_replay::tags` re-exports them), so a tag read out of a
+    //! compact trace labels timed-trace entries without translation;
+    //! `comm_size` never reaches the observer layer and takes the next
+    //! free id.
     //!
     //! ```
     //! use tit_core::{compact::tag, Action};
@@ -126,9 +129,10 @@ pub(crate) const NO_PEER: u32 = u32::MAX;
 
 /// Why a trace cannot be interned into a [`CompactTrace`].
 ///
-/// Both cases are outside what the codec can produce from a trace file
-/// (pids are bounded by memory long before `u32::MAX`, and `NaN` never
-/// parses), so hitting one means the in-memory trace was built by hand.
+/// `NaN` never parses, so a `NaN` volume means the in-memory trace was
+/// built by hand. A trace line can name a peer or communicator size
+/// past the intern range; every replay reader rejects that line with
+/// this error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactError {
     /// A peer rank or communicator size exceeds the `u32` intern range.
@@ -164,9 +168,11 @@ impl std::error::Error for CompactError {}
 /// A time-independent trace in struct-of-arrays form: 16 bytes per
 /// action instead of a boxed [`Action`] list per rank.
 ///
-/// Actions are stored rank-major: rank `r` owns the index range
-/// `offsets[r]..offsets[r + 1]` of the three parallel entry arrays.
-/// Build one with [`CompactTrace::from_trace`], or incrementally with
+/// Each rank owns one resident [`SegmentColumns`] — the same columns a
+/// `TIB2` segment decodes into, with the rank's own side table — shared
+/// through an [`Arc`], so a replay cursor holds its rank's columns the
+/// way it holds a paged-in segment. Build one with
+/// [`CompactTrace::from_trace`], or incrementally with
 /// [`CompactTrace::begin_process`] / [`CompactTrace::push`].
 ///
 /// ```
@@ -182,51 +188,28 @@ impl std::error::Error for CompactError {}
 /// assert_eq!(c.get(1, 0), Some(Action::Reduce { vcomm: 64.0, vcomp: 1000.0 }));
 /// assert_eq!(c.get(0, 1), None);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompactTrace {
-    /// Rank boundaries: rank `r` spans entries `offsets[r]..offsets[r+1]`.
-    offsets: Vec<usize>,
-    /// Interned [`tag`] id per entry.
-    tags: Vec<u32>,
-    /// Peer rank (send/recv), communicator size (`comm_size`), side-table
-    /// index (`reduce`/`allReduce`) or [`NO_PEER`].
-    peers: Vec<u32>,
-    /// Primary volume; `NaN` encodes a receive without a byte annotation.
-    vols: Vec<f64>,
-    /// Side table of `vcomp` volumes for `reduce`/`allReduce` entries.
-    aux: Vec<f64>,
-}
-
-impl Default for CompactTrace {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// One resident segment per rank.
+    ranks: Vec<Arc<SegmentColumns>>,
 }
 
 impl CompactTrace {
     /// An empty compact trace (no processes, no actions).
     pub fn new() -> Self {
-        CompactTrace {
-            offsets: vec![0],
-            tags: Vec::new(),
-            peers: Vec::new(),
-            vols: Vec::new(),
-            aux: Vec::new(),
-        }
+        CompactTrace { ranks: Vec::new() }
     }
 
     /// Interns a boxed trace. Fails only on traces no trace file can
     /// produce (see [`CompactError`]).
     pub fn from_trace(t: &TiTrace) -> Result<Self, CompactError> {
-        let mut c = CompactTrace::new();
-        c.reserve(t.num_processes(), t.num_actions());
-        for actions in &t.actions {
-            c.begin_process();
-            for a in actions {
-                c.push(a)?;
-            }
-        }
-        Ok(c)
+        let ranks = t.actions.iter().map(|a| SegmentColumns::from_actions(a).map(Arc::new));
+        Ok(CompactTrace { ranks: ranks.collect::<Result<_, _>>()? })
+    }
+
+    /// One rank per column set, in rank order.
+    pub(crate) fn from_ranks(ranks: Vec<SegmentColumns>) -> Self {
+        CompactTrace { ranks: ranks.into_iter().map(Arc::new).collect() }
     }
 
     /// Expands back to the boxed per-rank form (the exact inverse of
@@ -242,128 +225,63 @@ impl CompactTrace {
     /// Opens the action list of the next rank; subsequent
     /// [`CompactTrace::push`] calls append to it.
     pub fn begin_process(&mut self) {
-        self.offsets.push(self.tags.len());
+        self.ranks.push(Arc::default());
     }
 
     /// Appends an action to the most recently opened rank (opening rank
     /// 0 implicitly if none is).
     pub fn push(&mut self, action: &Action) -> Result<(), CompactError> {
-        if self.offsets.len() == 1 {
+        if self.ranks.is_empty() {
             self.begin_process();
         }
-        let (t, peer, vol) = self.encode(action)?;
-        self.tags.push(t);
-        self.peers.push(peer);
-        self.vols.push(vol);
-        // panics: offsets always holds at least the opening boundary
-        *self.offsets.last_mut().unwrap() += 1;
-        Ok(())
-    }
-
-    /// Reserves room for `ranks` more processes and `actions` more
-    /// actions, so joining known-size parts never regrows the arrays.
-    pub(crate) fn reserve(&mut self, ranks: usize, actions: usize) {
-        self.offsets.reserve_exact(ranks);
-        self.tags.reserve_exact(actions);
-        self.peers.reserve_exact(actions);
-        self.vols.reserve_exact(actions);
+        let last = self.ranks.len() - 1;
+        Arc::make_mut(&mut self.ranks[last]).push(action)
     }
 
     /// Number of processes.
     pub fn num_processes(&self) -> usize {
-        self.offsets.len() - 1
+        self.ranks.len()
     }
 
     /// Total number of actions across all processes.
     pub fn num_actions(&self) -> usize {
-        self.tags.len()
+        self.ranks.iter().map(|c| c.len()).sum()
     }
 
     /// Number of actions of one rank (0 for out-of-range ranks).
     pub fn rank_len(&self, rank: usize) -> usize {
-        self.rank_span(rank).len()
+        self.ranks.get(rank).map_or(0, |c| c.len())
+    }
+
+    /// Every rank's columns, in rank order: what replay cursors read.
+    pub fn columns(&self) -> &[Arc<SegmentColumns>] {
+        &self.ranks
     }
 
     /// `rank`'s `index`-th action, or `None` out of range.
     pub fn get(&self, rank: usize, index: usize) -> Option<Action> {
-        let span = self.rank_span(rank);
-        let i = span.start.checked_add(index)?;
-        if i >= span.end {
-            return None;
-        }
-        Some(self.decode(i))
+        let cols = self.ranks.get(rank)?;
+        (index < cols.len()).then(|| cols.action(index))
     }
 
     /// Iterates one rank's actions in order (empty for out-of-range
     /// ranks), decoding on the fly.
     pub fn iter_rank(&self, rank: usize) -> impl Iterator<Item = Action> + '_ {
-        self.rank_span(rank).map(move |i| self.decode(i))
+        self.ranks.get(rank).into_iter().flat_map(|c| (0..c.len()).map(move |i| c.action(i)))
     }
 
-    /// Bytes of heap behind the arrays — the number the Section 6.5
+    /// Bytes of heap behind the columns — the number the Section 6.5
     /// memory argument is about (a boxed [`TiTrace`] costs
     /// `24 * num_actions()` plus a `Vec` header per rank).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.tags.capacity() * std::mem::size_of::<u32>()
-            + self.peers.capacity() * std::mem::size_of::<u32>()
-            + self.vols.capacity() * std::mem::size_of::<f64>()
-            + self.aux.capacity() * std::mem::size_of::<f64>()
-    }
-
-    fn rank_span(&self, rank: usize) -> std::ops::Range<usize> {
-        match (self.offsets.get(rank), self.offsets.get(rank + 1)) {
-            (Some(&s), Some(&e)) => s..e,
-            _ => 0..0,
-        }
-    }
-
-    fn encode(&mut self, a: &Action) -> Result<(u32, u32, f64), CompactError> {
-        encode_parts(a, &mut self.aux)
-    }
-
-    fn decode(&self, i: usize) -> Action {
-        decode_parts(self.tags[i], self.peers[i], self.vols[i], &self.aux)
-    }
-
-    /// Appends pre-interned columns (a TIB2 segment, see
-    /// [`crate::tib2`]) to the most recently opened rank, rebasing the
-    /// segment-local `reduce`/`allReduce` side-table indices onto this
-    /// trace's global side table. Fails only when the combined side
-    /// table outgrows the `u32` index range.
-    pub fn append_segment(
-        &mut self,
-        seg: &crate::tib2::SegmentColumns,
-    ) -> Result<(), CompactError> {
-        if self.offsets.len() == 1 {
-            self.begin_process();
-        }
-        let end = self.aux.len() + seg.aux.len();
-        if end > NO_PEER as usize {
-            return Err(CompactError::TooManyReduces);
-        }
-        let base = self.aux.len() as u32;
-        self.tags.extend_from_slice(&seg.tags);
-        self.vols.extend_from_slice(&seg.vols);
-        self.peers.extend(seg.tags.iter().zip(&seg.peers).map(|(&t, &peer)| {
-            if t == tag::REDUCE || t == tag::ALLREDUCE {
-                peer + base
-            } else {
-                peer
-            }
-        }));
-        self.aux.extend_from_slice(&seg.aux);
-        // panics: offsets always holds at least the opening boundary
-        *self.offsets.last_mut().unwrap() += seg.tags.len();
-        Ok(())
+        self.ranks.iter().map(|c| c.heap_bytes()).sum()
     }
 }
 
 /// Encodes one action into its interned `(tag, peer, volume)` triple,
 /// appending any secondary volume to `aux` — the peer slot of a
 /// `reduce`/`allReduce` entry is the side-table index it landed at.
-/// Shared by [`CompactTrace`] and the TIB2 segment writer (which passes
-/// a segment-local side table).
+/// Every [`SegmentColumns`] interns through it, with its own side table.
 pub(crate) fn encode_parts(
     a: &Action,
     aux: &mut Vec<f64>,

@@ -177,7 +177,7 @@ const MAX_ACTIONS_HINT: u64 = 1 << 20;
 /// Reads one clean rank file line by line into a container made by
 /// `with_capacity` (sized from the file length), handing each action to
 /// `keep` as it is parsed: every line must carry the file's own pid (the
-/// same rule the replayer's streaming `FileSource` enforces). The first
+/// same rule the replayer's streamed text cursor enforces). The first
 /// defective line — unparseable, foreign or not internable — is the one
 /// reported.
 fn read_rank_exact<T>(
@@ -220,27 +220,20 @@ pub fn load_exact(dir: &Path, nproc: usize, jobs: usize) -> Result<TiTrace, Inge
 
 /// Like [`load_exact`], straight into the replay simulator's
 /// [`CompactTrace`] form: each worker interns its rank into the rank's
-/// own compact columns as it parses, and the ranks are then joined in
-/// rank order, one append each.
+/// own columns as it parses and shrinks them to their length, and the
+/// trace takes every rank's columns as they are — nothing is copied.
 pub fn load_compact_exact(
     dir: &Path,
     nproc: usize,
     jobs: usize,
 ) -> Result<CompactTrace, IngestError> {
     let per_rank = for_each_rank(nproc, jobs, |rank| {
-        read_rank_exact(dir, rank, SegmentColumns::with_capacity, SegmentColumns::push)
+        let mut cols =
+            read_rank_exact(dir, rank, SegmentColumns::with_capacity, SegmentColumns::push)?;
+        cols.shrink_to_fit();
+        Ok(cols)
     })?;
-    let mut c = CompactTrace::new();
-    c.reserve(per_rank.len(), per_rank.iter().map(SegmentColumns::len).sum());
-    for (rank, cols) in per_rank.into_iter().enumerate() {
-        c.begin_process();
-        c.append_segment(&cols).map_err(|e| IngestError {
-            rank,
-            path: dir.join(process_trace_filename(rank)),
-            source: io::Error::new(io::ErrorKind::InvalidData, e),
-        })?;
-    }
-    Ok(c)
+    Ok(CompactTrace::from_ranks(per_rank))
 }
 
 #[cfg(test)]

@@ -170,10 +170,10 @@ impl std::error::Error for StoreError {
     }
 }
 
-/// One decoded segment: a self-contained slice of [`CompactTrace`]
-/// columns whose `reduce`/`allReduce` side-table indices are
-/// segment-local. This is the unit of residency the memory governor
-/// accounts for.
+/// One decoded segment: interned action columns whose
+/// `reduce`/`allReduce` side-table indices are segment-local. This is
+/// the unit of residency the memory governor accounts for, one rank of
+/// a [`CompactTrace`], and the chunk every replay cursor reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentColumns {
     pub(crate) tags: Vec<u32>,
@@ -214,6 +214,16 @@ impl SegmentColumns {
         self.tags.is_empty()
     }
 
+    /// Interns one rank's action list, with no spare capacity.
+    pub fn from_actions(actions: &[Action]) -> Result<Self, CompactError> {
+        let mut c = SegmentColumns::with_capacity(actions.len());
+        for a in actions {
+            c.push(a)?;
+        }
+        c.shrink_to_fit();
+        Ok(c)
+    }
+
     /// Appends one action (segment-local side table).
     pub fn push(&mut self, a: &Action) -> Result<(), CompactError> {
         let (t, peer, vol) = encode_parts(a, &mut self.aux)?;
@@ -221,6 +231,45 @@ impl SegmentColumns {
         self.peers.push(peer);
         self.vols.push(vol);
         Ok(())
+    }
+
+    /// Appends another segment's actions, rebasing its side-table
+    /// indices onto this one's side table. Fails only when the joined
+    /// side table outgrows the `u32` index range.
+    pub(crate) fn append(&mut self, seg: &SegmentColumns) -> Result<(), CompactError> {
+        if self.aux.len() + seg.aux.len() > NO_PEER as usize {
+            return Err(CompactError::TooManyReduces);
+        }
+        let base = self.aux.len() as u32;
+        self.tags.extend_from_slice(&seg.tags);
+        self.vols.extend_from_slice(&seg.vols);
+        self.peers.extend(seg.tags.iter().zip(&seg.peers).map(|(&t, &peer)| {
+            if t == tag::REDUCE || t == tag::ALLREDUCE {
+                peer + base
+            } else {
+                peer
+            }
+        }));
+        self.aux.extend_from_slice(&seg.aux);
+        Ok(())
+    }
+
+    /// Drops every action but keeps the allocations, so a reused chunk
+    /// refills without reallocating.
+    pub fn clear(&mut self) {
+        self.tags.clear();
+        self.peers.clear();
+        self.vols.clear();
+        self.aux.clear();
+    }
+
+    /// Releases spare capacity: [`SegmentColumns::heap_bytes`] is then
+    /// exactly the column bytes.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.tags.shrink_to_fit();
+        self.peers.shrink_to_fit();
+        self.vols.shrink_to_fit();
+        self.aux.shrink_to_fit();
     }
 
     /// Decodes the `i`-th action.
@@ -788,7 +837,7 @@ fn decode_payload(payload: &[u8], n: usize) -> Result<SegmentColumns, String> {
 /// **segment** granularity using the footer index (no parsing, no
 /// scanning — each work unit seeks straight to its segment), so a
 /// store with few ranks but many segments still saturates the worker
-/// pool; stitching is serial in rank-major segment order, so the
+/// pool; each rank's segments are then concatenated in order, so the
 /// result is identical for every `jobs` value. On damage, the error
 /// of the rank-major-first failing segment is returned — exactly what
 /// a serial loop would have stopped at.
@@ -801,26 +850,23 @@ pub fn load_compact_store(store: &Tib2Store, jobs: usize) -> Result<CompactTrace
         let (rank, seg) = units[i];
         store.read_segment(rank, seg)
     })?;
-    let mut c = CompactTrace::new();
-    let mut open_ranks = 0;
-    for (&(rank, _), seg) in units.iter().zip(&cols) {
-        while open_ranks <= rank {
-            c.begin_process();
-            open_ranks += 1;
+    let mut segs = cols.into_iter();
+    let mut ranks = Vec::with_capacity(store.num_ranks());
+    for rank in 0..store.num_ranks() {
+        let parts: Vec<SegmentColumns> = segs.by_ref().take(store.num_segments(rank)).collect();
+        let mut joined = SegmentColumns::with_capacity(parts.iter().map(SegmentColumns::len).sum());
+        joined.aux.reserve_exact(parts.iter().map(|p| p.aux.len()).sum());
+        for part in &parts {
+            // A validated segment's side table always rebase-fits: the
+            // store's total side-table entries were interned once
+            // already at write time.
+            joined.append(part).map_err(|e| StoreError::FooterDamaged {
+                detail: format!("side table overflow while stitching: {e}"),
+            })?;
         }
-        // A validated segment's side table always rebase-fits: the
-        // store's total side-table entries were interned once
-        // already at write time.
-        c.append_segment(seg).map_err(|e| StoreError::FooterDamaged {
-            detail: format!("side table overflow while stitching: {e}"),
-        })?;
+        ranks.push(joined);
     }
-    // Trailing (and interior) segment-less ranks still exist.
-    while open_ranks < store.num_ranks() {
-        c.begin_process();
-        open_ranks += 1;
-    }
-    Ok(c)
+    Ok(CompactTrace::from_ranks(ranks))
 }
 
 #[cfg(test)]

@@ -304,6 +304,11 @@ impl ProcessTraceReader {
     pub fn next_action(&mut self) -> std::io::Result<Option<(Pid, Action)>> {
         self.lines.read_action()?.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
+
+    /// The 1-based number of the line the last action came from.
+    pub fn line(&self) -> usize {
+        self.lines.line_no
+    }
 }
 
 #[cfg(test)]

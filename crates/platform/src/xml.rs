@@ -114,11 +114,16 @@ impl std::fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// The deepest element nesting [`parse`] accepts, the root being
+/// depth 1. Real platform and deployment files nest a handful of
+/// levels; the bound keeps the recursive descent far inside the stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a document, returning its root element.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser { s: input.as_bytes(), pos: 0 };
     p.skip_prolog();
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_misc();
     if p.pos < p.s.len() {
         return Err(XmlError(format!("trailing content at byte {}", p.pos)));
@@ -195,7 +200,14 @@ impl Parser<'_> {
         Ok(String::from_utf8_lossy(&self.s[start..self.pos]).into_owned())
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parses the element at the cursor, `depth` levels deep.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth > MAX_DEPTH {
+            return Err(XmlError(format!(
+                "element at byte {} is nested {depth} levels deep (the limit is {MAX_DEPTH})",
+                self.pos
+            )));
+        }
         if !self.starts_with("<") {
             return Err(XmlError(format!("expected '<' at byte {}", self.pos)));
         }
@@ -260,7 +272,7 @@ impl Parser<'_> {
                 return Ok(el);
             }
             if self.starts_with("<") {
-                el.children.push(self.parse_element()?);
+                el.children.push(self.parse_element(depth + 1)?);
             } else if self.pos >= self.s.len() {
                 return Err(XmlError(format!("unclosed element <{}>", el.name)));
             } else {
@@ -276,6 +288,25 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nested(levels: usize) -> String {
+        format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let mut el = parse(&nested(MAX_DEPTH)).unwrap();
+        let mut depth = 1;
+        while let Some(child) = el.children.pop() {
+            el = child;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains(&format!("nested {} levels deep", MAX_DEPTH + 1)), "{err}");
+        // Far deeper input fails the same way instead of overflowing.
+        assert!(parse(&nested(100_000)).unwrap_err().0.contains("levels deep"));
+    }
 
     #[test]
     fn parses_figure_5_platform_file() {

@@ -23,11 +23,13 @@
 //! and 7 damaged" replaces a bare failure.
 
 use crate::error::ReplayError;
-use crate::process::{ActionSource, VecSource};
+use crate::process::Cursor;
 use crate::simulator::Input;
 use std::path::Path;
+use std::sync::Arc;
+use tit_core::parse_line;
+use tit_core::tib2::SegmentColumns;
 use tit_core::trace::process_trace_filename;
-use tit_core::{parse_line, Action};
 
 /// Why a rank's stream was degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,20 +78,20 @@ pub struct RankDegradation {
 
 /// One rank's salvaged stream.
 struct ScannedRank {
-    actions: Vec<Action>,
+    actions: SegmentColumns,
     degradation: Option<RankDegradation>,
 }
 
 /// Reads `rank`'s trace file, keeping the longest parseable prefix.
 /// Damage (unreadable bytes, a parse error, a line owned by another
-/// pid) trims the stream at that point.
+/// pid, a peer past the intern range) trims the stream at that point.
 fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
     let path = dir.join(process_trace_filename(rank));
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(ScannedRank {
-                actions: Vec::new(),
+                actions: SegmentColumns::new(),
                 degradation: Some(RankDegradation {
                     rank,
                     reason: DegradationReason::MissingFile,
@@ -101,7 +103,7 @@ fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
         }
         Err(e) => return Err(e),
     };
-    let mut actions = Vec::new();
+    let mut actions = SegmentColumns::new();
     let mut trim: Option<String> = None;
     let mut lines_trimmed = 0u64;
     for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
@@ -120,7 +122,12 @@ fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
         };
         match parse_line(text, line_no) {
             Ok(None) => {}
-            Ok(Some((pid, a))) if pid == rank => actions.push(a),
+            Ok(Some((pid, a))) if pid == rank => {
+                if let Err(e) = actions.push(&a) {
+                    trim = Some(format!("line {line_no}: {e}"));
+                    lines_trimmed += 1;
+                }
+            }
             Ok(Some((pid, _))) => {
                 trim = Some(format!("line {line_no}: belongs to p{pid}, not p{rank}"));
                 lines_trimmed += 1;
@@ -162,7 +169,7 @@ impl Input {
             .collect();
         let mut scanned = match scanned {
             Ok(s) => s,
-            Err(e) => return Input { sources: Err(e), ..Input::new(Vec::new(), 0, 0) },
+            Err(e) => return Input { cursors: Err(e), ..Input::new(Vec::new(), 0, 0) },
         };
         let per_rank_total: Vec<Option<u64>> = scanned
             .iter()
@@ -183,11 +190,9 @@ impl Input {
                 ranks.push(d);
             }
         }
-        let sources = scanned
-            .into_iter()
-            .map(|s| Box::new(VecSource::new(s.actions)) as Box<dyn ActionSource>)
-            .collect();
-        Input { damage: ranks, ..Input::new(sources, actions_expected, 0) }
+        let cursors =
+            scanned.into_iter().map(|s| Cursor::resident(Arc::new(s.actions))).collect();
+        Input { damage: ranks, ..Input::new(cursors, actions_expected, 0) }
     }
 }
 

@@ -2,15 +2,17 @@
 //!
 //! The paper's simulator binds every trace keyword to a function that
 //! "corresponds to the expected behavior of a given action" (Section 5,
-//! step 1-2). Here a handler expands one [`Action`] into kernel
-//! [`MicroOp`]s; the default [`Registry`] covers all of Table 1, and
-//! callers may re-register keywords to explore alternative semantics
-//! (e.g. a flat-tree broadcast) without touching the replayer, which is
-//! precisely the flexibility the paper claims for the decoupled design.
+//! step 1-2). Here that binding is one exhaustive `match`: [`expand`]
+//! has one arm per [`Action`] variant, each expanding the action into
+//! kernel [`MicroOp`]s. `Action` is a closed enum, so the compiler
+//! checks that every Table 1 keyword has its handler. The replayer and
+//! `tit-analyze` both expand through this one function, so they model
+//! the same program by construction. Alternative collective semantics
+//! (e.g. a flat-tree broadcast) are chosen with
+//! [`ReplayConfig::algo`](crate::ReplayConfig::algo).
 
 use crate::collectives::{self, CollectiveAlgo};
 use crate::tags;
-use std::collections::HashMap;
 use tit_core::Action;
 
 /// A kernel-level step produced by expanding one action.
@@ -113,132 +115,41 @@ impl std::fmt::Display for ExpandError {
 
 impl std::error::Error for ExpandError {}
 
-/// Handler: expands `action` into micro-ops.
-pub type Handler =
-    Box<dyn Fn(&ExpandCtx, &Action, &mut Vec<MicroOp>) -> Result<(), ExpandError> + Send + Sync>;
-
-/// Keyword → handler table.
-pub struct Registry {
-    handlers: HashMap<&'static str, Handler>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl Registry {
-    /// Empty registry (no keyword bound).
-    pub fn empty() -> Self {
-        Registry { handlers: HashMap::new() }
-    }
-
-    /// Registry with the paper's Table 1 semantics bound.
-    pub fn with_defaults() -> Self {
-        let mut r = Registry::empty();
-        r.register("compute", |_ctx, a, out| {
-            if let Action::Compute { flops } = a {
-                out.push(MicroOp::Exec { flops: *flops, tag: tags::COMPUTE });
-            }
-            Ok(())
-        });
-        r.register("send", |_ctx, a, out| {
-            if let Action::Send { dst, bytes } = a {
-                out.push(MicroOp::Send { dst: *dst, bytes: *bytes, tag: tags::SEND });
-            }
-            Ok(())
-        });
-        r.register("Isend", |_ctx, a, out| {
-            if let Action::Isend { dst, bytes } = a {
-                out.push(MicroOp::IsendReq { dst: *dst, bytes: *bytes, tag: tags::ISEND });
-            }
-            Ok(())
-        });
-        r.register("recv", |_ctx, a, out| {
-            if let Action::Recv { src, .. } = a {
-                out.push(MicroOp::Recv { src: *src, tag: tags::RECV });
-            }
-            Ok(())
-        });
-        r.register("Irecv", |_ctx, a, out| {
-            if let Action::Irecv { src, .. } = a {
-                out.push(MicroOp::IrecvReq { src: *src, tag: tags::IRECV });
-            }
-            Ok(())
-        });
-        r.register("bcast", |ctx, a, out| {
-            if let Action::Bcast { bytes } = a {
-                ctx.require_comm_size("bcast")?;
-                collectives::bcast(ctx.algo, ctx.rank, ctx.nproc, *bytes, tags::BCAST, out);
-            }
-            Ok(())
-        });
-        r.register("reduce", |ctx, a, out| {
-            if let Action::Reduce { vcomm, vcomp } = a {
-                ctx.require_comm_size("reduce")?;
-                collectives::reduce(
-                    ctx.algo, ctx.rank, ctx.nproc, *vcomm, *vcomp, tags::REDUCE, out,
-                );
-            }
-            Ok(())
-        });
-        r.register("allReduce", |ctx, a, out| {
-            if let Action::AllReduce { vcomm, vcomp } = a {
-                ctx.require_comm_size("allReduce")?;
-                collectives::allreduce(
-                    ctx.algo, ctx.rank, ctx.nproc, *vcomm, *vcomp, tags::ALLREDUCE, out,
-                );
-            }
-            Ok(())
-        });
-        r.register("barrier", |ctx, _a, out| {
+/// Expands `action` into `out`, one arm per Table 1 keyword. A
+/// structurally invalid action (e.g. a collective before `comm_size`)
+/// is a typed error, not a panic: traces come from the acquisition
+/// pipeline and may be arbitrarily corrupt. Nothing is pushed on error.
+pub fn expand(ctx: &ExpandCtx, action: &Action, out: &mut Vec<MicroOp>) -> Result<(), ExpandError> {
+    match *action {
+        Action::Compute { flops } => out.push(MicroOp::Exec { flops, tag: tags::COMPUTE }),
+        Action::Send { dst, bytes } => out.push(MicroOp::Send { dst, bytes, tag: tags::SEND }),
+        Action::Isend { dst, bytes } => {
+            out.push(MicroOp::IsendReq { dst, bytes, tag: tags::ISEND });
+        }
+        Action::Recv { src, .. } => out.push(MicroOp::Recv { src, tag: tags::RECV }),
+        Action::Irecv { src, .. } => out.push(MicroOp::IrecvReq { src, tag: tags::IRECV }),
+        Action::Bcast { bytes } => {
+            ctx.require_comm_size("bcast")?;
+            collectives::bcast(ctx.algo, ctx.rank, ctx.nproc, bytes, tags::BCAST, out);
+        }
+        Action::Reduce { vcomm, vcomp } => {
+            ctx.require_comm_size("reduce")?;
+            collectives::reduce(ctx.algo, ctx.rank, ctx.nproc, vcomm, vcomp, tags::REDUCE, out);
+        }
+        Action::AllReduce { vcomm, vcomp } => {
+            ctx.require_comm_size("allReduce")?;
+            collectives::allreduce(
+                ctx.algo, ctx.rank, ctx.nproc, vcomm, vcomp, tags::ALLREDUCE, out,
+            );
+        }
+        Action::Barrier => {
             ctx.require_comm_size("barrier")?;
             collectives::barrier(ctx.algo, ctx.rank, ctx.nproc, tags::BARRIER, out);
-            Ok(())
-        });
-        r.register("comm_size", |_ctx, a, out| {
-            if let Action::CommSize { nproc } = a {
-                out.push(MicroOp::SetCommSize { nproc: *nproc });
-            }
-            Ok(())
-        });
-        r.register("wait", |_ctx, _a, out| {
-            out.push(MicroOp::WaitReq { tag: tags::WAIT });
-            Ok(())
-        });
-        r
+        }
+        Action::CommSize { nproc } => out.push(MicroOp::SetCommSize { nproc }),
+        Action::Wait => out.push(MicroOp::WaitReq { tag: tags::WAIT }),
     }
-
-    /// Binds (or rebinds) `keyword` — the `MSG_action_register` analogue.
-    pub fn register(
-        &mut self,
-        keyword: &'static str,
-        f: impl Fn(&ExpandCtx, &Action, &mut Vec<MicroOp>) -> Result<(), ExpandError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.handlers.insert(keyword, Box::new(f));
-    }
-
-    /// Expands `action`. An unbound keyword (a trace/keyword mismatch)
-    /// or a structurally invalid action (e.g. a collective before
-    /// `comm_size`) is a typed error, not a panic: traces come from the
-    /// acquisition pipeline and may be arbitrarily corrupt.
-    pub fn expand(
-        &self,
-        ctx: &ExpandCtx,
-        action: &Action,
-        out: &mut Vec<MicroOp>,
-    ) -> Result<(), ExpandError> {
-        let kw = action.keyword();
-        let h = self.handlers.get(kw).ok_or_else(|| ExpandError {
-            keyword: kw.to_string(),
-            detail: "no handler registered for this keyword".into(),
-        })?;
-        h(ctx, action, out)
-    }
+    Ok(())
 }
 
 impl ExpandCtx {
@@ -269,14 +180,13 @@ mod tests {
     }
 
     fn expand1(ctx_: &ExpandCtx, a: Action) -> Vec<MicroOp> {
-        let r = Registry::with_defaults();
         let mut out = Vec::new();
-        r.expand(ctx_, &a, &mut out).unwrap();
+        expand(ctx_, &a, &mut out).unwrap();
         out
     }
 
     #[test]
-    fn default_registry_covers_table_1() {
+    fn expand_covers_table_1() {
         let c = ctx(1, 4);
         assert_eq!(
             expand1(&c, Action::Compute { flops: 5.0 }),
@@ -309,9 +219,8 @@ mod tests {
 
     #[test]
     fn collective_without_comm_size_is_a_typed_error() {
-        let r = Registry::with_defaults();
         let mut out = Vec::new();
-        let err = r.expand(&ctx(0, 0), &Action::Barrier, &mut out).unwrap_err();
+        let err = expand(&ctx(0, 0), &Action::Barrier, &mut out).unwrap_err();
         assert_eq!(err.keyword, "barrier");
         assert!(err.detail.contains("before comm_size"), "{err}");
         assert!(err.detail.contains("p0"), "{err}");
@@ -319,7 +228,6 @@ mod tests {
 
     #[test]
     fn oversized_comm_size_is_a_typed_error_before_expansion() {
-        let r = Registry::with_defaults();
         let collectives = [
             Action::Barrier,
             Action::Bcast { bytes: 8.0 },
@@ -331,7 +239,7 @@ mod tests {
                 for a in &collectives {
                     let c = ExpandCtx { rank: 1, ranks: 2, nproc, algo };
                     let mut out = Vec::new();
-                    let err = r.expand(&c, a, &mut out).unwrap_err();
+                    let err = expand(&c, a, &mut out).unwrap_err();
                     assert_eq!(err.keyword, a.keyword());
                     assert!(err.detail.contains("p1"), "{err}");
                     assert!(err.detail.contains(&format!("comm_size {nproc} ")), "{err}");
@@ -341,29 +249,6 @@ mod tests {
         }
         let mut out = Vec::new();
         let full = ExpandCtx { rank: 1, ranks: 2, nproc: 2, algo: CollectiveAlgo::Flat };
-        r.expand(&full, &Action::Barrier, &mut out).unwrap();
-    }
-
-    #[test]
-    fn rebinding_overrides_semantics() {
-        let mut r = Registry::with_defaults();
-        r.register("bcast", |ctx, a, out| {
-            if let Action::Bcast { bytes } = a {
-                collectives::bcast(CollectiveAlgo::Flat, ctx.rank, ctx.nproc, *bytes, 0, out);
-            }
-            Ok(())
-        });
-        let mut out = Vec::new();
-        r.expand(&ctx(0, 8), &Action::Bcast { bytes: 1.0 }, &mut out).unwrap();
-        assert_eq!(out.len(), 7, "flat bcast from root sends to all 7 peers");
-    }
-
-    #[test]
-    fn unbound_keyword_is_a_typed_error() {
-        let r = Registry::empty();
-        let mut out = Vec::new();
-        let err = r.expand(&ctx(0, 1), &Action::Wait, &mut out).unwrap_err();
-        assert_eq!(err.keyword, "wait");
-        assert!(err.detail.contains("no handler"), "{err}");
+        expand(&full, &Action::Barrier, &mut out).unwrap();
     }
 }

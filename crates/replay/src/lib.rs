@@ -6,19 +6,21 @@
 //! time (plus optional timed-trace and profile outputs, Figure 4).
 //!
 //! Mirroring the MSG-based prototype, every action keyword is bound to a
-//! handler through a [`handlers::Registry`] (the analogue of
-//! `MSG_action_register`); handlers expand an action into a short
-//! sequence of kernel micro-operations executed by the per-process
-//! [`process::ReplayActor`]. Collective operations are decomposed into
-//! point-to-point messages rooted at process 0 ([`collectives`]), and
-//! non-blocking operations feed a FIFO request queue consumed by `wait`
-//! ([`process`]).
+//! handler — here one arm of the exhaustive [`handlers::expand`] match
+//! (the analogue of `MSG_action_register`). A handler expands an action
+//! into a short sequence of kernel micro-operations executed by the
+//! per-process [`process::ReplayActor`]. Collective operations are
+//! decomposed into point-to-point messages rooted at process 0
+//! ([`collectives`]), and non-blocking operations feed a FIFO request
+//! queue consumed by `wait` ([`process`]).
 //!
 //! Every replay goes through one driver, [`Replay`]: an [`Input`] built
 //! by a source constructor (memory, files, compact, store, or a
 //! `--degraded` salvage scan) plus independent options (observer, pause
 //! interval, deadline, checkpoint file, stop-after count, preempt flag,
 //! resume state, damage tolerance), returning one [`ReplayOutcome`].
+//! Every input feeds each rank through the same column cursor; inputs
+//! differ only in where the cursor's next chunk comes from.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,7 +38,7 @@ pub mod tags;
 
 pub use degraded::{DegradationReason, RankDegradation};
 pub use error::ReplayError;
-pub use handlers::{ExpandError, MicroOp, Registry};
+pub use handlers::{expand, ExpandError, MicroOp};
 pub use resume::ReplayCheckpoint;
 pub use simulator::{
     replay_compact, replay_compact_observed, replay_memory, run_checkpointed, CheckpointedStatus,

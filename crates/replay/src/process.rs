@@ -1,117 +1,198 @@
-//! The per-process replaying actor.
+//! The per-process replaying actor and the one cursor that feeds it.
 //!
-//! One [`ReplayActor`] per MPI rank streams actions from its source (an
-//! in-memory list or a per-process trace file), expands them through the
-//! handler [`Registry`] and executes the resulting micro-ops on the
-//! simulation kernel. Non-blocking operations enqueue their kernel op in
-//! a FIFO request queue; `wait` completes the oldest one — the format has
-//! no request identifiers, and the paper's prototype behaves the same
-//! way.
+//! One [`ReplayActor`] per MPI rank reads actions from its column cursor,
+//! expands each through [`handlers::expand`] into a micro-op list and
+//! executes those on the simulation kernel. Non-blocking operations
+//! enqueue their kernel op in a FIFO request queue; `wait` completes the
+//! oldest one — the format has no request identifiers, and the paper's
+//! prototype behaves the same way.
+//!
+//! Every input reaches the actor the same way: a cursor over a chunk of
+//! interned columns ([`SegmentColumns`]). Inputs differ only in where
+//! the next chunk comes from — nowhere (memory, compact and salvaged
+//! text inputs hold each rank in one chunk), the [`SegmentCache`] (a
+//! store, one segment at a time) or the rank's text file (parsed
+//! [`DEFAULT_SEG_ACTIONS`] actions at a time into a reused chunk).
+//!
+//! [`handlers::expand`]: crate::handlers::expand
 
-use crate::handlers::{ExpandCtx, MicroOp, Registry};
 use crate::collectives::CollectiveAlgo;
+use crate::handlers::{expand, ExpandCtx, MicroOp};
+use crate::store::SegmentCache;
 use simkern::engine::{Ctx, MailboxKey, OpId};
 use simkern::{Actor, Step, Wake};
 use std::collections::VecDeque;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tit_core::checkpoint::{Dec, Enc};
+use tit_core::tib2::{SegmentColumns, DEFAULT_SEG_ACTIONS};
 use tit_core::trace::ProcessTraceReader;
 use tit_core::Action;
 
-/// Supplies the action stream of one process.
-pub trait ActionSource: Send {
-    /// Next action, or `None` at end of trace.
-    fn next_action(&mut self) -> std::io::Result<Option<Action>>;
+/// Where a cursor's next chunk comes from.
+enum Next {
+    /// Nowhere: the current chunk is the rank's last.
+    Nothing,
+    /// Segments `seg..limit` of `rank`, read through the shared cache.
+    Store {
+        cache: Arc<SegmentCache>,
+        rank: usize,
+        seg: usize,
+        limit: usize,
+    },
+    /// The rest of the rank's text file.
+    Text(Box<TextFile>),
+    /// A defective line ended the last chunk: its error, handed over
+    /// when the actor reaches it.
+    Failed(String),
 }
 
-/// In-memory action list.
-pub struct VecSource(std::vec::IntoIter<Action>);
-
-impl VecSource {
-    /// Wraps an owned action list.
-    pub fn new(actions: Vec<Action>) -> Self {
-        VecSource(actions.into_iter())
-    }
-}
-
-impl ActionSource for VecSource {
-    fn next_action(&mut self) -> std::io::Result<Option<Action>> {
-        Ok(self.0.next())
-    }
-}
-
-/// One rank's slice of a shared interned [`tit_core::CompactTrace`] — the
-/// zero-copy source behind [`Input::compact`](crate::Input::compact).
-/// Cloning the `Arc` per rank lets all actors stream from one
-/// struct-of-arrays allocation.
-pub struct CompactSource {
-    trace: Arc<tit_core::CompactTrace>,
-    rank: usize,
-    index: usize,
-}
-
-impl CompactSource {
-    /// A source over `rank`'s actions in `trace`. Ranks beyond
-    /// `trace.num_processes()` simply yield an empty stream.
-    pub fn new(trace: Arc<tit_core::CompactTrace>, rank: usize) -> Self {
-        CompactSource { trace, rank, index: 0 }
-    }
-}
-
-impl ActionSource for CompactSource {
-    fn next_action(&mut self) -> std::io::Result<Option<Action>> {
-        let a = self.trace.get(self.rank, self.index);
-        if a.is_some() {
-            self.index += 1;
-        }
-        Ok(a)
-    }
-}
-
-/// Streaming per-process trace file (`SG_process<N>.trace`).
-pub struct FileSource {
+/// One rank's trace file, parsed a chunk at a time.
+struct TextFile {
     reader: ProcessTraceReader,
+    path: PathBuf,
     rank: usize,
-    path: std::path::PathBuf,
 }
 
-impl FileSource {
-    /// Opens `path`; every line must belong to `rank`.
-    pub fn open(path: &std::path::Path, rank: usize) -> std::io::Result<Self> {
-        Ok(FileSource {
-            reader: ProcessTraceReader::open(path)?,
-            rank,
-            path: path.to_path_buf(),
-        })
-    }
-
-    /// Prefixes `e` with this source's file path, so a parse error
-    /// (which already carries the line number and offending token) also
-    /// names the file it came from.
-    fn with_path(&self, e: std::io::Error) -> std::io::Error {
-        std::io::Error::new(e.kind(), format!("{}: {e}", self.path.display()))
-    }
-}
-
-impl ActionSource for FileSource {
-    fn next_action(&mut self) -> std::io::Result<Option<Action>> {
-        match self.reader.next_action().map_err(|e| self.with_path(e))? {
-            None => Ok(None),
-            Some((pid, a)) => {
-                if pid != self.rank {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: trace line for p{pid} in p{}'s file",
-                            self.path.display(),
-                            self.rank
-                        ),
-                    ));
+impl TextFile {
+    /// Parses up to [`DEFAULT_SEG_ACTIONS`] actions into `chunk`. Returns
+    /// `None` while the file may hold more, else what follows the chunk:
+    /// [`Next::Nothing`] at end of file, [`Next::Failed`] at the first
+    /// defective line (unparseable, another pid's, or not internable).
+    fn fill(&mut self, chunk: &mut SegmentColumns) -> Option<Next> {
+        let failed =
+            |detail: String| Some(Next::Failed(format!("{}: {detail}", self.path.display())));
+        while chunk.len() < DEFAULT_SEG_ACTIONS {
+            match self.reader.next_action() {
+                Ok(None) => return Some(Next::Nothing),
+                Err(e) => return failed(e.to_string()),
+                Ok(Some((pid, _))) if pid != self.rank => {
+                    return failed(format!("trace line for p{pid} in p{}'s file", self.rank));
                 }
-                Ok(Some(a))
+                Ok(Some((_, a))) => {
+                    if let Err(e) = chunk.push(&a) {
+                        return failed(format!("line {}: {e}", self.reader.line()));
+                    }
+                }
             }
         }
+        None
+    }
+}
+
+/// One rank's action stream: the chunk it is reading, its position in
+/// that chunk, and where the next chunk comes from. A store cursor
+/// holds (pins) exactly its current segment.
+pub(crate) struct Cursor {
+    chunk: Arc<SegmentColumns>,
+    pos: usize,
+    next: Next,
+}
+
+impl Cursor {
+    /// A rank held in one resident chunk.
+    pub(crate) fn resident(chunk: Arc<SegmentColumns>) -> Self {
+        Cursor { chunk, pos: 0, next: Next::Nothing }
+    }
+
+    /// A rank with no actions.
+    pub(crate) fn empty() -> Self {
+        Cursor::resident(Arc::default())
+    }
+
+    /// `rank`'s first `limit` store segments, read through `cache`.
+    pub(crate) fn store(cache: Arc<SegmentCache>, rank: usize, limit: usize) -> Self {
+        Cursor { chunk: Arc::default(), pos: 0, next: Next::Store { cache, rank, seg: 0, limit } }
+    }
+
+    /// The trace file at `path`, whose every line must belong to `rank`.
+    pub(crate) fn text(path: &Path, rank: usize) -> std::io::Result<Self> {
+        let reader = ProcessTraceReader::open(path)?;
+        let file = TextFile { reader, path: path.to_path_buf(), rank };
+        Ok(Cursor { chunk: Arc::default(), pos: 0, next: Next::Text(Box::new(file)) })
+    }
+
+    /// The next action; `Ok(None)` at the end of the rank, `Err` when
+    /// reading the next chunk failed or a defective line was reached.
+    pub(crate) fn next_action(&mut self) -> Result<Option<Action>, String> {
+        if self.pos == self.chunk.len() && !self.refill()? {
+            return Ok(None);
+        }
+        let a = self.chunk.action(self.pos);
+        self.pos += 1;
+        Ok(Some(a))
+    }
+
+    /// Moves on to the next non-empty chunk; `false` at the end.
+    fn refill(&mut self) -> Result<bool, String> {
+        loop {
+            self.pos = 0;
+            match &mut self.next {
+                Next::Nothing => return Ok(false),
+                Next::Failed(e) => return Err(e.clone()),
+                Next::Store { cache, rank, seg, limit } => {
+                    // Unpin the drained segment before faulting the next.
+                    self.chunk = Arc::default();
+                    if *seg == *limit {
+                        return Ok(false);
+                    }
+                    self.chunk = cache.segment(*rank, *seg).map_err(|f| cache.record_fault(f))?;
+                    *seg += 1;
+                }
+                Next::Text(file) => {
+                    let chunk = Arc::make_mut(&mut self.chunk);
+                    chunk.clear();
+                    if let Some(end) = file.fill(chunk) {
+                        self.next = end;
+                    }
+                }
+            }
+            if !self.chunk.is_empty() {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Positions the cursor after the rank's first `target` actions. A
+    /// resident chunk seeks in O(1); a store skips whole segments by the
+    /// footer's action counts, never reading them; text is re-parsed.
+    fn seek(&mut self, target: u64) -> Result<(), String> {
+        let mut done = 0u64;
+        if let Next::Store { cache, rank, seg, limit } = &mut self.next {
+            while *seg < *limit {
+                let meta = cache.store().segment_meta(*rank, *seg);
+                let n = meta.map_or(0, |m| u64::from(m.n_actions));
+                if done + n > target {
+                    break;
+                }
+                done += n;
+                *seg += 1;
+            }
+        }
+        while done < target {
+            if self.pos == self.chunk.len() {
+                match self.refill() {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        return Err(format!(
+                            "trace ended at action {done} but the checkpoint consumed \
+                             {target} — trace changed since the checkpoint"
+                        ));
+                    }
+                    Err(e) => {
+                        return Err(format!(
+                            "trace read failed while fast-forwarding to action {target}: {e}"
+                        ));
+                    }
+                }
+            }
+            // At most the chunk's remaining length, so it fits a usize.
+            let step = ((self.chunk.len() - self.pos) as u64).min(target - done);
+            self.pos += step as usize;
+            done += step;
+        }
+        Ok(())
     }
 }
 
@@ -121,28 +202,26 @@ pub struct ReplayActor {
     /// Ranks in the replay, the bound on any declared communicator.
     ranks: usize,
     nproc: usize,
-    src: Box<dyn ActionSource>,
-    registry: Arc<Registry>,
+    src: Cursor,
     algo: CollectiveAlgo,
-    micro: VecDeque<MicroOp>,
-    expand_buf: Vec<MicroOp>,
+    /// The micro-ops of the current action; `micro[next..]` have not run.
+    micro: Vec<MicroOp>,
+    next: usize,
     requests: VecDeque<OpId>,
     actions_replayed: Arc<AtomicU64>,
     /// Actions this actor itself has pulled from `src` — the resume
-    /// cursor. Unlike the shared `actions_replayed` counter this is
-    /// per-rank, so a restored actor knows how far to fast-forward its
-    /// own stream.
+    /// position. Unlike the shared `actions_replayed` counter this is
+    /// per-rank, so a restored actor knows where to seek its own stream.
     cursor: u64,
 }
 
 impl ReplayActor {
     /// Builds the actor for `rank` of a replay of `ranks` processes,
     /// incrementing `actions_replayed` once per action pulled from `src`.
-    pub fn new(
+    pub(crate) fn new(
         rank: usize,
         ranks: usize,
-        src: Box<dyn ActionSource>,
-        registry: Arc<Registry>,
+        src: Cursor,
         algo: CollectiveAlgo,
         actions_replayed: Arc<AtomicU64>,
     ) -> Self {
@@ -151,10 +230,9 @@ impl ReplayActor {
             ranks,
             nproc: 0,
             src,
-            registry,
             algo,
-            micro: VecDeque::new(),
-            expand_buf: Vec::new(),
+            micro: Vec::new(),
+            next: 0,
             requests: VecDeque::new(),
             actions_replayed,
             cursor: 0,
@@ -277,16 +355,19 @@ impl ReplayActor {
 impl Actor for ReplayActor {
     fn step(&mut self, ctx: &mut Ctx<'_>, _wake: Wake) -> Step {
         loop {
-            if let Some(op) = self.micro.pop_front() {
+            while let Some(&op) = self.micro.get(self.next) {
+                self.next += 1;
                 match self.run_micro(ctx, op) {
                     Ok(Some(step)) => return step,
-                    Ok(None) => continue,
+                    Ok(None) => {}
                     // Failure channel: report instead of unwinding —
                     // the engine aborts the run with a typed error
                     // naming this rank.
                     Err(reason) => return Step::Fail { reason },
                 }
             }
+            self.micro.clear();
+            self.next = 0;
             let action = match self.src.next_action() {
                 Ok(Some(a)) => a,
                 Ok(None) => return Step::Done,
@@ -300,21 +381,20 @@ impl Actor for ReplayActor {
                 nproc: self.nproc,
                 algo: self.algo,
             };
-            self.expand_buf.clear();
-            if let Err(e) = self.registry.expand(&ectx, &action, &mut self.expand_buf) {
+            if let Err(e) = expand(&ectx, &action, &mut self.micro) {
                 return Step::Fail { reason: e.to_string() };
             }
-            self.micro.extend(self.expand_buf.drain(..));
         }
     }
 
     fn export_state(&self) -> Option<Vec<u8>> {
+        let pending = &self.micro[self.next..];
         let mut e = Enc::new();
         e.usize(self.rank);
         e.usize(self.nproc);
         e.u64(self.cursor);
-        e.usize(self.micro.len());
-        for op in &self.micro {
+        e.usize(pending.len());
+        for op in pending {
             Self::enc_micro(&mut e, op);
         }
         e.usize(self.requests.len());
@@ -336,9 +416,9 @@ impl Actor for ReplayActor {
         let nproc = d.usize()?;
         let cursor = d.u64()?;
         let n_micro = d.usize()?;
-        let mut micro = VecDeque::with_capacity(n_micro.min(1 << 16));
+        let mut micro = Vec::with_capacity(n_micro.min(1 << 16));
         for _ in 0..n_micro {
-            micro.push_back(Self::dec_micro(&mut d)?);
+            micro.push(Self::dec_micro(&mut d)?);
         }
         let n_req = d.usize()?;
         let mut requests = VecDeque::with_capacity(n_req.min(1 << 16));
@@ -346,31 +426,14 @@ impl Actor for ReplayActor {
             requests.push_back(OpId::from_raw(d.usize()?));
         }
         d.expect_done()?;
-        // Fast-forward the action stream to the cursor without touching
-        // the shared counter — the resumed total is restored from the
+        // Seek the action stream to the cursor without touching the
+        // shared counter — the resumed total is restored from the
         // checkpoint, not re-counted.
-        for i in 0..cursor {
-            match self.src.next_action() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(format!(
-                        "rank {}: trace ended at action {i} but the checkpoint \
-                         consumed {cursor} — trace changed since the checkpoint",
-                        self.rank
-                    ));
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "rank {}: trace read failed while fast-forwarding to \
-                         action {cursor}: {e}",
-                        self.rank
-                    ));
-                }
-            }
-        }
+        self.src.seek(cursor).map_err(|e| format!("rank {}: {e}", self.rank))?;
         self.nproc = nproc;
         self.cursor = cursor;
         self.micro = micro;
+        self.next = 0;
         self.requests = requests;
         Ok(())
     }
@@ -380,39 +443,37 @@ impl Actor for ReplayActor {
 mod tests {
     use super::*;
 
-    #[test]
-    fn vec_source_yields_in_order() {
-        let mut s = VecSource::new(vec![Action::Wait, Action::Barrier]);
-        assert_eq!(s.next_action().unwrap(), Some(Action::Wait));
-        assert_eq!(s.next_action().unwrap(), Some(Action::Barrier));
-        assert_eq!(s.next_action().unwrap(), None);
+    fn drain(c: &mut Cursor) -> Result<Vec<Action>, String> {
+        let mut out = Vec::new();
+        while let Some(a) = c.next_action()? {
+            out.push(a);
+        }
+        Ok(out)
     }
 
     #[test]
-    fn compact_source_streams_one_rank() {
-        let mut c = tit_core::CompactTrace::new();
-        c.begin_process();
-        c.push(&Action::Barrier).unwrap();
-        c.begin_process();
-        c.push(&Action::Wait).unwrap();
-        c.push(&Action::Compute { flops: 2.0 }).unwrap();
-        let c = Arc::new(c);
-        let mut s1 = CompactSource::new(Arc::clone(&c), 1);
-        assert_eq!(s1.next_action().unwrap(), Some(Action::Wait));
-        assert_eq!(s1.next_action().unwrap(), Some(Action::Compute { flops: 2.0 }));
-        assert_eq!(s1.next_action().unwrap(), None);
-        let mut beyond = CompactSource::new(c, 9);
-        assert_eq!(beyond.next_action().unwrap(), None);
+    fn resident_cursor_streams_and_seeks() {
+        let actions = [Action::Barrier, Action::Wait, Action::Compute { flops: 2.0 }];
+        let cols = Arc::new(SegmentColumns::from_actions(&actions).unwrap());
+        assert_eq!(drain(&mut Cursor::resident(Arc::clone(&cols))).unwrap(), actions);
+        let mut c = Cursor::resident(Arc::clone(&cols));
+        c.seek(2).unwrap();
+        assert_eq!(drain(&mut c).unwrap(), [Action::Compute { flops: 2.0 }]);
+        let err = Cursor::resident(cols).seek(4).unwrap_err();
+        assert!(err.contains("trace ended at action 3 but the checkpoint consumed 4"), "{err}");
+        assert_eq!(drain(&mut Cursor::empty()).unwrap(), []);
     }
 
     #[test]
-    fn file_source_rejects_foreign_ranks() {
+    fn text_cursor_rejects_foreign_ranks() {
         let dir = std::env::temp_dir().join(format!("titr-fsrc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("SG_process0.trace");
-        std::fs::write(&path, "p1 wait\n").unwrap();
-        let mut s = FileSource::open(&path, 0).unwrap();
-        assert!(s.next_action().is_err());
+        std::fs::write(&path, "p0 wait\np1 wait\n").unwrap();
+        let mut c = Cursor::text(&path, 0).unwrap();
+        assert_eq!(c.next_action().unwrap(), Some(Action::Wait));
+        let err = c.next_action().unwrap_err();
+        assert!(err.ends_with("trace line for p1 in p0's file"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,8 +6,8 @@
 //! state and the action counter — into a [`ReplayCheckpoint`]. The
 //! driver ([`crate::Replay`]) writes it into a `TICK1` container
 //! ([`tit_core::checkpoint`]) or hands it back in memory to a
-//! preempted request; a later run restores the snapshot, fast-forwards
-//! each rank's trace stream to its cursor and continues to the
+//! preempted request; a later run restores the snapshot, seeks each
+//! rank's trace cursor to its saved position and continues to the
 //! **bit-identical** final simulated time the uninterrupted run would
 //! have produced (the snapshot captures raw solver/heap/slab layouts
 //! verbatim; see [`simkern::snapshot`]).
@@ -55,8 +55,8 @@ fn ck_err(detail: impl std::fmt::Display) -> ReplayError {
 /// trace's action count). A salt of `0` means "no trace binding" and
 /// leaves the hash unsalted, so plain-file checkpoints stay readable
 /// across versions; their trace content is covered by each rank's
-/// stream being fast-forwarded by its cursor on resume, which fails if
-/// the trace got shorter.
+/// cursor seeking to its saved position on resume, which fails if the
+/// trace got shorter.
 pub fn fingerprint(platform: &Platform, cfg: &ReplayConfig, nproc: usize, salt: u64) -> u64 {
     let mut e = Enc::new();
     e.usize(nproc);

@@ -14,8 +14,7 @@
 use crate::collectives::CollectiveAlgo;
 use crate::degraded::RankDegradation;
 use crate::error::ReplayError;
-use crate::handlers::Registry;
-use crate::process::{ActionSource, CompactSource, FileSource, ReplayActor, VecSource};
+use crate::process::{Cursor, ReplayActor};
 use crate::resume::{fingerprint, ReplayCheckpoint};
 use crate::store::{Fault, SegmentCache};
 use simkern::netmodel::NetworkConfig;
@@ -26,6 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tit_core::tib2::SegmentColumns;
 use tit_core::trace::process_trace_filename;
 use tit_core::{Budget, TiTrace};
 
@@ -65,21 +65,22 @@ impl Default for ReplayConfig {
     }
 }
 
-/// What a replay reads: one action source per rank, plus what the
+/// What a replay reads: one action cursor per rank, plus what the
 /// driver needs to know about the input. Built by the source
 /// constructors — [`Input::memory`], [`Input::files`],
 /// [`Input::compact`], [`Input::store`], and the `--degraded` salvage
-/// scans [`Input::salvage_files`] and [`Input::salvage_store`].
+/// scans [`Input::salvage_files`] and [`Input::salvage_store`]. They
+/// differ only in where each cursor's next chunk of columns comes from.
 pub struct Input {
-    /// The per-rank streams, or the error that opening them hit
+    /// The per-rank cursors, or the error that opening them hit
     /// (reported by [`Replay::run`]).
-    pub(crate) sources: Result<Vec<Box<dyn ActionSource>>, ReplayError>,
+    pub(crate) cursors: Result<Vec<Cursor>, ReplayError>,
     /// Actions the undamaged input carries; `0` when the input cannot
     /// know without reading it (streamed files).
     pub(crate) actions_expected: u64,
     /// Binds checkpoints to the trace content (`0` = no binding).
     pub(crate) salt: u64,
-    /// The segment cache store sources read through: its recorded
+    /// The segment cache store cursors read through: its recorded
     /// fault turns a stringly actor failure back into a typed error.
     pub(crate) cache: Option<Arc<SegmentCache>>,
     /// Per-rank salvage report of a damage scan.
@@ -87,63 +88,65 @@ pub struct Input {
 }
 
 impl Input {
-    pub(crate) fn new(
-        sources: Vec<Box<dyn ActionSource>>,
-        actions_expected: u64,
-        salt: u64,
-    ) -> Self {
-        Input { sources: Ok(sources), actions_expected, salt, cache: None, damage: Vec::new() }
+    pub(crate) fn new(cursors: Vec<Cursor>, actions_expected: u64, salt: u64) -> Self {
+        Input { cursors: Ok(cursors), actions_expected, salt, cache: None, damage: Vec::new() }
     }
 
-    /// An in-memory trace. Checkpoints bind to its action count.
+    /// An in-memory trace, interned rank by rank exactly as
+    /// [`CompactTrace::from_trace`](tit_core::CompactTrace::from_trace)
+    /// does; a rank it cannot intern (a `NaN` volume, a peer past the
+    /// `u32` range) is a [`ReplayError::Trace`] naming the rank.
+    /// Checkpoints bind to its action count.
     pub fn memory(trace: &TiTrace) -> Self {
-        let expected = trace.actions.iter().map(|a| a.len() as u64).sum();
-        let sources = trace
+        let expected = trace.num_actions() as u64;
+        let cursors = trace
             .actions
             .iter()
-            .map(|a| Box::new(VecSource::new(a.clone())) as Box<dyn ActionSource>)
+            .enumerate()
+            .map(|(rank, actions)| match SegmentColumns::from_actions(actions) {
+                Ok(cols) => Ok(Cursor::resident(Arc::new(cols))),
+                Err(e) => Err(ReplayError::Trace { rank, detail: e.to_string() }),
+            })
             .collect();
-        Input::new(sources, expected, expected)
+        Input { cursors, ..Input::new(Vec::new(), expected, expected) }
     }
 
     /// Per-process trace files `SG_process<rank>.trace` in `dir`,
-    /// streamed during the replay (constant memory in trace size). A
-    /// missing file is a [`ReplayError::MissingRank`] naming the rank.
+    /// streamed during the replay: each rank's file is parsed one chunk
+    /// of [`DEFAULT_SEG_ACTIONS`](tit_core::tib2::DEFAULT_SEG_ACTIONS)
+    /// actions at a time, so memory is O(ranks × chunk) whatever the
+    /// trace size. A defective line is reported when the replay reaches
+    /// it. A missing file is a [`ReplayError::MissingRank`] naming the
+    /// rank.
     pub fn files(dir: &Path, nproc: usize) -> Self {
-        let sources = (0..nproc)
+        let cursors = (0..nproc)
             .map(|rank| {
                 let path = dir.join(process_trace_filename(rank));
-                match FileSource::open(&path, rank) {
-                    Ok(src) => Ok(Box::new(src) as Box<dyn ActionSource>),
-                    Err(source) => Err(ReplayError::MissingRank { rank, path, source }),
-                }
+                Cursor::text(&path, rank)
+                    .map_err(|source| ReplayError::MissingRank { rank, path, source })
             })
             .collect();
-        Input { sources, actions_expected: 0, salt: 0, cache: None, damage: Vec::new() }
+        Input { cursors, ..Input::new(Vec::new(), 0, 0) }
     }
 
     /// A shared interned [`CompactTrace`](tit_core::CompactTrace):
-    /// ranks stream straight out of the struct-of-arrays storage
-    /// (~16 bytes/action, no per-rank copies), so a trace loads once
-    /// and replays many times. Checkpoints bind to its action count.
+    /// each rank's cursor reads the rank's resident columns (~16
+    /// bytes/action, no per-rank copies), so a trace loads once and
+    /// replays many times. Checkpoints bind to its action count.
     pub fn compact(trace: &Arc<tit_core::CompactTrace>) -> Self {
-        let sources = (0..trace.num_processes())
-            .map(|rank| {
-                Box::new(CompactSource::new(Arc::clone(trace), rank)) as Box<dyn ActionSource>
-            })
-            .collect();
+        let cursors = trace.columns().iter().map(|c| Cursor::resident(Arc::clone(c))).collect();
         let expected = trace.num_actions() as u64;
-        Input::new(sources, expected, expected)
+        Input::new(cursors, expected, expected)
     }
 
-    /// Replaces the streams of `ranks` with empty ones — a degraded
+    /// Replaces the cursors of `ranks` with empty ones — a degraded
     /// subset whose dropped ranks end immediately. The expected action
     /// count still covers them.
     pub fn without_ranks(mut self, ranks: &[usize]) -> Self {
-        if let Ok(sources) = &mut self.sources {
+        if let Ok(cursors) = &mut self.cursors {
             for &rank in ranks {
-                if let Some(src) = sources.get_mut(rank) {
-                    *src = Box::new(VecSource::new(Vec::new()));
+                if let Some(c) = cursors.get_mut(rank) {
+                    *c = Cursor::empty();
                 }
             }
         }
@@ -354,12 +357,12 @@ impl<'a> Replay<'a> {
 
     /// Runs the replay to completion or to the first stop.
     pub fn run(self) -> Result<ReplayOutcome, ReplayError> {
-        let Input { sources, actions_expected, salt, cache, damage } = self.input;
-        let sources = sources?;
-        if sources.len() != self.hosts.len() {
-            return Err(ReplayError::Deployment { procs: sources.len(), hosts: self.hosts.len() });
+        let Input { cursors, actions_expected, salt, cache, damage } = self.input;
+        let cursors = cursors?;
+        if cursors.len() != self.hosts.len() {
+            return Err(ReplayError::Deployment { procs: cursors.len(), hosts: self.hosts.len() });
         }
-        let nproc = sources.len();
+        let nproc = cursors.len();
         let cfg = self.cfg;
         let mut engine = Engine::new(self.platform);
         engine.set_kernel_mode(cfg.kernel);
@@ -376,11 +379,9 @@ impl<'a> Replay<'a> {
         if cfg.kernel_profile {
             engine.enable_kernel_profiling();
         }
-        let registry = Arc::new(Registry::with_defaults());
         let counter = Arc::new(AtomicU64::new(0));
-        for (rank, src) in sources.into_iter().enumerate() {
-            let actor =
-                ReplayActor::new(rank, nproc, src, registry.clone(), cfg.algo, counter.clone());
+        for (rank, src) in cursors.into_iter().enumerate() {
+            let actor = ReplayActor::new(rank, nproc, src, cfg.algo, counter.clone());
             engine.spawn(Box::new(actor), self.hosts[rank]);
         }
         // Only runs that export or restore state pay for the fingerprint.
@@ -780,11 +781,16 @@ mod tests {
 
     impl Fixture {
         fn new(tag: &str) -> Self {
-            let trace = busy_trace(6);
+            Fixture::with(tag, busy_trace(6), 8)
+        }
+
+        /// `trace` as every input, its store cut every `seg_actions`
+        /// actions (`0` = the default segment size).
+        fn with(tag: &str, trace: TiTrace, seg_actions: usize) -> Self {
             let dir = tmp_dir(tag);
             trace.save_per_process(&dir).unwrap();
             let compact = Arc::new(CompactTrace::from_trace(&trace).unwrap());
-            write_compact_atomic(&dir.join("trace.tib2"), &compact, 8).unwrap();
+            write_compact_atomic(&dir.join("trace.tib2"), &compact, seg_actions).unwrap();
             let store = Arc::new(Tib2Store::open(&dir.join("trace.tib2")).unwrap());
             let segs: Vec<u64> = (0..4)
                 .flat_map(|r| (0..store.num_segments(r)).map(move |s| (r, s)))
@@ -932,5 +938,243 @@ mod tests {
             assert_eq!(t_ref.to_bits(), t_inc.to_bits(), "{kind:?} × {mode:?}");
         }
         std::fs::remove_dir_all(&fx.dir).unwrap();
+    }
+
+    /// Ranks that span several text chunks and store segments: a 4-rank
+    /// SPMD trace of `per_rank` actions per rank whose `reduce` and
+    /// `allReduce` entries sit on both sides of every multiple of 4096
+    /// (text chunks, default segments) and of 1000 (small segments),
+    /// each with its own second volume, so a misplaced side-table index
+    /// changes the simulated time.
+    fn long_trace(per_rank: usize) -> TiTrace {
+        let n = 4;
+        let edge = |i: usize| {
+            i > 0 && (i % 4096 <= 1 || i % 4096 == 4095 || i % 1000 <= 1 || i % 1000 == 999)
+        };
+        let mut t = TiTrace::new(n);
+        for r in 0..n {
+            let actions = &mut t.actions[r];
+            actions.push(Action::CommSize { nproc: n });
+            while actions.len() < per_rank {
+                let i = actions.len();
+                let (vcomm, vcomp) = (1e3, 1e4 + i as f64);
+                if edge(i) && i.is_multiple_of(2) {
+                    actions.push(Action::Reduce { vcomm, vcomp });
+                } else if edge(i) {
+                    actions.push(Action::AllReduce { vcomm, vcomp });
+                } else if i % 16 == 5 && !(i..i + 4).any(edge) {
+                    actions.push(Action::Irecv { src: (r + n - 1) % n, bytes: None });
+                    actions.push(Action::Isend { dst: (r + 1) % n, bytes: 1e4 + i as f64 });
+                    actions.push(Action::Wait);
+                    actions.push(Action::Wait);
+                } else {
+                    actions.push(Action::Compute { flops: 1e5 * (1 + (i + r) % 7) as f64 });
+                }
+            }
+        }
+        t
+    }
+
+    /// The rank, communicator size and action cursor each saved actor
+    /// state holds.
+    fn cursors(ck: &ReplayCheckpoint) -> Vec<u64> {
+        ck.engine
+            .actors
+            .iter()
+            .filter_map(|a| a.state.as_deref())
+            .map(|state| {
+                let mut d = tit_core::checkpoint::Dec::new(state);
+                let (_rank, _nproc) = (d.usize().unwrap(), d.usize().unwrap());
+                d.u64().unwrap()
+            })
+            .collect()
+    }
+
+    /// Long ranks replay bit-identically through every input: memory and
+    /// compact (one resident chunk per rank), streamed text (4096-action
+    /// chunks), resident stores at the default and at a 1000-action
+    /// segment size, an evicting store, and both salvage scans.
+    #[test]
+    fn long_ranks_replay_identically_through_every_input() {
+        let trace = long_trace(9000);
+        let small = Fixture::with("long-small", trace.clone(), 1000);
+        let default = Fixture::with("long-default", trace, 0);
+        assert!(small.store.num_segments(0) >= 9 && default.store.num_segments(0) == 3);
+        let cfg = plain_cfg();
+        let (p, hosts) = mycluster(4);
+        let reference = replay_memory(&small.trace, p, &hosts, &cfg).unwrap();
+        let cells = [
+            (&small, Kind::Memory, Mode::Plain),
+            (&small, Kind::Compact, Mode::Plain),
+            (&small, Kind::Files, Mode::Plain),
+            (&small, Kind::Store, Mode::Plain),
+            (&default, Kind::Store, Mode::Plain),
+            (&small, Kind::EvictingStore, Mode::Plain),
+            (&small, Kind::Files, Mode::Tolerant),
+            (&small, Kind::Store, Mode::Tolerant),
+        ];
+        for (fx, kind, mode) in cells {
+            let last = fx.run(kind, mode, &cfg).pop().unwrap();
+            let cell = format!("{kind:?} × {mode:?}, {} segments", fx.store.num_segments(0));
+            let (got, want) = (last.simulated_time.to_bits(), reference.simulated_time.to_bits());
+            assert_eq!(got, want, "{cell}");
+            assert_eq!(last.actions_replayed, 4 * 9000, "{cell}");
+            assert_eq!(last.completeness(), 1.0, "{cell}");
+        }
+        std::fs::remove_dir_all(&small.dir).unwrap();
+        std::fs::remove_dir_all(&default.dir).unwrap();
+    }
+
+    /// Checkpoint and resume the streamed-text and store inputs every
+    /// 4095, 4096 and 4097 actions: the 4-rank SPMD trace advances its
+    /// ranks nearly in step, so every fourth stop seeks each cursor to
+    /// just before, onto or just past a chunk and segment boundary.
+    /// Each cell ends on the uninterrupted run's time bits.
+    #[test]
+    fn resume_seeks_across_chunk_boundaries() {
+        let trace = long_trace(9000);
+        let small = Fixture::with("seek-small", trace.clone(), 1000);
+        let default = Fixture::with("seek-default", trace, 0);
+        let cfg = plain_cfg();
+        let (p, hosts) = mycluster(4);
+        let reference = replay_memory(&small.trace, p, &hosts, &cfg).unwrap();
+        for every in [4095, 4096, 4097] {
+            let mut seen = Vec::new();
+            let cells = [
+                (&small, Kind::Files),
+                (&default, Kind::Files),
+                (&small, Kind::Store),
+                (&default, Kind::Store),
+            ];
+            for (fx, kind) in cells {
+                let runs = fx.run(kind, Mode::Checkpointed(every, Some(1)), &cfg);
+                let cell = format!("{kind:?} every {every}, {} segments", fx.store.num_segments(0));
+                assert!(runs.len() >= 8, "{cell}: {} runs", runs.len());
+                for out in &runs[..runs.len() - 1] {
+                    seen.extend(cursors(out.paused.as_ref().expect("a stop exports its state")));
+                }
+                let last = runs.last().unwrap();
+                let want = reference.simulated_time.to_bits();
+                assert_eq!(last.simulated_time.to_bits(), want, "{cell}");
+                assert_eq!(last.actions_replayed, reference.actions_replayed, "{cell}");
+            }
+            // The fourth stop seeks cursors to exactly `every`: the last
+            // action of a chunk, the first of the next, or the second.
+            assert!(seen.contains(&every), "every {every}: cursors {seen:?}");
+        }
+        std::fs::remove_dir_all(&small.dir).unwrap();
+        std::fs::remove_dir_all(&default.dir).unwrap();
+    }
+
+    /// A defective line past the first text chunk is reported only when
+    /// the replay reaches it, in the streamed reader's words; the same
+    /// trace with a deadlock earlier in that chunk reports the deadlock.
+    #[test]
+    fn text_errors_arrive_in_stream_order() {
+        let dir = tmp_dir("deferred");
+        long_trace(9000).save_per_process(&dir).unwrap();
+        let path = dir.join("SG_process1.trace");
+        let clean = std::fs::read_to_string(&path).unwrap();
+        let edit = |edits: &[(usize, &str)]| {
+            let mut lines: Vec<&str> = clean.lines().collect();
+            for &(line, text) in edits {
+                lines[line - 1] = text;
+            }
+            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+            let (p, hosts) = mycluster(4);
+            Replay::new(Input::files(&dir, 4), p, &hosts, &plain_cfg()).run().unwrap_err()
+        };
+        let shown = path.display();
+        for (bad, want) in [
+            (
+                "p1 frobnicate 1",
+                format!(
+                    "rank 1: trace read failed: {shown}: trace parse error at line 5001: \
+                     unknown action keyword \"frobnicate\""
+                ),
+            ),
+            (
+                "p2 wait",
+                format!("rank 1: trace read failed: {shown}: trace line for p2 in p1's file"),
+            ),
+        ] {
+            assert_eq!(edit(&[(5001, bad)]).to_string(), want);
+            // Rank 2 never sends to rank 1: rank 1 blocks at line 4501,
+            // before the defective line of the same chunk.
+            let err = edit(&[(4501, "p1 recv p2"), (5001, bad)]);
+            assert!(
+                matches!(err, ReplayError::Sim(simkern::SimError::Deadlock { .. })),
+                "{bad}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Resuming against a trace shortened after the checkpoint fails
+    /// closed, naming where the rank's trace now ends: streamed files,
+    /// a compact trace (rebalanced so its action count, the checkpoint
+    /// salt, is unchanged) and a store whose rank 0 a salvage scan trims
+    /// at a damaged first segment (the footer, the salt, is intact).
+    #[test]
+    fn resume_against_a_shortened_trace_is_a_checkpoint_error() {
+        let fx = Fixture::new("shortened");
+        let always = AtomicBool::new(true);
+        let run = |input: Input, resume: Option<ReplayCheckpoint>| {
+            let (p, hosts) = mycluster(4);
+            Replay::new(input, p, &hosts, &plain_cfg())
+                .pause_every(20)
+                .preempt(Some(&always))
+                .resume(resume)
+                .run()
+        };
+        let paused = |input: Input| run(input, None).unwrap().paused.expect("preempted state");
+        let shortened = |input: Input, ck: ReplayCheckpoint, at: usize| {
+            let err = run(input, Some(ck)).unwrap_err();
+            assert!(matches!(err, ReplayError::Checkpoint { .. }), "{err}");
+            let want = format!("rank 0: trace ended at action {at} but the checkpoint consumed");
+            assert!(err.to_string().contains(&want), "{err}");
+        };
+
+        let ck = paused(Input::files(&fx.dir, 4));
+        let rank0 = fx.dir.join("SG_process0.trace");
+        let text = std::fs::read_to_string(&rank0).unwrap();
+        let kept: Vec<&str> = text.lines().take(2).collect();
+        std::fs::write(&rank0, kept.join("\n") + "\n").unwrap();
+        shortened(Input::files(&fx.dir, 4), ck, 2);
+
+        let ck = paused(Input::compact(&fx.compact));
+        let mut t = fx.trace.clone();
+        let cut = t.actions[0].split_off(2).len();
+        t.actions[3].extend(std::iter::repeat_n(Action::Compute { flops: 1.0 }, cut));
+        shortened(Input::compact(&Arc::new(CompactTrace::from_trace(&t).unwrap())), ck, 2);
+
+        let salvage = |store: &Arc<Tib2Store>| {
+            let budget = Arc::new(MemBudget::unlimited());
+            Input::salvage_store(&Arc::new(SegmentCache::new(Arc::clone(store), budget)))
+        };
+        let ck = paused(salvage(&fx.store));
+        let path = fx.dir.join("trace.tib2");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[fx.store.segment_meta(0, 0).unwrap().offset as usize + 20] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        shortened(salvage(&Arc::new(Tib2Store::open(&path).unwrap())), ck, 0);
+        std::fs::remove_dir_all(&fx.dir).unwrap();
+    }
+
+    /// A memory trace the columns cannot hold is a typed error naming
+    /// the rank, not a replay of a made-up time.
+    #[test]
+    fn memory_input_rejects_nan_volumes() {
+        for bad in [Action::Compute { flops: f64::NAN }, Action::Send { dst: 0, bytes: f64::NAN }] {
+            let mut t = ring_trace();
+            t.push(2, bad);
+            let (p, hosts) = mycluster(4);
+            match replay_memory(&t, p, &hosts, &plain_cfg()) {
+                Err(ReplayError::Trace { rank: 2, detail }) => {
+                    assert!(detail.contains("NaN volume"), "{detail}");
+                }
+                other => panic!("{bad:?}: expected a rank 2 trace error, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,16 +1,13 @@
 //! Replaying straight out of a `TIB2` segmented store (DESIGN.md §5i).
 //!
-//! [`CompactSource`](crate::process::CompactSource) streams from a
-//! fully-resident [`tit_core::CompactTrace`]; this module's
-//! `SegmentedSource` streams from disk instead, faulting 40-byte
-//! footer entries into decoded segments on demand through a shared
-//! [`SegmentCache`]. Peak memory is O(ranks + resident segments)
+//! A store cursor reads its rank one segment at a time through a shared
+//! [`SegmentCache`], faulting 40-byte footer entries into decoded
+//! segments on demand. Peak memory is O(ranks + resident segments)
 //! regardless of trace length: each rank pins at most its *current*
-//! segment, and everything else is cache that the
-//! [`MemBudget`] governor can evict and re-fault at will. Under
-//! `--mem-budget` the cap is *hard* — when the pinned working set alone
-//! exceeds it, replay stops with a typed [`ReplayError::Memory`],
-//! never an OOM kill.
+//! segment, and everything else is cache that the [`MemBudget`]
+//! governor can evict and re-fault at will. Under `--mem-budget` the
+//! cap is *hard* — when the pinned working set alone exceeds it, replay
+//! stops with a typed [`ReplayError::Memory`], never an OOM kill.
 //!
 //! Verification is fail-closed per read ([`tit_core::tib2::Tib2Store`]
 //! checks the FNV-1a checksum before decoding), so a strict replay
@@ -29,19 +26,17 @@
 
 use crate::degraded::{DegradationReason, RankDegradation};
 use crate::error::ReplayError;
-use crate::process::ActionSource;
+use crate::process::Cursor;
 use crate::simulator::{Input, Replay, ReplayConfig, ReplayOutcome};
 use simkern::resource::HostId;
 use simkern::Platform;
 use std::collections::HashMap;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tit_core::membudget::{MemBudget, MemoryExceeded};
 use tit_core::tib2::{SegmentColumns, StoreError, Tib2Store};
-use tit_core::Action;
 
-/// Why a segment could not be served to a source — the typed fault the
+/// Why a segment could not be served to a cursor — the typed fault the
 /// cache records so the replay driver can surface it instead of a
 /// stringly actor failure.
 #[derive(Debug)]
@@ -68,6 +63,15 @@ impl Fault {
     }
 }
 
+impl std::fmt::Display for Fault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fault::Store(e) => write!(f, "{e}"),
+            Fault::Memory(e) => write!(f, "{e}"),
+        }
+    }
+}
+
 struct Entry {
     seg: Arc<SegmentColumns>,
     bytes: u64,
@@ -79,9 +83,9 @@ struct Inner {
     clock: u64,
 }
 
-/// Shared segment residency: one per replay, feeding every rank's
-/// `SegmentedSource`. Decoded segments are interned as
-/// `Arc<SegmentColumns>`; a source holding its current segment pins it
+/// Shared segment residency: one per replay, feeding every rank's store
+/// cursor. Decoded segments are interned as
+/// `Arc<SegmentColumns>`; a cursor holding its current segment pins it
 /// (Arc refcount > 1), everything else is evictable. Residency is
 /// charged against the [`MemBudget`] *before* each read, and eviction
 /// is least-recently-touched-first among unpinned segments.
@@ -127,7 +131,7 @@ impl SegmentCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Takes the first typed fault recorded by a source, if any — the
+    /// Takes the first typed fault recorded by a cursor, if any — the
     /// replay driver uses this to upgrade a stringly actor failure back
     /// into [`ReplayError::Store`] / [`ReplayError::Memory`].
     pub(crate) fn take_fault(&self) -> Option<Fault> {
@@ -135,12 +139,16 @@ impl SegmentCache {
         self.fault.lock().unwrap().take()
     }
 
-    fn record_fault(&self, f: Fault) {
+    /// Records `f` as the run's typed fault (the first one wins) and
+    /// returns its message for the failing cursor.
+    pub(crate) fn record_fault(&self, f: Fault) -> String {
+        let msg = f.to_string();
         // panics: mutex poisoned only if another thread already panicked
         let mut slot = self.fault.lock().unwrap();
         if slot.is_none() {
             *slot = Some(f);
         }
+        msg
     }
 
     /// Evicts the least-recently-touched segment nobody holds; returns
@@ -169,11 +177,7 @@ impl SegmentCache {
     /// Returns one decoded segment, faulting it in under the budget.
     /// Fail-closed on damage; typed refusal when the budget cannot be
     /// met even with every evictable segment dropped.
-    pub fn segment(
-        &self,
-        rank: usize,
-        seg: usize,
-    ) -> Result<Arc<SegmentColumns>, ReplayError> {
+    pub(crate) fn segment(&self, rank: usize, seg: usize) -> Result<Arc<SegmentColumns>, Fault> {
         {
             // panics: mutex poisoned only if another thread already panicked
             let mut inner = self.inner.lock().unwrap();
@@ -187,14 +191,14 @@ impl SegmentCache {
         let meta = *self
             .store
             .segment_meta(rank, seg)
-            .ok_or(ReplayError::Store(StoreError::OutOfRange { rank, segment: seg }))?;
+            .ok_or(Fault::Store(StoreError::OutOfRange { rank, segment: seg }))?;
         let bytes = meta.decoded_bytes();
         loop {
             match self.budget.try_charge(bytes) {
                 Ok(()) => break,
                 Err(e) => {
                     if !self.evict_one() {
-                        return Err(ReplayError::Memory(e));
+                        return Err(Fault::Memory(e));
                     }
                 }
             }
@@ -203,7 +207,7 @@ impl SegmentCache {
             Ok(c) => Arc::new(c),
             Err(e) => {
                 self.budget.release(bytes);
-                return Err(ReplayError::Store(e));
+                return Err(Fault::Store(e));
             }
         };
         self.faults.fetch_add(1, Ordering::Relaxed);
@@ -211,7 +215,7 @@ impl SegmentCache {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        // Two sources racing on the same uncached segment may both read
+        // Two cursors racing on the same uncached segment may both read
         // it (same tradeoff as the serve trace cache: a wasted read,
         // never a blocked one); the loser's charge is returned.
         if let Some(e) = inner.map.get_mut(&(rank, seg)) {
@@ -221,63 +225,6 @@ impl SegmentCache {
         }
         inner.map.insert((rank, seg), Entry { seg: Arc::clone(&seg_cols), bytes, touched: clock });
         Ok(seg_cols)
-    }
-}
-
-/// One rank's on-demand action stream out of a [`SegmentCache`]. Holds
-/// (pins) exactly one decoded segment at a time; crossing a segment
-/// boundary unpins the old one before faulting the next.
-pub(crate) struct SegmentedSource {
-    cache: Arc<SegmentCache>,
-    rank: usize,
-    /// Segments to serve; `< num_segments(rank)` when degraded replay
-    /// trimmed the rank at a damaged segment boundary.
-    limit: usize,
-    seg: usize,
-    idx: usize,
-    cur: Option<Arc<SegmentColumns>>,
-}
-
-impl SegmentedSource {
-    /// A source over `rank`'s first `limit` segments (all of them, or
-    /// fewer when a salvage scan trimmed the rank).
-    pub(crate) fn trimmed(cache: Arc<SegmentCache>, rank: usize, limit: usize) -> Self {
-        let limit = limit.min(cache.store().num_segments(rank));
-        SegmentedSource { cache, rank, limit, seg: 0, idx: 0, cur: None }
-    }
-}
-
-impl ActionSource for SegmentedSource {
-    fn next_action(&mut self) -> io::Result<Option<Action>> {
-        loop {
-            if let Some(cur) = &self.cur {
-                if self.idx < cur.len() {
-                    let a = cur.action(self.idx);
-                    self.idx += 1;
-                    return Ok(Some(a));
-                }
-                self.cur = None;
-                self.seg += 1;
-                self.idx = 0;
-            }
-            if self.seg >= self.limit {
-                return Ok(None);
-            }
-            match self.cache.segment(self.rank, self.seg) {
-                Ok(c) => self.cur = Some(c),
-                Err(e) => {
-                    let msg = e.to_string();
-                    self.cache.record_fault(match e {
-                        ReplayError::Store(s) => Fault::Store(s),
-                        ReplayError::Memory(m) => Fault::Memory(m),
-                        // panics: SegmentCache::segment only returns the
-                        // two variants above
-                        other => unreachable!("unexpected cache error {other}"),
-                    });
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-                }
-            }
-        }
     }
 }
 
@@ -333,19 +280,16 @@ impl Input {
         limits: Vec<usize>,
         damage: Vec<RankDegradation>,
     ) -> Self {
-        let sources = limits
+        let cursors = limits
             .into_iter()
             .enumerate()
-            .map(|(rank, limit)| {
-                Box::new(SegmentedSource::trimmed(Arc::clone(cache), rank, limit))
-                    as Box<dyn ActionSource>
-            })
+            .map(|(rank, limit)| Cursor::store(Arc::clone(cache), rank, limit))
             .collect();
         let store = cache.store();
         Input {
             cache: Some(Arc::clone(cache)),
             damage,
-            ..Input::new(sources, store.num_actions(), store.fingerprint())
+            ..Input::new(cursors, store.num_actions(), store.fingerprint())
         }
     }
 }

@@ -1,49 +1,25 @@
 //! Observer tags identifying replayed action kinds in timed traces and
 //! profiles.
 //!
-//! The numeric values agree with `tit_core::compact::tag` for every
-//! keyword both layers know (asserted by a parity test): a tag read
-//! from a timed trace and a tag interned in a
-//! [`CompactTrace`](tit_core::CompactTrace) mean the same action.
+//! The tags are the interned ids of [`tit_core::compact::tag`],
+//! re-exported: a tag read from a timed trace and a tag interned in a
+//! [`CompactTrace`](tit_core::CompactTrace) mean the same action by
+//! construction. `comm_size` never reaches the kernel, so the observer
+//! layer has no tag for it.
 
-/// A CPU burst (`compute`).
-pub const COMPUTE: u32 = 1;
-/// A blocking send (`send`).
-pub const SEND: u32 = 2;
-/// A non-blocking send (`Isend`).
-pub const ISEND: u32 = 3;
-/// A blocking receive (`recv`).
-pub const RECV: u32 = 4;
-/// A non-blocking receive (`Irecv`).
-pub const IRECV: u32 = 5;
-/// A broadcast rooted at rank 0 (`bcast`).
-pub const BCAST: u32 = 6;
-/// A reduction to rank 0 (`reduce`).
-pub const REDUCE: u32 = 7;
-/// A reduction followed by a broadcast (`allReduce`).
-pub const ALLREDUCE: u32 = 8;
-/// A synchronisation barrier (`barrier`).
-pub const BARRIER: u32 = 9;
-/// Completion of the oldest pending non-blocking request (`wait`).
-pub const WAIT: u32 = 10;
+pub use tit_core::compact::tag::{
+    ALLREDUCE, BARRIER, BCAST, COMPUTE, IRECV, ISEND, RECV, REDUCE, SEND, WAIT,
+};
 
 /// Every tag the replay layer emits, in numeric order.
 pub const ALL: [u32; 10] =
     [COMPUTE, SEND, ISEND, RECV, IRECV, BCAST, REDUCE, ALLREDUCE, BARRIER, WAIT];
 
-/// Human-readable name for a tag.
+/// Human-readable name for a tag: its trace keyword, or `"other"` for
+/// anything the replay layer does not emit ([`ALL`] is `1..=10`).
 pub fn name(tag: u32) -> &'static str {
     match tag {
-        COMPUTE => "compute",
-        SEND => "send",
-        ISEND => "Isend",
-        RECV => "recv",
-        IRECV => "Irecv",
-        BCAST => "bcast",
-        REDUCE => "reduce",
-        ALLREDUCE => "allReduce",
-        BARRIER => "barrier",
-        WAIT => "wait",
+        COMPUTE..=WAIT => tit_core::compact::tag::keyword(tag).unwrap_or("other"),
         _ => "other",
     }
 }
@@ -94,15 +70,11 @@ mod tests {
     }
 
     #[test]
-    fn tags_agree_with_core_interning() {
-        // A timed-trace tag and a CompactTrace tag must mean the same
-        // action; `comm_size` exists only on the core side (it never
-        // reaches the kernel, so the observer never sees it).
-        use tit_core::compact::tag;
-        for t in ALL {
-            assert_eq!(tag::keyword(t), Some(name(t)), "tag {t}");
-        }
-        assert_eq!(tag::COMM_SIZE, WAIT + 1);
+    fn comm_size_has_no_observer_name() {
+        let cs = tit_core::compact::tag::COMM_SIZE;
+        assert_eq!(name(cs), "other");
+        assert_eq!(from_name("comm_size"), None);
+        assert_eq!(name(0), "other");
     }
 
     #[test]
