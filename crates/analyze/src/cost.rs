@@ -24,38 +24,10 @@
 //!   the compute budgets) therefore bounds the makespan from above,
 //!   whatever the interleaving.
 
+use simkern::fxhash::FxHashMap;
 use simkern::netmodel::NetworkConfig;
 use simkern::resource::HostId;
 use simkern::Platform;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-mix hasher for the packed `(src, dst)` host-pair key: the
-/// route cache sits on the per-send hot path, where SipHash is
-/// measurable overhead on million-action traces.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let mut x = self.0 ^ n;
-        x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 32;
-        self.0 = x;
-    }
-}
-
-type RouteMap = HashMap<u64, RouteCost, BuildHasherDefault<PairHasher>>;
 
 /// Clamps a trace volume to something the bounds can use: negative and
 /// non-finite volumes (which the lint flags as TL0010/TL0011) count as
@@ -131,14 +103,16 @@ pub struct CostModel<'a> {
     platform: &'a Platform,
     net: &'a NetworkConfig,
     hosts: &'a [HostId],
-    routes: RouteMap,
+    /// Route costs by packed `(src, dst)` host pair, probed once per
+    /// flow (the kernel's hasher: small keys on a hot path).
+    routes: FxHashMap<u64, RouteCost>,
 }
 
 impl<'a> CostModel<'a> {
     /// A cost model for `hosts[rank]`-deployed ranks on `platform`
     /// under network model `net`.
     pub fn new(platform: &'a Platform, net: &'a NetworkConfig, hosts: &'a [HostId]) -> Self {
-        CostModel { platform, net, hosts, routes: RouteMap::default() }
+        CostModel { platform, net, hosts, routes: FxHashMap::default() }
     }
 
     /// Seconds of the minimum-duration compute burst of `flops` on

@@ -8,7 +8,7 @@
 //!             [--json FILE] [--metrics FILE] [--jobs N]
 //! ```
 //!
-//! The tool loads the per-rank trace files (text or TIB1; `--jobs N`
+//! The tool loads the per-rank `SG_process<N>.trace` text files (`--jobs N`
 //! parses them on N worker threads, `0` = one per CPU), builds the
 //! cross-rank happens-before DAG under the same platform/network cost
 //! model the replay engine uses, and reports:
@@ -32,19 +32,12 @@
 //! Exit codes: `0` success, `1` analysis failure (unreadable trace,
 //! guaranteed deadlock), `2` usage error.
 
-use std::path::{Path, PathBuf};
-use tit_cli::Args;
+use std::path::PathBuf;
+use tit_cli::{write_atomic_or_die, Args};
 use titanalyze::{analyze, AnalyzeConfig};
 use titobs::Metrics;
 
 const USAGE: &str = "tit-analyze --trace-dir DIR --np N [--platform FILE] [--deploy FILE] [--nodes N] [--collectives binomial|flat] [--network mpi|flow|constant] [--json FILE] [--metrics FILE] [--jobs N]";
-
-fn write_atomic_or_die(path: &str, contents: &str) {
-    if let Err(e) = tit_core::write_atomic(Path::new(path), contents.as_bytes()) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
 
 fn main() {
     let args = Args::from_env();

@@ -12,6 +12,8 @@
 //! produced for the same run, up to the CSV's 9-decimal rounding of
 //! timestamps.
 //!
+//! `--out FILE` is written atomically (tmp + rename).
+//!
 //! The CSV is untrusted input: a row whose times or volume are not
 //! finite numbers, whose end precedes its start, or whose rank is not
 //! below [`MAX_RANKS`] exits 1 naming `file:line`.
@@ -97,12 +99,7 @@ fn main() {
         _ => format!("{}{}", report.render_text(), report.render_tags_text()),
     };
     match args.get("out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rendered) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        Some(path) => tit_cli::write_atomic_or_die(path, &rendered),
         None => print!("{rendered}"),
     }
 }

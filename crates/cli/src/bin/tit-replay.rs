@@ -9,7 +9,7 @@
 //!            [--timed-trace out.csv] [--timeline out.json]
 //!            [--profile [out.json]] [--metrics out.json] [--lint]
 //!            [--time-resolved out.json] [--time-resolved-csv out.csv]
-//!            [--window SECS] [--kernel-profile out.json]
+//!            [--window SECS] [--kernel-profile out.json] [--paje out.paje]
 //!            [--jobs N]
 //!            [--checkpoint ck.tick --checkpoint-every N] [--resume ck.tick]
 //!            [--max-wall SECS] [--degraded]
@@ -28,9 +28,13 @@
 //! writes the `rank,action,start,end,volume` CSV, `--profile FILE`
 //! writes the per-rank profile as JSON (a bare `--profile` prints the
 //! text table), and `--metrics` writes a deterministic metrics JSON.
-//! Only `--paje` still buffers records (its writer needs them sorted by
-//! rank). Every file output is written atomically (tmp + rename): a
-//! crash mid-replay never leaves a half-written artifact behind.
+//! Only `--paje` buffers records: Paje wants states in start order and
+//! the engine delivers them in completion order, so its file is written
+//! from the collected run. Every output is an observer sink, so it is
+//! available in every mode: a paused, resumed or degraded run's file
+//! describes what this process replayed. Every file output is written
+//! atomically (tmp + rename): a crash mid-replay never leaves a
+//! half-written artifact behind.
 //!
 //! `--time-resolved FILE` adds the windowed view: simulated time is
 //! segmented at phase boundaries (every rank completed a collective)
@@ -106,16 +110,20 @@
 //! `0` success — `1` runtime failure — `2` usage error — `3` partial
 //! success (watchdog pause or degraded replay with completeness < 1).
 
+use simkern::observer::Collector;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tit_cli::Args;
+use tit_cli::{write_atomic_or_die, Args};
 use tit_core::{AtomicFile, Budget, MemBudget, Tib2Store};
 use tit_replay::{
     tags, DegradationReason, Input, Replay, ReplayCheckpoint, ReplayConfig, SegmentCache,
     Status, Stop,
 };
-use titobs::{KernelReport, Metrics, Profile, TimeResolved, Timeline, TimelineFormat, WindowSpec};
+use titobs::{
+    KernelReport, Metrics, Profile, TimeResolved, Timeline, TimelineFormat, TimelineSummary,
+    WindowSpec,
+};
 
 const USAGE: &str = "tit-replay (--trace-dir DIR --np N | --store FILE [--mem-budget BYTES]) [--platform FILE] [--deploy FILE] [--nodes N] [--collectives binomial|flat] [--network mpi|flow|constant] [--kernel incremental|reference] [--timed-trace FILE] [--timeline FILE] [--profile [FILE]] [--metrics FILE] [--time-resolved FILE] [--time-resolved-csv FILE] [--window SECS] [--kernel-profile FILE] [--paje FILE] [--lint] [--jobs N] [--checkpoint FILE] [--checkpoint-every N] [--resume FILE] [--max-wall SECS] [--stop-after-checkpoints K] [--degraded]";
 
@@ -137,8 +145,14 @@ fn open_atomic(path: &str) -> BufWriter<AtomicFile> {
     }
 }
 
-/// Flushes and atomically publishes a streamed output file.
-fn commit_atomic(w: BufWriter<AtomicFile>, path: &str) {
+/// Flushes and atomically publishes the `what` output file at `path`.
+/// `w` is its writer, reclaimed from the sink that streamed it: `None`
+/// (a sink still shares it) exits 1, as does a failed write.
+fn commit_atomic(w: Option<BufWriter<AtomicFile>>, what: &str, path: &str) {
+    let Some(w) = w else {
+        eprintln!("cannot write {what} {path}: writer still shared");
+        std::process::exit(1);
+    };
     let r = w.into_inner().map_err(std::io::IntoInnerError::into_error).and_then(AtomicFile::commit);
     if let Err(e) = r {
         eprintln!("cannot write {path}: {e}");
@@ -146,11 +160,14 @@ fn commit_atomic(w: BufWriter<AtomicFile>, path: &str) {
     }
 }
 
-fn write_atomic_or_die(path: &str, contents: &str) {
-    if let Err(e) = tit_core::write_atomic(Path::new(path), contents.as_bytes()) {
-        eprintln!("cannot write {path}: {e}");
+/// Writes a timeline's trailer and publishes its file.
+fn commit_timeline(tl: Timeline<BufWriter<AtomicFile>>, what: &str, path: &str) -> TimelineSummary {
+    let summary = tl.finish().unwrap_or_else(|e| {
+        eprintln!("cannot write {what} {path}: {e}");
         std::process::exit(1);
-    }
+    });
+    commit_atomic(tl.into_writer(), what, path);
+    summary
 }
 
 fn main() {
@@ -233,9 +250,6 @@ fn main() {
     if (degraded || checkpointing) && jobs != 1 {
         usage_error("--degraded and checkpointing require the serial path (--jobs 1)");
     }
-    if (degraded || checkpointing) && args.get("paje").is_some() {
-        usage_error("--paje is not available with --degraded or checkpointing");
-    }
     if degraded && (args.has_flag("lint") || args.get("lint").is_some()) {
         usage_error("--lint refuses damaged traces; it cannot be combined with --degraded");
     }
@@ -281,15 +295,7 @@ fn main() {
         "reference" => simkern::KernelMode::Reference,
         other => usage_error(&format!("unknown kernel mode {other:?}")),
     };
-    // Only the paje writer needs the records buffered (it sorts by
-    // rank); everything else streams through observers.
-    let cfg = ReplayConfig {
-        network,
-        algo,
-        collect_records: args.get("paje").is_some(),
-        kernel_profile: kernel_profile_path.is_some(),
-        kernel,
-    };
+    let cfg = ReplayConfig { network, algo, kernel_profile: kernel_profile_path.is_some(), kernel };
 
     // Assemble the streaming observer set. `--profile` doubles as a
     // flag (text table to stdout) and a `--profile FILE` pair (JSON).
@@ -343,6 +349,11 @@ fn main() {
     if want_metrics_file {
         fan = fan.with(metrics.observer("replay"));
     }
+    let paje = args.get("paje").map(|path| {
+        let records = Collector::new();
+        fan.push(records.sink());
+        (records, path)
+    });
     let extra: Option<Box<dyn simkern::observer::Observer>> =
         if fan.is_empty() { None } else { Some(Box::new(fan)) };
 
@@ -481,40 +492,17 @@ fn main() {
     }
 
     // The observer fanout was consumed (and dropped) by the replay, so
-    // the timelines are the sole owners of their writers: finish each
-    // one, reclaim the AtomicFile, and publish it. Partial runs (pause,
-    // degraded) still commit — the file describes what did replay.
+    // the sinks' handles are the sole owners of their writers: finish
+    // each one, reclaim the AtomicFile, and publish it. Partial runs
+    // (pause, resume, degraded) still commit — the file describes what
+    // this process replayed.
     if let Some((tl, path)) = timeline {
-        match tl.finish() {
-            Ok(summary) => {
-                debug_assert!(summary.monotone, "engine emitted out-of-order records");
-                println!("timeline:         {path} ({} events)", summary.events);
-            }
-            Err(e) => {
-                eprintln!("cannot write timeline {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        match tl.into_writer() {
-            Some(w) => commit_atomic(w, path),
-            None => {
-                eprintln!("cannot write timeline {path}: writer still shared");
-                std::process::exit(1);
-            }
-        }
+        let summary = commit_timeline(tl, "timeline", path);
+        debug_assert!(summary.monotone, "engine emitted out-of-order records");
+        println!("timeline:         {path} ({} events)", summary.events);
     }
     if let Some((tl, path)) = timed {
-        if let Err(e) = tl.finish() {
-            eprintln!("cannot write timed trace {path}: {e}");
-            std::process::exit(1);
-        }
-        match tl.into_writer() {
-            Some(w) => commit_atomic(w, path),
-            None => {
-                eprintln!("cannot write timed trace {path}: writer still shared");
-                std::process::exit(1);
-            }
-        }
+        commit_timeline(tl, "timed trace", path);
         println!("timed trace:      {path}");
     }
     if let Some(p) = &profile {
@@ -540,13 +528,7 @@ fn main() {
             println!("time-resolved:    {path} ({} windows)", report.windows.len());
         }
         if let Some(path) = &time_resolved_csv {
-            match tr.into_writer() {
-                Some(w) => commit_atomic(w, path),
-                None => {
-                    eprintln!("cannot write time-resolved CSV {path}: writer still shared");
-                    std::process::exit(1);
-                }
-            }
+            commit_atomic(tr.into_writer(), "time-resolved CSV", path);
             println!("time-resolved csv: {path}");
         }
     }
@@ -570,16 +552,14 @@ fn main() {
         println!("metrics:          {path}");
     }
 
-    if let Some(records) = &out.records {
-        if let Some(path) = args.get("paje") {
-            let mut w = open_atomic(path);
-            if let Err(e) = tit_replay::output::write_paje(records, np, sim_time, &mut w) {
-                eprintln!("cannot write paje trace {path}: {e}");
-                std::process::exit(1);
-            }
-            commit_atomic(w, path);
-            println!("paje trace:       {path}");
+    if let Some((records, path)) = paje {
+        let mut w = open_atomic(path);
+        if let Err(e) = titobs::write_paje(&records.take(), np, sim_time, tags::name, &mut w) {
+            eprintln!("cannot write paje trace {path}: {e}");
+            std::process::exit(1);
         }
+        commit_atomic(Some(w), "paje trace", path);
+        println!("paje trace:       {path}");
     }
     std::process::exit(exit_code);
 }

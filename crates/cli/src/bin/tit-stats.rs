@@ -14,7 +14,13 @@ const USAGE: &str = "tit-stats (--trace-dir DIR --np N | --trace FILE) [--valida
 fn main() {
     let args = Args::from_env();
     let trace = if let Some(dir) = args.get("trace-dir") {
-        TiTrace::load_per_process(&PathBuf::from(dir)).unwrap_or_else(|e| {
+        let np: usize = args.get_or("np", 0);
+        if np == 0 {
+            tit_cli::usage_error("missing --np", USAGE);
+        }
+        // Exactly ranks 0..np: a missing rank file is an error naming
+        // the rank, and files past np are not read.
+        tit_core::load_exact(&PathBuf::from(dir), np, 1).unwrap_or_else(|e| {
             eprintln!("cannot load traces: {e}");
             std::process::exit(1);
         })

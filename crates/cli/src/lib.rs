@@ -108,6 +108,15 @@ pub fn usage_error(msg: &str, usage: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Writes `contents` to `path` atomically (tmp sibling, fsync, rename),
+/// exiting 1 with a one-line diagnostic when that fails.
+pub fn write_atomic_or_die(path: &str, contents: &str) {
+    if let Err(e) = tit_core::write_atomic(std::path::Path::new(path), contents.as_bytes()) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Reads and parses an XML input file, exiting 1 with a one-line
 /// diagnostic when it is unreadable or malformed.
 fn load_xml<T, E: std::fmt::Display>(

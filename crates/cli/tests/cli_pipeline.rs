@@ -456,9 +456,10 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
 
     // Exit 0: a clean uninterrupted replay (the reference run).
     let ref_csv = dir.join("ref.csv");
+    let ref_paje = dir.join("ref.paje");
     let out = Command::new(bin)
         .args(["--trace-dir", traces.to_str().unwrap(), "--np", "4",
-               "--timed-trace", &s(&ref_csv)])
+               "--timed-trace", &s(&ref_csv), "--paje", &s(&ref_paje)])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
@@ -476,7 +477,6 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
         vec!["--checkpoint", "/tmp/x.tick", "--jobs", "2"],
         vec!["--checkpoint-every", "5"],
         vec!["--degraded", "--lint"],
-        vec!["--degraded", "--paje", "/tmp/x.paje"],
         vec!["--network", "bogus"],
     ] {
         let mut argv = vec!["--trace-dir", traces.to_str().unwrap(), "--np", "4"];
@@ -496,11 +496,14 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
     // checkpoint, then a resume that lands on the identical simulated
     // time — and whose timed trace continues the paused one so that
     // prefix + suffix reproduce the uninterrupted CSV byte-for-byte.
+    // Their Paje traces hold exactly the reference run's states.
     let part_a = dir.join("part-a.csv");
+    let paje_a = dir.join("part-a.paje");
     let out = Command::new(bin)
         .args(["--trace-dir", traces.to_str().unwrap(), "--np", "4",
                "--checkpoint", &s(&ck), "--checkpoint-every", "5",
-               "--stop-after-checkpoints", "1", "--timed-trace", &s(&part_a)])
+               "--stop-after-checkpoints", "1", "--timed-trace", &s(&part_a),
+               "--paje", &s(&paje_a)])
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -509,11 +512,12 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
     assert!(ck.exists(), "checkpoint file must exist");
 
     let part_b = dir.join("part-b.csv");
+    let paje_b = dir.join("part-b.paje");
     let metrics = dir.join("resume-metrics.json");
     let out = Command::new(bin)
         .args(["--trace-dir", traces.to_str().unwrap(), "--np", "4",
                "--resume", &s(&ck), "--timed-trace", &s(&part_b),
-               "--metrics", &s(&metrics)])
+               "--metrics", &s(&metrics), "--paje", &s(&paje_b)])
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -528,6 +532,20 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
         "paused + resumed timed traces must stitch into the reference");
     let m = std::fs::read_to_string(&metrics).unwrap();
     assert!(m.contains("\"checkpoint.resume\":1"), "{m}");
+    // The `4 …` state lines of some Paje files, as a sorted multiset.
+    let states = |paths: &[&PathBuf]| {
+        let mut lines = Vec::new();
+        for p in paths {
+            let text = std::fs::read_to_string(p).unwrap();
+            lines.extend(text.lines().filter(|l| l.starts_with("4 ")).map(str::to_owned));
+        }
+        lines.sort();
+        lines
+    };
+    let reference = states(&[&ref_paje]);
+    assert_eq!(reference.len(), 72, "two state lines per operation");
+    assert_eq!(states(&[&paje_a, &paje_b]), reference,
+        "paused + resumed Paje states must be the reference run's");
 
     // Exit 3 (degraded): damage the bundle — truncate one rank mid-line
     // and delete another — and replay what's left.
@@ -542,9 +560,10 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
     std::fs::write(&victim, &body[..body.len() / 2]).unwrap();
     std::fs::remove_file(damaged.join("SG_process3.trace")).unwrap();
     let dmetrics = dir.join("degraded-metrics.json");
+    let dpaje = dir.join("degraded.paje");
     let out = Command::new(bin)
         .args(["--trace-dir", damaged.to_str().unwrap(), "--np", "4",
-               "--degraded", "--metrics", &s(&dmetrics)])
+               "--degraded", "--metrics", &s(&dmetrics), "--paje", &s(&dpaje)])
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -555,6 +574,8 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
     assert!(m.contains("\"degraded.ranks_stubbed\":1"), "{m}");
     assert!(m.contains("\"degraded.completeness\":"), "{m}");
     assert!(m.contains("\"degraded.rank3\":\"missing-file"), "{m}");
+    let dp = std::fs::read_to_string(&dpaje).unwrap();
+    assert!(dp.starts_with("%EventDef") && dp.contains("\n4 "), "degraded Paje trace:\n{dp}");
 
     // Degraded mode on an undamaged bundle: complete, exit 0.
     let out = Command::new(bin)
@@ -597,6 +618,49 @@ fn paused_reference_run_writes_its_kernel_profile() {
         .expect("spawn python3");
     assert!(check.status.success(), "{}", String::from_utf8_lossy(&check.stderr));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The Paje output of the bundled ring is byte-identical to the file
+/// the build before Paje became an observer sink wrote, with
+///
+/// ```text
+/// tit-replay --trace-dir examples/traces/ring4 --np 4 --paje ring4.paje
+/// ```
+#[test]
+fn paje_trace_matches_the_golden_file() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let traces = root.join("../../examples/traces/ring4");
+    let dir = std::env::temp_dir().join(format!("titr-clipaje-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let paje = dir.join("ring4.paje");
+    let (code, stderr) = run_code(
+        env!("CARGO_BIN_EXE_tit-replay"),
+        &["--trace-dir", traces.to_str().unwrap(), "--np", "4", "--paje", paje.to_str().unwrap()],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let golden = std::fs::read(root.join("tests/fixtures/ring4.paje")).unwrap();
+    assert!(std::fs::read(&paje).unwrap() == golden, "Paje trace differs from the golden file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `tit-stats --trace-dir` reads exactly ranks `0..--np`: fewer ranks
+/// than the directory holds are counted as asked, a missing rank file
+/// exits 1 naming the rank, and a missing `--np` is a usage error.
+#[test]
+fn stats_loads_exactly_np_ranks() {
+    let traces = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/traces/ring4");
+    let dir = traces.to_str().unwrap();
+    let bin = env!("CARGO_BIN_EXE_tit-stats");
+    let (ok, text) = run(bin, &["--trace-dir", dir, "--np", "2"]);
+    assert!(ok, "{text}");
+    assert!(text.contains("processes:        2\n"), "{text}");
+    let (code, stderr) = run_code(bin, &["--trace-dir", dir, "--np", "8"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("rank 4"), "the missing rank is named: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let (code, stderr) = run_code(bin, &["--trace-dir", dir]);
+    assert_eq!(code, Some(2), "{stderr}");
 }
 
 #[test]

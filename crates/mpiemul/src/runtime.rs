@@ -489,16 +489,9 @@ fn run_emulation_inner(
     let nproc = streams.len();
     let mut engine = Engine::new(platform);
     engine.set_network_config(cfg.network.clone());
-    let records = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let records = simkern::observer::Collector::new();
     if record {
-        struct Shared(std::sync::Arc<std::sync::Mutex<Vec<simkern::observer::OpRecord>>>);
-        impl simkern::observer::Observer for Shared {
-            fn record(&mut self, rec: simkern::observer::OpRecord) {
-                // panics: mutex poisoned only if another thread already panicked
-                self.0.lock().unwrap().push(rec);
-            }
-        }
-        engine.set_observer(Box::new(Shared(records.clone())));
+        engine.set_observer(records.sink());
     }
     let cfg = Arc::new(cfg.clone());
     let counter = Arc::new(AtomicU64::new(0));
@@ -537,8 +530,6 @@ fn run_emulation_inner(
         }
         _ => (None, 0),
     };
-    // panics: mutex poisoned only if another thread already panicked
-    let recs = std::mem::take(&mut *records.lock().unwrap());
     Ok((
         EmulationResult {
             exec_time,
@@ -546,7 +537,7 @@ fn run_emulation_inner(
             tau_bytes,
             ops_executed: counter.load(Ordering::Relaxed),
         },
-        recs,
+        records.take(),
     ))
 }
 

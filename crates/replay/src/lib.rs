@@ -3,7 +3,8 @@
 //! This is the paper's simulator (Section 5): it takes a time-independent
 //! trace, a platform description and a deployment, and replays the trace
 //! on top of the simulation kernel, producing the simulated execution
-//! time (plus optional timed-trace and profile outputs, Figure 4).
+//! time. Figure 4's other outputs, a timed trace and a profile, are
+//! observer sinks attached to the run ([`Replay::observer`]).
 //!
 //! Mirroring the MSG-based prototype, every action keyword is bound to a
 //! handler — here one arm of the exhaustive [`handlers::expand`] match
@@ -29,7 +30,6 @@ pub mod collectives;
 pub mod degraded;
 pub mod error;
 pub mod handlers;
-pub mod output;
 pub mod process;
 pub mod resume;
 pub mod simulator;

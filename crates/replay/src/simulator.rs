@@ -18,12 +18,12 @@ use crate::process::{Cursor, ReplayActor};
 use crate::resume::{fingerprint, ReplayCheckpoint};
 use crate::store::{Fault, SegmentCache};
 use simkern::netmodel::NetworkConfig;
-use simkern::observer::{Fanout, Observer, OpRecord};
+use simkern::observer::Observer;
 use simkern::resource::HostId;
 use simkern::{Engine, KernelMode, Platform, RunStatus};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tit_core::tib2::SegmentColumns;
 use tit_core::trace::process_trace_filename;
@@ -37,9 +37,6 @@ pub struct ReplayConfig {
     pub network: NetworkConfig,
     /// Collective decomposition shape.
     pub algo: CollectiveAlgo,
-    /// Record one timed entry per completed operation (Figure 4's
-    /// "timed trace" output). Costs memory proportional to trace size.
-    pub collect_records: bool,
     /// Enable kernel self-profiling: the engine counts hot-loop work
     /// (LMM solves, heap traffic) and attributes wall time to phases.
     /// The simulated outcome is byte-identical either way; see
@@ -58,7 +55,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             network: NetworkConfig::mpi_cluster(),
             algo: CollectiveAlgo::Binomial,
-            collect_records: false,
             kernel_profile: false,
             kernel: KernelMode::Incremental,
         }
@@ -201,8 +197,6 @@ pub struct ReplayOutcome {
     pub actions_expected: u64,
     /// Wall-clock time of this run's simulation (Figure 9's metric).
     pub wall_time: Duration,
-    /// Timed trace when `collect_records` was set.
-    pub records: Option<Vec<OpRecord>>,
     /// Kernel self-profile when `cfg.kernel_profile` was set. It covers
     /// this run only: a resumed run counts from its resume point.
     pub kernel_profile: Option<simkern::KernelProfile>,
@@ -232,17 +226,6 @@ impl ReplayOutcome {
     /// scan, a damage stop, or fewer actions replayed than expected.
     pub fn is_partial(&self) -> bool {
         !self.ranks.is_empty() || self.failure.is_some() || self.completeness() < 1.0
-    }
-}
-
-/// Observer pushing into a shared vector (so the caller keeps access
-/// after the engine consumes the box).
-struct SharedCollector(Arc<Mutex<Vec<OpRecord>>>);
-
-impl Observer for SharedCollector {
-    fn record(&mut self, rec: OpRecord) {
-        // panics: mutex poisoned only if another thread already panicked
-        self.0.lock().unwrap().push(rec);
     }
 }
 
@@ -291,10 +274,10 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// An extra [`Observer`] for the run, composed with the timed-trace
-    /// collector when `cfg.collect_records` is set. Streaming telemetry
-    /// sinks (a `titobs` timeline, profile or metrics observer, or
-    /// several through [`Fanout`]) attach here without buffering.
+    /// The [`Observer`] for the run: every output beyond the simulated
+    /// time is a sink attached here — a `titobs` timeline, profile or
+    /// metrics observer, a `simkern` record collector, or several
+    /// through [`simkern::observer::Fanout`].
     pub fn observer(mut self, observer: Option<Box<dyn Observer>>) -> Self {
         self.observer = observer;
         self
@@ -367,14 +350,8 @@ impl<'a> Replay<'a> {
         let mut engine = Engine::new(self.platform);
         engine.set_kernel_mode(cfg.kernel);
         engine.set_network_config(cfg.network.clone());
-        let records = Arc::new(Mutex::new(Vec::new()));
-        match (cfg.collect_records, self.observer) {
-            (true, Some(obs)) => engine.set_observer(Box::new(
-                Fanout::new().with(Box::new(SharedCollector(records.clone()))).with(obs),
-            )),
-            (true, None) => engine.set_observer(Box::new(SharedCollector(records.clone()))),
-            (false, Some(obs)) => engine.set_observer(obs),
-            (false, None) => {}
+        if let Some(obs) = self.observer {
+            engine.set_observer(obs);
         }
         if cfg.kernel_profile {
             engine.enable_kernel_profiling();
@@ -460,19 +437,12 @@ impl<'a> Replay<'a> {
         };
         let wall_time = t0.elapsed();
         let kernel_profile = engine.take_kernel_profile();
-        let records = if cfg.collect_records {
-            // panics: mutex poisoned only if another thread already panicked
-            Some(std::mem::take(&mut *records.lock().unwrap()))
-        } else {
-            None
-        };
         Ok(ReplayOutcome {
             status,
             simulated_time,
             actions_replayed: counter.load(Ordering::Relaxed),
             actions_expected,
             wall_time,
-            records,
             kernel_profile,
             checkpoints_written: written,
             paused,
@@ -537,6 +507,7 @@ pub fn run_checkpointed(
 mod tests {
     use super::*;
     use crate::testkit::{busy_trace, mycluster, plain_cfg, ring_trace, tmp_dir};
+    use simkern::observer::Collector;
     use tit_core::membudget::MemBudget;
     use tit_core::tib2::{write_compact_atomic, Tib2Store};
     use tit_core::{Action, CompactTrace};
@@ -624,9 +595,12 @@ mod tests {
     #[test]
     fn timed_trace_records_cover_all_ops() {
         let (p, hosts) = mycluster(4);
-        let cfg = ReplayConfig { collect_records: true, ..plain_cfg() };
-        let out = replay_memory(&ring_trace(), p, &hosts, &cfg).unwrap();
-        let recs = out.records.unwrap();
+        let records = Collector::new();
+        let out = Replay::new(Input::memory(&ring_trace()), p, &hosts, &plain_cfg())
+            .observer(Some(records.sink()))
+            .run()
+            .unwrap();
+        let recs = records.take();
         // 12 actions, each one kernel op.
         assert_eq!(recs.len(), 12);
         // Records end no later than the simulated time and are plausible.
@@ -634,32 +608,6 @@ mod tests {
             assert!(r.start >= 0.0 && r.end <= out.simulated_time + 1e-12);
             assert!(r.start <= r.end);
         }
-    }
-
-    #[test]
-    fn extra_observer_composes_with_record_collection() {
-        struct Count(Arc<Mutex<(u64, f64)>>);
-        impl Observer for Count {
-            fn record(&mut self, _rec: OpRecord) {
-                // panics: mutex poisoned only if another thread already panicked
-                self.0.lock().unwrap().0 += 1;
-            }
-            fn engine_ended(&mut self, time: f64) {
-                // panics: mutex poisoned only if another thread already panicked
-                self.0.lock().unwrap().1 = time;
-            }
-        }
-        let state = Arc::new(Mutex::new((0u64, 0.0f64)));
-        let (p, hosts) = mycluster(4);
-        let cfg = ReplayConfig { collect_records: true, ..plain_cfg() };
-        let out = Replay::new(Input::memory(&ring_trace()), p, &hosts, &cfg)
-            .observer(Some(Box::new(Count(state.clone()))))
-            .run()
-            .unwrap();
-        let (seen, ended) = *state.lock().unwrap();
-        // Both sinks saw every record, and the collector still filled.
-        assert_eq!(seen, out.records.unwrap().len() as u64);
-        assert_eq!(ended, out.simulated_time);
     }
 
     #[test]

@@ -105,7 +105,6 @@ impl ReplayRequest {
         ReplayConfig {
             network,
             algo: self.collectives,
-            collect_records: false,
             kernel_profile: false,
             kernel: simkern::KernelMode::Incremental,
         }

@@ -367,11 +367,6 @@ impl Engine {
         self.observer = Some(obs);
     }
 
-    /// Takes the observer back (after `run`).
-    pub fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
-        self.observer.take()
-    }
-
     /// Turns on kernel self-profiling (see [`crate::kprof`]). Counters
     /// accumulate from this call on; the simulated outcome is
     /// byte-identical with or without profiling.
@@ -2187,7 +2182,8 @@ mod tests {
         use crate::observer::Collector;
         let (p, hs) = simple_platform(2);
         let mut eng = Engine::new(p);
-        eng.set_observer(Box::new(Collector::default()));
+        let records = Collector::new();
+        eng.set_observer(records.sink());
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
                 Wake::Start => Step::Wait(ctx.execute_tagged(1e9, 42)),
@@ -2196,10 +2192,9 @@ mod tests {
             hs[0],
         );
         eng.run_checked().unwrap();
-        let obs = eng.take_observer().unwrap();
-        // Downcast through Any is not available on dyn Observer; instead
-        // check the engine's completion counter.
-        drop(obs);
+        let records = records.take();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].tag, 42);
         assert_eq!(eng.ops_completed(), 1);
     }
 

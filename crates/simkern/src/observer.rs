@@ -16,8 +16,10 @@
 //! # Streaming, not buffering
 //!
 //! [`Collector`] keeps **every** record in an unbounded `Vec`; that is
-//! fine for tests and small runs, but a class-D-scale replay emits
-//! hundreds of millions of records. Production observers should stream:
+//! fine for tests, small runs and the one output that needs the whole
+//! run first (a Paje trace, written in start order), but a
+//! class-D-scale replay emits hundreds of millions of records.
+//! Production observers should stream:
 //! aggregate in O(ranks) state, or write each record out as it arrives
 //! (see the `titobs` crate for ready-made streaming sinks). A minimal
 //! streaming observer that keeps only per-rank busy time:
@@ -42,6 +44,8 @@
 //! obs.record(OpRecord { actor: 1, tag: 0, start: 0.5, end: 2.0, volume: 1e6 });
 //! assert!((obs.per_rank[1] - 1.5).abs() < 1e-12);
 //! ```
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A completed simulated operation.
 ///
@@ -102,58 +106,48 @@ pub trait Observer {
     }
 }
 
-/// Observer that stores every record (tests, small runs).
+/// Shared record collector: stores every record, in completion order.
 ///
 /// Memory grows linearly with the number of completed operations — for
 /// anything bigger than a test trace, prefer a streaming observer (see
-/// the module docs) or the bounded [`Tail`].
-#[derive(Debug, Default)]
+/// the module docs).
+///
+/// A handle, like the `titobs` sinks: the caller keeps it, installs
+/// [`Collector::sink`] into the engine (directly or inside a
+/// [`Fanout`]) and reads the records back with [`Collector::take`]
+/// after the run.
+#[derive(Debug, Clone, Default)]
 pub struct Collector {
-    /// Every record, in completion order.
-    pub records: Vec<OpRecord>,
+    records: Arc<Mutex<Vec<OpRecord>>>,
+}
+
+impl Collector {
+    /// An empty collector.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The observer half, to install into the engine; it shares this
+    /// collector's records.
+    #[must_use]
+    pub fn sink(&self) -> Box<dyn Observer> {
+        Box::new(self.clone())
+    }
+
+    /// Takes the records collected so far, in completion order, leaving
+    /// the collector empty.
+    #[must_use]
+    pub fn take(&self) -> Vec<OpRecord> {
+        // A poisoned lock still holds every record pushed before the
+        // panic; pushes never leave the vector half-updated.
+        std::mem::take(&mut *self.records.lock().unwrap_or_else(PoisonError::into_inner))
+    }
 }
 
 impl Observer for Collector {
     fn record(&mut self, rec: OpRecord) {
-        self.records.push(rec);
-    }
-}
-
-/// Bounded collector keeping only the **last** `cap` records — a
-/// constant-memory window over the end of the run, useful to inspect how
-/// a long replay finished without buffering it whole.
-#[derive(Debug)]
-pub struct Tail {
-    cap: usize,
-    buf: std::collections::VecDeque<OpRecord>,
-    seen: u64,
-}
-
-impl Tail {
-    /// A window over the last `cap` records (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        Tail { cap: cap.max(1), buf: std::collections::VecDeque::new(), seen: 0 }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &OpRecord> {
-        self.buf.iter()
-    }
-
-    /// Total records observed (including the ones that fell out of the
-    /// window).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl Observer for Tail {
-    fn record(&mut self, rec: OpRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(rec);
-        self.seen += 1;
+        self.records.lock().unwrap_or_else(PoisonError::into_inner).push(rec);
     }
 }
 
@@ -225,81 +219,37 @@ impl Observer for Fanout {
     }
 }
 
-/// Observer that accumulates per-(actor, tag) busy time and volume —
-/// the "profile" output of Figure 4.
-#[derive(Debug, Default)]
-pub struct ProfileObserver {
-    /// (actor, tag) → (count, total seconds, total volume).
-    pub acc: std::collections::HashMap<(usize, u32), (u64, f64, f64)>,
-}
-
-impl Observer for ProfileObserver {
-    fn record(&mut self, rec: OpRecord) {
-        let e = self.acc.entry((rec.actor, rec.tag)).or_insert((0, 0.0, 0.0));
-        e.0 += 1;
-        e.1 += rec.end - rec.start;
-        e.2 += rec.volume;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn collector_stores_in_order() {
-        let mut c = Collector::default();
-        c.record(OpRecord { actor: 0, tag: 1, start: 0.0, end: 1.0, volume: 5.0 });
-        c.record(OpRecord { actor: 1, tag: 2, start: 1.0, end: 2.0, volume: 6.0 });
-        assert_eq!(c.records.len(), 2);
-        assert_eq!(c.records[0].tag, 1);
-    }
-
-    #[test]
-    fn profile_accumulates() {
-        let mut p = ProfileObserver::default();
-        for i in 0..3 {
-            p.record(OpRecord {
-                actor: 0,
-                tag: 7,
-                start: i as f64,
-                end: i as f64 + 0.5,
-                volume: 10.0,
-            });
-        }
-        let (n, t, v) = p.acc[&(0, 7)];
-        assert_eq!(n, 3);
-        assert!((t - 1.5).abs() < 1e-12);
-        assert!((v - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tail_keeps_only_the_window() {
-        let mut t = Tail::new(2);
-        for i in 0..5u32 {
-            t.record(OpRecord { actor: 0, tag: i, start: 0.0, end: i as f64, volume: 0.0 });
-        }
-        assert_eq!(t.seen(), 5);
-        let tags: Vec<u32> = t.records().map(|r| r.tag).collect();
-        assert_eq!(tags, vec![3, 4]);
+        let c = Collector::new();
+        let mut sink = c.sink();
+        sink.record(OpRecord { actor: 0, tag: 1, start: 0.0, end: 1.0, volume: 5.0 });
+        sink.record(OpRecord { actor: 1, tag: 2, start: 1.0, end: 2.0, volume: 6.0 });
+        let records = c.take();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].tag, 1);
+        assert!(c.take().is_empty(), "take leaves the collector empty");
     }
 
     #[test]
     fn fanout_forwards_all_events_to_all_sinks() {
-        let mut f = Fanout::new()
-            .with(Box::new(Collector::default()))
-            .with(Box::new(ProfileObserver::default()));
+        let (a, b) = (Collector::new(), Collector::new());
+        let mut f = Fanout::new().with(a.sink()).with(b.sink());
         assert_eq!(f.len(), 2);
         f.actor_started(0, 0.0);
         f.op_started(0, 3, 0.0);
         f.record(OpRecord { actor: 0, tag: 3, start: 0.0, end: 1.0, volume: 2.0 });
         f.actor_ended(0, 1.0);
         f.engine_ended(1.0);
-        // Lifecycle defaults are no-ops for these sinks; the record made
-        // it through to both (checked via a fresh fanout with a Tail).
-        let mut tail = Tail::new(8);
-        tail.record(OpRecord { actor: 0, tag: 9, start: 0.0, end: 0.5, volume: 0.0 });
-        assert_eq!(tail.seen(), 1);
+        for c in [a, b] {
+            let records = c.take();
+            assert_eq!(records.len(), 1);
+            assert_eq!(records[0].tag, 3);
+        }
     }
 
     #[test]

@@ -30,8 +30,12 @@
 //!   self-profile ([`simkern::KernelProfile`]): where the *wall* time
 //!   goes (solver vs event machinery) and how much work each solve
 //!   touches, the "why is replay slow at this scale" report.
+//! * [`paje::write_paje`] — the timed trace as a Paje file for
+//!   SimGrid's visualisation tools. Paje wants start order, so it is
+//!   the one output written from the run's records
+//!   ([`simkern::observer::Collector`]) after the run.
 //!
-//! All three attach to one engine run through
+//! The sinks attach to one engine run through
 //! [`simkern::observer::Fanout`]; the caller keeps cheap handles and
 //! reads results back after the run — no downcasting:
 //!
@@ -56,12 +60,14 @@
 
 pub mod kprof;
 pub mod metrics;
+pub mod paje;
 pub mod profile;
 pub mod timeline;
 pub mod timeres;
 
 pub use kprof::KernelReport;
 pub use metrics::Metrics;
+pub use paje::write_paje;
 pub use profile::{Histogram, Profile, ProfileReport, RankProfile, TagStats, HIST_BUCKETS};
 pub use timeline::{SharedBuf, Timeline, TimelineFormat, TimelineSummary};
 pub use timeres::{

@@ -18,9 +18,8 @@
 //! rank termination. `otherData.simulated_time_s` carries the makespan.
 //!
 //! **CSV** (`TimelineFormat::Csv`) is one `rank,action,start,end,volume`
-//! row per operation with seconds to 9 decimal places — the same layout
-//! as `tit_replay::output::write_timed_trace`, produced without
-//! collecting records first.
+//! row per operation with seconds to 9 decimal places, written as each
+//! record arrives (the layout `tit-profile` reads back).
 //!
 //! Identical replays produce byte-identical files: all formatting is
 //! fixed-precision or shortest-roundtrip decimal, and no wall-clock

@@ -2,7 +2,7 @@
 //! metrics sinks through the engine's observer hook.
 
 use proptest::prelude::*;
-use simkern::observer::Fanout;
+use simkern::observer::{Collector, Fanout};
 use simkern::resource::HostId;
 use simkern::{NetworkConfig, Platform};
 use tit_core::{Action, TiTrace};
@@ -120,8 +120,8 @@ fn identical_replays_are_byte_identical() {
 }
 
 /// The streaming acceptance criterion: a 10^5-action trace replayed
-/// with `collect_records: false` and only streaming sinks — no record
-/// vector materialises, yet every operation reaches the outputs.
+/// with only streaming sinks — no record vector materialises, yet
+/// every operation reaches the outputs.
 #[test]
 fn hundred_thousand_actions_stream_without_collection() {
     let n = 4;
@@ -138,12 +138,10 @@ fn hundred_thousand_actions_stream_without_collection() {
     let csv = Timeline::new(csv_buf.clone(), n, TimelineFormat::Csv, tags::name).unwrap();
     let profile = Profile::new(n, tags::name, tags::is_comm);
     let fan = Fanout::new().with(csv.sink()).with(profile.sink());
-    let cfg = ReplayConfig { collect_records: false, ..ReplayConfig::default() };
-    let out = Replay::new(Input::memory(&t), p, &hosts, &cfg)
+    let out = Replay::new(Input::memory(&t), p, &hosts, &ReplayConfig::default())
         .observer(Some(Box::new(fan)))
         .run()
         .unwrap();
-    assert!(out.records.is_none(), "collect_records: false must not buffer");
     assert_eq!(out.actions_replayed, total);
     let summary = csv.finish().unwrap();
     assert_eq!(summary.events, total);
@@ -190,12 +188,13 @@ proptest! {
         let t = eager_ring(n, iters, flops, bytes);
         let (p, hosts) = mycluster(n);
         let profile = Profile::new(n, tags::name, tags::is_comm);
-        let cfg = ReplayConfig { collect_records: true, ..ReplayConfig::default() };
-        let out = Replay::new(Input::memory(&t), p, &hosts, &cfg)
-            .observer(Some(profile.sink()))
+        let records = Collector::new();
+        let fan = Fanout::new().with(records.sink()).with(profile.sink());
+        Replay::new(Input::memory(&t), p, &hosts, &ReplayConfig::default())
+            .observer(Some(Box::new(fan)))
             .run()
             .unwrap();
-        let recs = out.records.unwrap();
+        let recs = records.take();
         let report = profile.snapshot();
         prop_assert_eq!(report.total_ops, recs.len() as u64);
         let mut busy = vec![0.0f64; n];

@@ -21,9 +21,10 @@ use titr::npb::{CgConfig, Class, LuConfig};
 use titr::platform::desc::PlatformDesc;
 use titr::platform::presets;
 use titr::replay::collectives::CollectiveAlgo;
-use titr::replay::{replay_memory, ReplayConfig};
+use titr::replay::{Input, Replay, ReplayConfig};
 use titr::simkern::lmm::SolverStats;
 use titr::simkern::netmodel::NetworkConfig;
+use titr::simkern::observer::Collector;
 use titr::simkern::resource::HostId;
 use titr::simkern::KernelMode;
 use titr::trace::{Action, TiTrace};
@@ -44,13 +45,16 @@ fn replay_fingerprint(trace: &TiTrace, cfg: &ReplayConfig) -> (Fingerprint, Solv
     let nproc = trace.num_processes();
     let desc = PlatformDesc::single(presets::bordereau_one_core(nproc));
     let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
-    let out = replay_memory(trace, desc.build(), &hosts, cfg).expect("replay succeeds");
+    let records = Collector::new();
+    let out = Replay::new(Input::memory(trace), desc.build(), &hosts, cfg)
+        .observer(Some(records.sink()))
+        .run()
+        .expect("replay succeeds");
     let fingerprint = Fingerprint {
         simulated_time_bits: out.simulated_time.to_bits(),
         actions_replayed: out.actions_replayed,
-        timeline: out
-            .records
-            .expect("collect_records was set")
+        timeline: records
+            .take()
             .iter()
             .map(|r| (r.actor, r.tag, r.start.to_bits(), r.end.to_bits(), r.volume.to_bits()))
             .collect(),
@@ -67,13 +71,7 @@ fn assert_modes_agree(
     network: NetworkConfig,
     algo: CollectiveAlgo,
 ) -> (f64, SolverStats) {
-    let cfg = |kernel| ReplayConfig {
-        network: network.clone(),
-        algo,
-        collect_records: true,
-        kernel_profile: true,
-        kernel,
-    };
+    let cfg = |kernel| ReplayConfig { network: network.clone(), algo, kernel_profile: true, kernel };
     let (reference, _) = replay_fingerprint(trace, &cfg(KernelMode::Reference));
     let (incremental, solver) = replay_fingerprint(trace, &cfg(KernelMode::Incremental));
     assert!(!reference.timeline.is_empty(), "oracle replayed an empty timeline");
