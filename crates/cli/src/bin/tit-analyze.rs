@@ -1,12 +1,8 @@
 //! Static trace analyzer: happens-before graph, critical path, and
-//! makespan bounds — without running the replay.
-//!
-//! ```text
-//! tit-analyze --trace-dir DIR --np N
-//!             [--platform platform.xml] [--deploy deploy.xml] [--nodes N]
-//!             [--collectives binomial|flat] [--network mpi|flow|constant]
-//!             [--json FILE] [--metrics FILE] [--jobs N]
-//! ```
+//! makespan bounds — without running the replay. The flags are those
+//! of the `USAGE` line, which every usage error prints; any other flag
+//! exits 2, and the platform and model flags fill the same
+//! `tit_replay::Spec` as `tit-replay`'s.
 //!
 //! The tool loads the per-rank `SG_process<N>.trace` text files (`--jobs N`
 //! parses them on N worker threads, `0` = one per CPU), builds the
@@ -29,18 +25,19 @@
 //! atomically. A trace whose blocking pattern guarantees a deadlock is
 //! reported as such (exit 1) instead of producing bogus bounds.
 //!
-//! Exit codes: `0` success, `1` analysis failure (unreadable trace,
-//! guaranteed deadlock), `2` usage error.
+//! Exit codes: `0` success, `1` analysis failure (unreadable trace or
+//! input file, guaranteed deadlock), `2` usage error (an unknown flag
+//! or a value its flag does not take).
 
 use std::path::PathBuf;
-use tit_cli::{write_atomic_or_die, Args};
+use tit_cli::{or_exit, write_atomic_or_die, Args};
 use titanalyze::{analyze, AnalyzeConfig};
 use titobs::Metrics;
 
 const USAGE: &str = "tit-analyze --trace-dir DIR --np N [--platform FILE] [--deploy FILE] [--nodes N] [--collectives binomial|flat] [--network mpi|flow|constant] [--json FILE] [--metrics FILE] [--jobs N]";
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_listed(USAGE);
     let dir = PathBuf::from(args.require("trace-dir", USAGE));
     let np: usize = args.get_or("np", 0);
     if np == 0 {
@@ -48,28 +45,17 @@ fn main() {
     }
     let jobs: usize = args.get_or("jobs", 1);
 
-    let (platform, hosts) = tit_cli::platform_and_hosts(&args, np);
-    let (network, algo) = tit_cli::network_and_collectives(&args, USAGE);
-    let cfg = AnalyzeConfig { network, algo, jobs };
+    let (platform, hosts, replay) = tit_cli::build(&tit_cli::spec(&args, USAGE), np);
+    let cfg = AnalyzeConfig { network: replay.network, algo: replay.algo, jobs };
 
     let metrics = Metrics::new();
     let t0 = std::time::Instant::now();
-    let trace = match metrics.time("wall.ingest", || tit_core::load_exact(&dir, np, jobs)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot load trace: {e}");
-            std::process::exit(1);
-        }
-    };
+    let trace = metrics.time("wall.ingest", || tit_core::load_exact(&dir, np, jobs));
+    let trace = or_exit(trace, "cannot load trace");
     let ingest_wall = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let analysis = match metrics.time("wall.analyze", || analyze(&trace, &platform, &hosts, &cfg)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("analysis failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let analysis = metrics.time("wall.analyze", || analyze(&trace, &platform, &hosts, &cfg));
+    let analysis = or_exit(analysis, "analysis failed");
     let analyze_wall = t1.elapsed();
 
     print!("{}", analysis.render_text());

@@ -1,26 +1,16 @@
 //! The trace replay tool: time-independent traces + platform +
 //! deployment → simulated execution time (Figure 4 of the paper).
 //!
-//! ```text
-//! tit-replay --trace-dir DIR --np N
-//!            [--platform platform.xml] [--deploy deploy.xml] [--nodes N]
-//!            [--collectives binomial|flat] [--network mpi|flow|constant]
-//!            [--kernel incremental|reference]
-//!            [--timed-trace out.csv] [--timeline out.json]
-//!            [--profile [out.json]] [--metrics out.json] [--lint]
-//!            [--time-resolved out.json] [--time-resolved-csv out.csv]
-//!            [--window SECS] [--kernel-profile out.json] [--paje out.paje]
-//!            [--jobs N]
-//!            [--checkpoint ck.tick --checkpoint-every N] [--resume ck.tick]
-//!            [--max-wall SECS] [--degraded]
-//! ```
-//!
-//! Without `--platform`, a bordereau-like cluster of `--nodes` (default
-//! `N`) single-core nodes is used; without `--deploy`, ranks map
-//! round-robin. With `--lint`, the trace set is statically analyzed
-//! first (`tit-lint`) and the replay refuses to start when error
-//! findings are present — catching deadlocks and structural defects
-//! before any simulation time is spent.
+//! The flags are those of the `USAGE` line, which every usage error
+//! prints; any other flag exits 2. The model flags fill a
+//! `tit_replay::Spec`, the one set of model options `tit-analyze` and
+//! `tit-serve` requests fill too. Without `--platform`, a
+//! bordereau-like cluster of `--nodes` (default `N`) single-core nodes
+//! is used; without `--deploy`, ranks map round-robin. With `--lint`,
+//! the trace set is statically analyzed first (`tit-lint`) and the
+//! replay refuses to start when error findings are present — catching
+//! deadlocks and structural defects before any simulation time is
+//! spent.
 //!
 //! The observability outputs stream during the replay (O(ranks)
 //! memory, no record buffering): `--timeline` writes Chrome trace-event
@@ -71,9 +61,10 @@
 //! replayed actions; `--resume FILE` restarts from such a snapshot and
 //! reaches the **bit-identical** final simulated time of an
 //! uninterrupted run. `--max-wall SECS` is a watchdog: when the budget
-//! (counted from the start of the simulation, after set-up and any
-//! restore) expires the replay writes a final checkpoint and exits
-//! with code 3 (partial success) instead of being lost.
+//! (a finite, non-negative number of seconds, counted from the start of
+//! the simulation, after set-up and any restore) expires the replay
+//! writes a final checkpoint and exits with code 3 (partial success)
+//! instead of being lost.
 //! `--stop-after-checkpoints K` pauses deterministically after the K-th
 //! snapshot (the hook the chaos harness uses to simulate crashes).
 //! Checkpointing requires the serial path (`--jobs 1`).
@@ -107,18 +98,20 @@
 //!
 //! # Exit codes
 //!
-//! `0` success — `1` runtime failure — `2` usage error — `3` partial
-//! success (watchdog pause or degraded replay with completeness < 1).
+//! `0` success — `1` runtime failure — `2` usage error (a flag the
+//! usage line does not list, a value its flag does not take, or two
+//! flags that cannot be combined; the message names them) — `3`
+//! partial success (watchdog pause or degraded replay with
+//! completeness < 1).
 
 use simkern::observer::Collector;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tit_cli::{write_atomic_or_die, Args};
-use tit_core::{AtomicFile, Budget, MemBudget, Tib2Store};
+use tit_cli::{or_exit, write_atomic_or_die, Args};
+use tit_core::{AtomicFile, MemBudget, Tib2Store};
 use tit_replay::{
-    tags, DegradationReason, Input, Replay, ReplayCheckpoint, ReplayConfig, SegmentCache,
-    Status, Stop,
+    tags, DegradationReason, Input, Replay, ReplayCheckpoint, SegmentCache, Status, Stop,
 };
 use titobs::{
     KernelReport, Metrics, Profile, TimeResolved, Timeline, TimelineFormat, TimelineSummary,
@@ -136,13 +129,8 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn open_atomic(path: &str) -> BufWriter<AtomicFile> {
-    match AtomicFile::create(Path::new(path)) {
-        Ok(f) => BufWriter::with_capacity(1 << 16, f),
-        Err(e) => {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let file = or_exit(AtomicFile::create(Path::new(path)), format_args!("cannot create {path}"));
+    BufWriter::with_capacity(1 << 16, file)
 }
 
 /// Flushes and atomically publishes the `what` output file at `path`.
@@ -154,24 +142,33 @@ fn commit_atomic(w: Option<BufWriter<AtomicFile>>, what: &str, path: &str) {
         std::process::exit(1);
     };
     let r = w.into_inner().map_err(std::io::IntoInnerError::into_error).and_then(AtomicFile::commit);
-    if let Err(e) = r {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+    or_exit(r, format_args!("cannot write {path}"));
 }
 
 /// Writes a timeline's trailer and publishes its file.
 fn commit_timeline(tl: Timeline<BufWriter<AtomicFile>>, what: &str, path: &str) -> TimelineSummary {
-    let summary = tl.finish().unwrap_or_else(|e| {
-        eprintln!("cannot write {what} {path}: {e}");
-        std::process::exit(1);
-    });
+    let summary = or_exit(tl.finish(), format_args!("cannot write {what} {path}"));
     commit_atomic(tl.into_writer(), what, path);
     summary
 }
 
+/// The checkpointing flags, which pause, write or read a `TICK1` file.
+const CHECKPOINTING: [&str; 5] =
+    ["checkpoint", "resume", "checkpoint-every", "max-wall", "stop-after-checkpoints"];
+
+/// Flags the replay cannot combine: with the first, none of the others,
+/// for the reason given. A refusal names every flag involved.
+const CONFLICTS: [(&str, &[&str], &str); 6] = [
+    ("degraded", &CHECKPOINTING, "a degraded replay writes and reads no checkpoint"),
+    ("degraded", &["lint"], "--lint refuses the damaged traces --degraded salvages"),
+    ("jobs", &CHECKPOINTING, "checkpointing needs the serial path (--jobs 1)"),
+    ("jobs", &["degraded"], "--degraded needs the serial path (--jobs 1)"),
+    ("jobs", &["store", "mem-budget"], "a store streams its segments; --jobs is for --trace-dir"),
+    ("lint", &["store", "mem-budget"], "--lint analyzes a trace directory, not a store"),
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env_listed(USAGE);
     // Input selection: a per-rank trace directory or a TIB2 store.
     let store_path = args.get("store").map(str::to_owned);
     if store_path.is_some() && args.get("trace-dir").is_some() {
@@ -181,23 +178,50 @@ fn main() {
         Some(_) => PathBuf::new(),
         None => PathBuf::from(args.require("trace-dir", USAGE)),
     };
-    let store = store_path.as_ref().map(|p| {
-        match Tib2Store::open(Path::new(p)) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                // Fail closed: a store whose footer index does not
-                // verify has no trustworthy salvage map.
-                eprintln!("cannot open store {p}: {e}");
-                std::process::exit(1);
-            }
+
+    // Robustness-mode flags and their interactions (exit 2 on misuse).
+    let degraded = args.has_flag("degraded");
+    let lint = args.has_flag("lint") || args.get("lint").is_some();
+    let checkpoint = args.get("checkpoint").map(str::to_owned);
+    let resume = args.get("resume").map(str::to_owned);
+    let every: u64 = args.get_or("checkpoint-every", 0);
+    let stop_after: Option<u64> = args.get("stop-after-checkpoints").map(|s| match s.parse() {
+        Ok(v) => v,
+        Err(_) => usage_error("--stop-after-checkpoints wants a count"),
+    });
+    let jobs: usize = args.get_or("jobs", 1);
+    let given = |flag: &str| match flag {
+        "degraded" => degraded,
+        "lint" => lint,
+        "jobs" => jobs != 1,
+        "checkpoint-every" => every != 0,
+        _ => args.get(flag).is_some(),
+    };
+    for (flag, others, why) in CONFLICTS {
+        let with: Vec<String> =
+            others.iter().filter(|o| given(o)).map(|o| format!("--{o}")).collect();
+        if given(flag) && !with.is_empty() {
+            usage_error(&format!("--{flag} cannot be combined with {}: {why}", with.join(" ")));
         }
+    }
+    for flag in &CHECKPOINTING[2..] {
+        if given(flag) && checkpoint.is_none() {
+            usage_error(&format!("--{flag} needs --checkpoint FILE"));
+        }
+    }
+    let checkpointing = checkpoint.is_some() || resume.is_some();
+
+    // Fail closed: a store whose footer index does not verify has no
+    // trustworthy salvage map.
+    let store = store_path.as_ref().map(|p| {
+        Arc::new(or_exit(Tib2Store::open(Path::new(p)), format_args!("cannot open store {p}")))
     });
     let np: usize = match &store {
         Some(s) => {
             let n = s.num_ranks();
-            let given: usize = args.get_or("np", n);
-            if given != n {
-                usage_error(&format!("--np {given} does not match the store's {n} rank(s)"));
+            let asked: usize = args.get_or("np", n);
+            if asked != n {
+                usage_error(&format!("--np {asked} does not match the store's {n} rank(s)"));
             }
             n
         }
@@ -221,45 +245,6 @@ fn main() {
     }
     let budget = Arc::new(mem_budget.map_or_else(MemBudget::unlimited, MemBudget::new));
 
-    // Robustness-mode flags and their interactions (exit 2 on misuse).
-    let degraded = args.has_flag("degraded");
-    let checkpoint = args.get("checkpoint").map(str::to_owned);
-    let resume = args.get("resume").map(str::to_owned);
-    let every: u64 = args.get_or("checkpoint-every", 0);
-    let max_wall: Budget = args.get("max-wall").map_or_else(Budget::unlimited, |s| {
-        match s.parse::<f64>() {
-            Ok(v) if v >= 0.0 => Budget::from_secs_f64(v),
-            _ => usage_error("--max-wall wants a non-negative number of seconds"),
-        }
-    });
-    let stop_after: Option<u64> = args.get("stop-after-checkpoints").map(|s| match s.parse() {
-        Ok(v) => v,
-        Err(_) => usage_error("--stop-after-checkpoints wants a count"),
-    });
-    let jobs: usize = args.get_or("jobs", 1);
-    let checkpointing = checkpoint.is_some() || resume.is_some();
-    if degraded && checkpointing {
-        usage_error("--degraded cannot be combined with --checkpoint/--resume");
-    }
-    if degraded && (every != 0 || !max_wall.is_unlimited() || stop_after.is_some()) {
-        usage_error("--degraded cannot be combined with checkpointing options");
-    }
-    if (every != 0 || !max_wall.is_unlimited() || stop_after.is_some()) && checkpoint.is_none() {
-        usage_error("--checkpoint-every/--max-wall/--stop-after-checkpoints need --checkpoint FILE");
-    }
-    if (degraded || checkpointing) && jobs != 1 {
-        usage_error("--degraded and checkpointing require the serial path (--jobs 1)");
-    }
-    if degraded && (args.has_flag("lint") || args.get("lint").is_some()) {
-        usage_error("--lint refuses damaged traces; it cannot be combined with --degraded");
-    }
-    if store.is_some() && jobs != 1 {
-        usage_error("--store streams segments on demand; --jobs applies to --trace-dir only");
-    }
-    if store.is_some() && (args.has_flag("lint") || args.get("lint").is_some()) {
-        usage_error("--lint analyzes a trace directory; it is not available with --store");
-    }
-
     // Time-resolved metrics and kernel self-profiling flags.
     let time_resolved = args.get("time-resolved").map(str::to_owned);
     let time_resolved_csv = args.get("time-resolved-csv").map(str::to_owned);
@@ -272,9 +257,10 @@ fn main() {
         usage_error("--window needs --time-resolved or --time-resolved-csv");
     }
     let kernel_profile_path = args.get("kernel-profile").map(str::to_owned);
+    let spec = tit_cli::spec(&args, USAGE);
 
     let metrics = Metrics::new();
-    if args.has_flag("lint") || args.get("lint").is_some() {
+    if lint {
         let report = metrics.time("wall.lint", || {
             titlint::lint_dir(&dir, np, &titlint::LintConfig::default())
         });
@@ -288,64 +274,37 @@ fn main() {
         }
     }
 
-    let (platform, hosts) = tit_cli::platform_and_hosts(&args, np);
-    let (network, algo) = tit_cli::network_and_collectives(&args, USAGE);
-    let kernel = match args.get_or("kernel", "incremental".to_string()).as_str() {
-        "incremental" => simkern::KernelMode::Incremental,
-        "reference" => simkern::KernelMode::Reference,
-        other => usage_error(&format!("unknown kernel mode {other:?}")),
-    };
-    let cfg = ReplayConfig { network, algo, kernel_profile: kernel_profile_path.is_some(), kernel };
+    let (platform, hosts, mut cfg) = tit_cli::build(&spec, np);
+    cfg.kernel_profile = kernel_profile_path.is_some();
 
     // Assemble the streaming observer set. `--profile` doubles as a
     // flag (text table to stdout) and a `--profile FILE` pair (JSON).
     let want_profile = args.has_flag("profile") || args.get("profile").is_some();
     let want_metrics_file = args.get("metrics").is_some();
     let mut fan = simkern::observer::Fanout::new();
-    let timeline = match args.get("timeline") {
-        Some(path) => {
-            let tl = Timeline::new(open_atomic(path), np, TimelineFormat::ChromeJson, tags::name)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot start timeline {path}: {e}");
-                    std::process::exit(1);
-                });
-            fan = fan.with(tl.sink());
-            Some((tl, path))
-        }
-        None => None,
+    let mut stream = |flag: &str, format, what: &str| {
+        args.get(flag).map(|path| {
+            let tl = Timeline::new(open_atomic(path), np, format, tags::name);
+            let tl = or_exit(tl, format_args!("cannot start {what} {path}"));
+            fan.push(tl.sink());
+            (tl, path)
+        })
     };
-    let timed = match args.get("timed-trace") {
-        Some(path) => {
-            let tl = Timeline::new(open_atomic(path), np, TimelineFormat::Csv, tags::name)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot start timed trace {path}: {e}");
-                    std::process::exit(1);
-                });
-            fan = fan.with(tl.sink());
-            Some((tl, path))
-        }
-        None => None,
-    };
-    let profile = if want_profile {
+    let timeline = stream("timeline", TimelineFormat::ChromeJson, "timeline");
+    let timed = stream("timed-trace", TimelineFormat::Csv, "timed trace");
+    let profile = want_profile.then(|| {
         let p = Profile::new(np, tags::name, tags::is_comm);
-        fan = fan.with(p.sink());
-        Some(p)
-    } else {
-        None
-    };
-    let timeres = if want_timeres {
+        fan.push(p.sink());
+        p
+    });
+    let timeres = want_timeres.then(|| {
         let csv = time_resolved_csv.as_deref().map(open_atomic);
-        let spec = WindowSpec { width: window, phases: true };
-        let tr = TimeResolved::new(csv, np, spec, tags::is_comm, tags::is_collective)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot start time-resolved metrics: {e}");
-                std::process::exit(1);
-            });
-        fan = fan.with(tr.sink());
-        Some(tr)
-    } else {
-        None
-    };
+        let windows = WindowSpec { width: window, phases: true };
+        let tr = TimeResolved::new(csv, np, windows, tags::is_comm, tags::is_collective);
+        let tr = or_exit(tr, "cannot start time-resolved metrics");
+        fan.push(tr.sink());
+        tr
+    });
     if want_metrics_file {
         fan = fan.with(metrics.observer("replay"));
     }
@@ -379,10 +338,7 @@ fn main() {
         None => {
             let loaded =
                 metrics.time("wall.ingest", || tit_core::load_compact_exact(&dir, np, jobs));
-            let compact = loaded.unwrap_or_else(|e| {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
-            });
+            let compact = or_exit(loaded, "replay failed");
             metrics.incr("ingest.files", np as u64);
             metrics.incr("ingest.actions", compact.num_actions() as u64);
             metrics.incr("ingest.bytes", compact.heap_bytes() as u64);
@@ -392,25 +348,18 @@ fn main() {
     };
     // Checkpoints taken with --store are keyed on the footer hash:
     // resume refuses a store whose content changed.
-    let resume_state = resume.as_ref().map(|f| {
-        ReplayCheckpoint::load(Path::new(f)).unwrap_or_else(|e| {
-            eprintln!("replay failed: {e}");
-            std::process::exit(1);
-        })
-    });
-    let out = Replay::new(input, platform, &hosts, &cfg)
+    let resume_state =
+        resume.as_ref().map(|f| or_exit(ReplayCheckpoint::load(Path::new(f)), "replay failed"));
+    let replay = Replay::new(input, platform, &hosts, &cfg)
         .observer(extra)
         .pause_every(every)
-        .deadline(max_wall)
+        .deadline(spec.budget)
         .checkpoint(checkpoint.as_ref().map(PathBuf::from))
         .stop_after(stop_after)
         .resume(resume_state)
         .tolerate_damage(degraded)
-        .run()
-        .unwrap_or_else(|e| {
-            eprintln!("replay failed: {e}");
-            std::process::exit(1);
-        });
+        .run();
+    let out = or_exit(replay, "replay failed");
 
     let mut exit_code = 0;
     if degraded {
@@ -519,10 +468,7 @@ fn main() {
         }
     }
     if let Some(tr) = timeres {
-        let report = tr.finish().unwrap_or_else(|e| {
-            eprintln!("cannot write time-resolved metrics: {e}");
-            std::process::exit(1);
-        });
+        let report = or_exit(tr.finish(), "cannot write time-resolved metrics");
         if let Some(path) = &time_resolved {
             write_atomic_or_die(path, &report.to_json());
             println!("time-resolved:    {path} ({} windows)", report.windows.len());
@@ -554,10 +500,8 @@ fn main() {
 
     if let Some((records, path)) = paje {
         let mut w = open_atomic(path);
-        if let Err(e) = titobs::write_paje(&records.take(), np, sim_time, tags::name, &mut w) {
-            eprintln!("cannot write paje trace {path}: {e}");
-            std::process::exit(1);
-        }
+        let written = titobs::write_paje(&records.take(), np, sim_time, tags::name, &mut w);
+        or_exit(written, format_args!("cannot write paje trace {path}"));
         commit_atomic(Some(w), "paje trace", path);
         println!("paje trace:       {path}");
     }

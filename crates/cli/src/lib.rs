@@ -23,12 +23,12 @@
 #![forbid(unsafe_code)]
 
 use simkern::resource::HostId;
-use simkern::{NetworkConfig, Platform};
+use simkern::Platform;
 use std::collections::HashMap;
+use std::fmt::Display;
 use tit_platform::deployment::Deployment;
 use tit_platform::desc::PlatformDesc;
-use tit_platform::presets;
-use tit_replay::collectives::CollectiveAlgo;
+use tit_replay::{Placement, PlatformSource, ReplayConfig, Spec, SpecError};
 
 /// Minimal `--key value` / `--flag` parser.
 #[derive(Debug, Default)]
@@ -47,13 +47,11 @@ impl Args {
         let mut it = raw.into_iter().peekable();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        // panics: peek() just returned Some for this element
-                        let v = it.next().unwrap();
+                match it.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => {
                         out.values.insert(key.to_string(), v);
                     }
-                    _ => out.flags.push(key.to_string()),
+                    None => out.flags.push(key.to_string()),
                 }
             } else {
                 out.positional.push(tok);
@@ -65,6 +63,21 @@ impl Args {
     /// From the process arguments.
     pub fn from_env() -> Self {
         Self::parse(std::env::args().skip(1))
+    }
+
+    /// From the process arguments of a tool whose `usage` line lists
+    /// every flag it takes: any other `--flag` exits 2, naming it.
+    pub fn from_env_listed(usage: &str) -> Self {
+        let args = Self::from_env();
+        let listed = |name: &str| {
+            usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .any(|word| word.strip_prefix("--") == Some(name))
+        };
+        if let Some(name) = args.values.keys().chain(&args.flags).filter(|k| !listed(k)).min() {
+            usage_error(&format!("unknown flag --{name}"), usage);
+        }
+        args
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -108,65 +121,72 @@ pub fn usage_error(msg: &str, usage: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of `r`, or — on an error — exit 1 with the one-line
+/// diagnostic `{context}: {error}`.
+pub fn or_exit<T, E: Display>(r: Result<T, E>, context: impl Display) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{context}: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Writes `contents` to `path` atomically (tmp sibling, fsync, rename),
 /// exiting 1 with a one-line diagnostic when that fails.
 pub fn write_atomic_or_die(path: &str, contents: &str) {
-    if let Err(e) = tit_core::write_atomic(std::path::Path::new(path), contents.as_bytes()) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+    let written = tit_core::write_atomic(std::path::Path::new(path), contents.as_bytes());
+    or_exit(written, format_args!("cannot write {path}"));
 }
 
 /// Reads and parses an XML input file, exiting 1 with a one-line
 /// diagnostic when it is unreadable or malformed.
-fn load_xml<T, E: std::fmt::Display>(
-    path: &str,
-    what: &str,
-    parse: impl FnOnce(&str) -> Result<T, E>,
-) -> T {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {what} file {path:?}: {e}");
-        std::process::exit(1);
-    });
-    parse(&text).unwrap_or_else(|e| {
-        eprintln!("bad {what} file: {e}");
-        std::process::exit(1);
-    })
+fn load_xml<T, E: Display>(path: &str, what: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+    let text = std::fs::read_to_string(path);
+    let text = or_exit(text, format_args!("cannot read {what} file {path:?}"));
+    or_exit(parse(&text), format_args!("bad {what} file"))
 }
 
-/// The `--platform FILE` / `--deploy FILE` / `--nodes N` flags: the
-/// platform (default: a bordereau-like cluster of `--nodes`, default
-/// `np`, single-core nodes) and each of the `np` ranks' host (default:
-/// round-robin). An unreadable or malformed file exits 1.
-pub fn platform_and_hosts(args: &Args, np: usize) -> (Platform, Vec<HostId>) {
-    let desc = match args.get("platform") {
-        Some(path) => load_xml(path, "platform", PlatformDesc::from_xml_str),
-        None => PlatformDesc::single(presets::bordereau_one_core(args.get_or("nodes", np))),
+/// Fills a replay [`Spec`] from the flags that name its options:
+/// `--platform FILE`, `--deploy FILE`, `--nodes N`, `--network`,
+/// `--collectives`, `--kernel` and `--max-wall SECS`. Without
+/// `--platform` the platform is a bordereau-like cluster of `--nodes`
+/// (default: one per rank) single-core nodes; without `--deploy` ranks
+/// map round-robin. A value the spec refuses exits 2 with `usage`,
+/// naming the flag; an unreadable or malformed file exits 1.
+pub fn spec(args: &Args, usage: &str) -> Spec {
+    let mut spec = Spec::default();
+    if let Some(path) = args.get("platform") {
+        spec.platform =
+            PlatformSource::File(load_xml(path, "platform", PlatformDesc::from_xml_str));
+    }
+    if let Some(path) = args.get("deploy") {
+        spec.placement =
+            Placement::Deployment(load_xml(path, "deployment", Deployment::from_xml_str));
+    }
+    let check = |flag: &str, set: Result<(), SpecError>| {
+        if let Err(e) = set {
+            usage_error(&format!("--{flag}: {e}"), usage);
+        }
     };
-    let platform = desc.build();
-    let deployment = match args.get("deploy") {
-        Some(path) => load_xml(path, "deployment", Deployment::from_xml_str),
-        None => Deployment::round_robin(&desc.host_names(), np),
-    };
-    let hosts = deployment.host_ids(&platform);
-    (platform, hosts)
+    for flag in ["network", "collectives", "kernel"] {
+        if let Some(name) = args.get(flag) {
+            check(flag, spec.set(flag, name));
+        }
+    }
+    if args.get("nodes").is_some() {
+        check("nodes", spec.set_nodes(args.get_or("nodes", 0), None));
+    }
+    if args.get("max-wall").is_some() {
+        check("max-wall", spec.set_max_wall(args.get_or("max-wall", 0.0)));
+    }
+    spec
 }
 
-/// The `--network mpi|flow|constant` and `--collectives
-/// binomial|flat` flags; an unknown name exits 2 with `usage`.
-pub fn network_and_collectives(args: &Args, usage: &str) -> (NetworkConfig, CollectiveAlgo) {
-    let algo = match args.get_or("collectives", "binomial".to_string()).as_str() {
-        "binomial" => CollectiveAlgo::Binomial,
-        "flat" => CollectiveAlgo::Flat,
-        other => usage_error(&format!("unknown collective algorithm {other:?}"), usage),
-    };
-    let network = match args.get_or("network", "mpi".to_string()).as_str() {
-        "mpi" => NetworkConfig::mpi_cluster(),
-        "flow" => NetworkConfig::default(),
-        "constant" => NetworkConfig::constant(),
-        other => usage_error(&format!("unknown network model {other:?}"), usage),
-    };
-    (network, algo)
+/// [`Spec::build`] for `np` ranks, exiting 1 with a one-line diagnostic
+/// when the placement does not fit the platform: a `--deploy` file
+/// naming a host the platform lacks is a bad input file like any other.
+pub fn build(spec: &Spec, np: usize) -> (Platform, Vec<HostId>, ReplayConfig) {
+    let file = matches!(spec.placement, Placement::Deployment(_));
+    or_exit(spec.build(np), if file { "bad deployment file" } else { "cannot build the platform" })
 }
 
 /// Parses a Table 2 mode label (`R`, `F-8`, `S-2`, `SF-2,8` or

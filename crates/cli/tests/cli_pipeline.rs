@@ -3,6 +3,9 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use tit_platform::deployment::Deployment;
+use tit_platform::desc::{PlatformDesc, WanLink};
+use tit_platform::presets;
 
 fn run(bin: &str, args: &[&str]) -> (bool, String) {
     let out = Command::new(bin).args(args).output().expect("spawn binary");
@@ -478,18 +481,59 @@ fn exit_codes_cover_success_runtime_usage_and_partial() {
         vec!["--checkpoint-every", "5"],
         vec!["--degraded", "--lint"],
         vec!["--network", "bogus"],
+        // A budget must be a finite number of seconds.
+        vec!["--checkpoint", "/tmp/x.tick", "--max-wall", "inf"],
+        vec!["--checkpoint", "/tmp/x.tick", "--max-wall", "-1"],
     ] {
         let mut argv = vec!["--trace-dir", traces.to_str().unwrap(), "--np", "4"];
         argv.extend(bad.iter().copied());
         let (code, stderr) = run_code(bin, &argv);
         assert_eq!(code, Some(2), "argv {bad:?} must be a usage error; stderr:\n{stderr}");
     }
-    // tit-analyze shares the platform and model flags, and their errors.
+    // A budget longer than the clock can hold never expires: the run
+    // replays every action of the uninterrupted one.
+    let out = Command::new(bin)
+        .args(["--trace-dir", traces.to_str().unwrap(), "--np", "4",
+               "--checkpoint", &s(&dir.join("huge.tick")), "--max-wall", "1e20"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{text}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.contains("actions replayed: 36\n") && text.contains(&sim_line), "{text}");
+
+    // tit-analyze shares the platform and model flags, and their errors:
+    // an unknown model name, zero nodes and a misspelled flag exit 2
+    // naming the flag; a deployment host the platform lacks and an
+    // interconnect to a cluster the platform lacks exit 1 with a
+    // one-line diagnostic.
+    let stray = dir.join("stray-deploy.xml");
+    let hosts: Vec<String> = (0..4).map(|i| format!("nowhere-{i}")).collect();
+    std::fs::write(&stray, Deployment::round_robin(&hosts, 4).to_xml_string()).unwrap();
+    let stray = s(&stray);
+    let mut wan = PlatformDesc::single(presets::bordereau_one_core(4));
+    wan.wan.push(WanLink { from: "bordereau".into(), to: "moon".into(), bw: 1e9, lat: 1e-3 });
+    let moon = dir.join("moon-platform.xml");
+    std::fs::write(&moon, wan.to_xml_string()).unwrap();
+    let moon = s(&moon);
     for b in [bin, env!("CARGO_BIN_EXE_tit-analyze")] {
-        let argv = ["--trace-dir", traces.to_str().unwrap(), "--np", "4", "--network", "bogus"];
-        let (code, stderr) = run_code(b, &argv);
-        assert_eq!(code, Some(2), "{b}: unknown --network is a usage error:\n{stderr}");
-        assert!(stderr.contains("usage:"), "{b}: the usage line must follow:\n{stderr}");
+        for (extra, code_want, needle) in [
+            (["--network", "bogus"], 2, "--network: unknown value \"bogus\""),
+            (["--nodes", "0"], 2, "--nodes: must be at least 1"),
+            (["--netwrok", "flow"], 2, "unknown flag --netwrok"),
+            (["--deploy", stray.as_str()], 1, "bad deployment file: deployment host \"nowhere-0\""),
+            (["--platform", moon.as_str()], 1, "bad platform file: xml error: interconnect"),
+        ] {
+            let mut argv = vec!["--trace-dir", traces.to_str().unwrap(), "--np", "4"];
+            argv.extend(extra);
+            let (code, stderr) = run_code(b, &argv);
+            assert_eq!(code, Some(code_want), "{b} {extra:?}:\n{stderr}");
+            assert!(stderr.starts_with(needle), "{b} {extra:?}:\n{stderr}");
+            let lines = if code_want == 2 { 2 } else { 1 };
+            assert_eq!(stderr.lines().count(), lines, "{b} {extra:?}:\n{stderr}");
+            if code_want == 2 {
+                assert!(stderr.contains("\nusage: "), "{b}: the usage line must follow:\n{stderr}");
+            }
+        }
     }
 
     // Exit 3 (partial): a deterministic mid-run pause after the first
@@ -755,5 +799,152 @@ fn checkpoint_from_an_earlier_build_still_resumes() {
     let uninterrupted = replay(&[], "full.json");
     let resumed = replay(&["--resume", fixture.to_str().unwrap()], "resumed.json");
     assert_eq!(resumed, uninterrupted);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// tit-replay's optional flags, each with a valid value and the flags it
+/// needs: `STORE`, `PLATFORM` and `DEPLOY` name the inputs of
+/// [`every_pair_of_replay_flags_runs_or_is_refused_naming_both`], `@`
+/// the run's output directory and `CK` a checkpoint to resume. The bool
+/// marks flags that change what a checkpoint binds to.
+const REPLAY_FLAGS: [(&str, &[&str], bool); 25] = [
+    ("store", &["--store", "STORE"], true),
+    ("mem-budget", &["--store", "STORE", "--mem-budget", "1M"], true),
+    ("platform", &["--platform", "PLATFORM"], true),
+    ("deploy", &["--deploy", "DEPLOY"], true),
+    ("nodes", &["--nodes", "2"], true),
+    ("collectives", &["--collectives", "flat"], true),
+    ("network", &["--network", "flow"], true),
+    ("kernel", &["--kernel", "reference"], true),
+    ("timed-trace", &["--timed-trace", "@/timed.csv"], false),
+    ("timeline", &["--timeline", "@/timeline.json"], false),
+    ("profile", &["--profile", "@/profile.json"], false),
+    ("metrics", &["--metrics", "@/metrics.json"], false),
+    ("time-resolved", &["--time-resolved", "@/tr.json"], false),
+    ("time-resolved-csv", &["--time-resolved-csv", "@/tr.csv"], false),
+    ("window", &["--time-resolved", "@/trw.json", "--window", "0.001"], false),
+    ("kernel-profile", &["--kernel-profile", "@/kp.json"], false),
+    ("paje", &["--paje", "@/run.paje"], false),
+    ("lint", &["--lint"], false),
+    ("jobs", &["--jobs", "2"], false),
+    ("checkpoint", &["--checkpoint", "@/ck"], false),
+    ("checkpoint-every", &["--checkpoint", "@/ck", "--checkpoint-every", "5"], false),
+    ("resume", &["--resume", "CK"], false),
+    ("max-wall", &["--checkpoint", "@/ck", "--max-wall", "60"], false),
+    ("stop-after-checkpoints", &["--checkpoint", "@/ck", "--stop-after-checkpoints", "1"], false),
+    ("degraded", &["--degraded"], false),
+];
+
+/// The pairs of [`REPLAY_FLAGS`] that tit-replay refuses; every other
+/// pair runs.
+const REFUSED_PAIRS: [(&str, &str); 16] = [
+    ("degraded", "checkpoint"),
+    ("degraded", "checkpoint-every"),
+    ("degraded", "resume"),
+    ("degraded", "max-wall"),
+    ("degraded", "stop-after-checkpoints"),
+    ("degraded", "lint"),
+    ("jobs", "checkpoint"),
+    ("jobs", "checkpoint-every"),
+    ("jobs", "resume"),
+    ("jobs", "max-wall"),
+    ("jobs", "stop-after-checkpoints"),
+    ("jobs", "degraded"),
+    ("jobs", "store"),
+    ("jobs", "mem-budget"),
+    ("lint", "store"),
+    ("lint", "mem-budget"),
+];
+
+/// Every pair of tit-replay's optional flags on ring4 (on a ring4 store
+/// when a flag needs `--store`): a pair in [`REFUSED_PAIRS`] exits 2
+/// with a message line naming both flags followed by the usage line;
+/// every other pair runs, exiting 0 or 3. A resumed pair resumes a
+/// checkpoint taken with the other flag, so that it binds to the same
+/// platform, model and input.
+#[test]
+fn every_pair_of_replay_flags_runs_or_is_refused_naming_both() {
+    let bin = env!("CARGO_BIN_EXE_tit-replay");
+    let traces = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/traces/ring4");
+    let dir = std::env::temp_dir().join(format!("titr-clipairs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("ring4.tib2");
+    let compact = tit_core::load_compact_exact(&traces, 4, 1).unwrap();
+    tit_core::tib2::write_compact_atomic(&store, &compact, 8).unwrap();
+    let desc = PlatformDesc::single(presets::bordereau_one_core(4));
+    let platform = dir.join("platform.xml");
+    std::fs::write(&platform, desc.to_xml_string()).unwrap();
+    let deploy = dir.join("deploy.xml");
+    let two_hosts = Deployment::round_robin(&desc.host_names()[..2], 4);
+    std::fs::write(&deploy, two_hosts.to_xml_string()).unwrap();
+
+    // The argv of one run: the input, then each flag's arguments.
+    let argv = |flags: &[&[&str]], out: &PathBuf, ck: &PathBuf| -> Vec<String> {
+        let args: Vec<String> = flags
+            .iter()
+            .flat_map(|f| f.iter())
+            .map(|a| match *a {
+                "STORE" => store.to_str().unwrap().to_owned(),
+                "PLATFORM" => platform.to_str().unwrap().to_owned(),
+                "DEPLOY" => deploy.to_str().unwrap().to_owned(),
+                "CK" => ck.to_str().unwrap().to_owned(),
+                a => a.replace('@', out.to_str().unwrap()),
+            })
+            .collect();
+        let mut v = Vec::new();
+        if !args.iter().any(|a| a == "--store") {
+            v.extend(["--trace-dir", traces.to_str().unwrap(), "--np", "4"].map(String::from));
+        }
+        v.extend(args);
+        v
+    };
+    let run = |argv: &[String]| {
+        let out = Command::new(bin).args(argv).output().expect("spawn tit-replay");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let pause: &[&str] =
+        &["--checkpoint", "CK", "--checkpoint-every", "5", "--stop-after-checkpoints", "1"];
+    let default_ck = dir.join("default.tick");
+    let (code, stderr) = run(&argv(&[pause], &dir, &default_ck));
+    assert_eq!(code, Some(3), "{stderr}");
+
+    let mut pairs = 0;
+    for (i, &(a, a_args, a_binds)) in REPLAY_FLAGS.iter().enumerate() {
+        for &(b, b_args, b_binds) in &REPLAY_FLAGS[i + 1..] {
+            let out = dir.join(format!("{a}+{b}"));
+            std::fs::create_dir_all(&out).unwrap();
+            // A resume reads a checkpoint of the other flag's run.
+            let mut ck = default_ck.clone();
+            let other = match (a, b) {
+                ("resume", _) => Some((b_args, b_binds)),
+                (_, "resume") => Some((a_args, a_binds)),
+                _ => None,
+            };
+            if let Some((other, true)) = other {
+                ck = out.join("taken.tick");
+                let (code, stderr) = run(&argv(&[other, pause], &out, &ck));
+                assert_eq!(code, Some(3), "checkpoint for {a}+{b}: {stderr}");
+            }
+            let (code, stderr) = run(&argv(&[a_args, b_args], &out, &ck));
+            let refused = REFUSED_PAIRS.iter().any(|&p| p == (a, b) || p == (b, a));
+            if refused {
+                assert_eq!(code, Some(2), "--{a} --{b} must be refused:\n{stderr}");
+                let lines: Vec<&str> = stderr.lines().collect();
+                assert_eq!(lines.len(), 2, "--{a} --{b}:\n{stderr}");
+                let named: Vec<&str> = lines[0]
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .collect();
+                for flag in [format!("--{a}"), format!("--{b}")] {
+                    assert!(named.contains(&flag.as_str()), "--{a} --{b}: {}", lines[0]);
+                }
+                assert!(lines[1].starts_with("usage: tit-replay"), "{stderr}");
+            } else {
+                assert!(matches!(code, Some(0 | 3)), "--{a} --{b} must run ({code:?}):\n{stderr}");
+            }
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 25 * 24 / 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -44,11 +44,13 @@ impl Budget {
 
     /// At most `secs` seconds; negative or non-finite values clamp to a
     /// zero budget (already expired), mirroring how a watchdog treats a
-    /// nonsensical limit as "stop at the first safe point".
+    /// nonsensical limit as "stop at the first safe point". A finite
+    /// limit longer than [`Duration`] holds saturates to
+    /// [`Duration::MAX`], which never expires.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_finite() && secs > 0.0 {
-            Budget::limited(Duration::from_secs_f64(secs))
+            Budget::limited(Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX))
         } else {
             Budget::limited(Duration::ZERO)
         }
@@ -67,10 +69,11 @@ impl Budget {
     }
 
     /// Anchors the budget at the current instant: the returned
-    /// [`Deadline`] expires once the limit has elapsed from *now*.
+    /// [`Deadline`] expires once the limit has elapsed from *now*. A
+    /// limit that ends past the last [`Instant`] never expires.
     #[must_use]
     pub fn start(&self) -> Deadline {
-        Deadline { at: self.limit.map(|l| Instant::now() + l) }
+        Deadline { at: self.limit.and_then(|l| Instant::now().checked_add(l)) }
     }
 }
 
@@ -152,6 +155,20 @@ mod tests {
         }
         // 0.0 itself is "no time at all", not "unlimited".
         assert!(Budget::from_secs_f64(0.0).start().expired());
+    }
+
+    #[test]
+    fn limits_past_the_clock_never_expire() {
+        // 1e19 s fits a Duration but not an Instant; 1e20 s and f64::MAX
+        // fit neither.
+        for secs in [1e19, 1e20, f64::MAX] {
+            let b = Budget::from_secs_f64(secs);
+            assert!(!b.is_unlimited(), "secs={secs}");
+            let d = b.start();
+            assert!(!d.expired(), "secs={secs}");
+            assert_eq!(d.remaining(), None, "secs={secs}");
+        }
+        assert!(!Budget::limited(Duration::MAX).start().expired());
     }
 
     #[test]

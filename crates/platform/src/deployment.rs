@@ -137,17 +137,21 @@ impl Deployment {
         self
     }
 
-    /// Resolves host names against a built platform, rank-ordered.
+    /// Resolves host names against a built platform, rank-ordered; the
+    /// error names the first host the platform lacks.
+    pub fn resolve(&self, platform: &Platform) -> Result<Vec<HostId>, XmlError> {
+        let id = |host: &String| {
+            let unknown = || XmlError(format!("deployment host {host:?} is not in the platform"));
+            platform.host_by_name(host).ok_or_else(unknown)
+        };
+        self.entries.iter().map(|e| id(&e.host)).collect()
+    }
+
+    /// [`Deployment::resolve`] for a deployment built from the
+    /// platform's own host names. Empty when a host is missing: the
+    /// replay and the analyzer refuse a deployment that places no rank.
     pub fn host_ids(&self, platform: &Platform) -> Vec<HostId> {
-        self.entries
-            .iter()
-            .map(|e| {
-                platform
-                    .host_by_name(&e.host)
-                    // panics: documented contract: the descriptor must be self-consistent
-                    .unwrap_or_else(|| panic!("deployment host {:?} not in platform", e.host))
-            })
-            .collect()
+        self.resolve(platform).unwrap_or_default()
     }
 
     /// Number of distinct hosts used.
@@ -310,5 +314,11 @@ mod tests {
         assert_eq!(ids.len(), 4);
         assert_eq!(ids[0].0, 0);
         assert_eq!(ids[3].0, 3);
+
+        // A host the platform lacks is a typed error, not a panic.
+        let stray = Deployment::round_robin(&["mycluster-9.mysite.fr".to_string()], 2);
+        let err = stray.resolve(&platform).unwrap_err();
+        assert_eq!(err.0, "deployment host \"mycluster-9.mysite.fr\" is not in the platform");
+        assert!(stray.host_ids(&platform).is_empty());
     }
 }

@@ -133,6 +133,11 @@ impl PlatformDesc {
         if desc.clusters.is_empty() {
             return Err(XmlError("platform contains no <cluster>".into()));
         }
+        // The self-consistency `build` relies on.
+        let known = |id: &String| desc.clusters.iter().any(|c| &c.id == id);
+        if let Some(id) = desc.wan.iter().flat_map(|w| [&w.from, &w.to]).find(|id| !known(id)) {
+            return Err(XmlError(format!("interconnect references unknown cluster {id:?}")));
+        }
         Ok(desc)
     }
 
@@ -223,7 +228,10 @@ fn parse_cluster(el: &Element) -> Result<ClusterSpec, XmlError> {
         None => 1,
     };
     let topology = match el.attr("group_size") {
-        Some(_) => ClusterTopology::Cabinets { group_size: el.attr_parse("group_size")? },
+        Some(_) => match el.attr_parse("group_size")? {
+            0 => return Err(XmlError("cluster group_size must be positive".into())),
+            group_size => ClusterTopology::Cabinets { group_size },
+        },
         None => ClusterTopology::Flat,
     };
     Ok(ClusterSpec {
@@ -501,6 +509,20 @@ bb_bw="1.25E9" bb_lat="16.67E-6"/>
         assert_eq!(c.host_name(0), "mycluster-0.mysite.fr");
         let p = desc.build();
         assert_eq!(p.num_hosts(), 4);
+    }
+
+    /// What `build` would panic on is a parse error instead.
+    #[test]
+    fn inconsistent_files_are_refused_at_parse_time() {
+        let cluster = r#"<cluster id="c" prefix="n" suffix="" radical="0-1"
+            power="1E9" bw="1E8" lat="1E-5" bb_bw="1E9" bb_lat="1E-5""#;
+        let link = r#"<interconnect src="c" dst="moon" bw="1E9" lat="1E-3"/>"#;
+        let wan = format!("<platform>{cluster}/>{link}</platform>");
+        let e = PlatformDesc::from_xml_str(&wan).unwrap_err();
+        assert!(e.0.contains("unknown cluster \"moon\""), "{e}");
+        let cabinets = format!(r#"<platform>{cluster} group_size="0"/></platform>"#);
+        let e = PlatformDesc::from_xml_str(&cabinets).unwrap_err();
+        assert!(e.0.contains("group_size must be positive"), "{e}");
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! interval, deadline, checkpoint file, stop-after count, preempt flag,
 //! resume state, damage tolerance), returning one [`ReplayOutcome`].
 //! Every input feeds each rank through the same column cursor; inputs
-//! differ only in where the cursor's next chunk comes from.
+//! differ only in where the cursor's next chunk comes from. The model
+//! options around it — platform, placement, network, collectives,
+//! kernel, wall budget — are one [`Spec`], which the CLI fills from
+//! flags and the daemon from request fields.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,6 +36,7 @@ pub mod handlers;
 pub mod process;
 pub mod resume;
 pub mod simulator;
+pub mod spec;
 pub mod store;
 pub mod tags;
 
@@ -44,6 +48,7 @@ pub use simulator::{
     replay_compact, replay_compact_observed, replay_memory, run_checkpointed, CheckpointedStatus,
     Input, Replay, ReplayConfig, ReplayOutcome, Status, Stop,
 };
+pub use spec::{Placement, PlatformSource, Spec, SpecError};
 pub use store::{replay_store, store_sources, SegmentCache};
 
 /// Fixtures shared by the crate's tests: one platform, one config and

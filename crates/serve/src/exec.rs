@@ -25,7 +25,7 @@
 
 use crate::accesslog::{AccessLog, Spans};
 use crate::json::{obj, Json};
-use crate::proto::{PlatformKind, ReplayRequest};
+use crate::proto::ReplayRequest;
 use crate::queue::Admission;
 use crate::{
     cache::{StoreCache, TraceCache},
@@ -38,9 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use tit_core::{Budget, Deadline};
-use tit_platform::deployment::Deployment;
 use tit_platform::desc::PlatformDesc;
-use tit_platform::presets;
 use tit_replay::{
     Input, Replay, ReplayCheckpoint, ReplayError, ReplayOutcome, SegmentCache, Status, Stop,
 };
@@ -110,22 +108,16 @@ pub fn error_response(id: &str, code: &str, detail: &str) -> Json {
     ])
 }
 
-/// Builds the platform variant and per-rank host placement a request
-/// selects. Rebuilt identically on every hop of a preempted job, so
-/// the resume fingerprint check holds.
+/// The platform variant and per-rank host placement a request selects
+/// ([`tit_replay::Spec::build`]). Rebuilt identically on every hop of a
+/// preempted job, so the resume fingerprint check holds. A request
+/// [`parse_request`](crate::parse_request) accepted always builds; one
+/// that does not gets no hosts, which the replay refuses as a
+/// `bad_request`.
 #[must_use]
 pub fn build_platform(req: &ReplayRequest) -> (Platform, Vec<HostId>) {
-    let spec = match req.platform {
-        PlatformKind::Bordereau => presets::bordereau_one_core(req.nodes),
-        PlatformKind::Gdx => presets::gdx_one_core(req.nodes),
-    };
-    let desc = PlatformDesc::single(spec);
-    let platform = desc.build();
-    let hosts = match &req.remap {
-        Some(map) => map.iter().map(|&i| HostId(i as u32)).collect(),
-        None => Deployment::round_robin(&desc.host_names(), req.np).host_ids(&platform),
-    };
-    (platform, hosts)
+    let built = req.spec.build(req.np);
+    built.map_or_else(|_| (PlatformDesc::default().build(), Vec::new()), |b| (b.0, b.1))
 }
 
 /// The request's trace, whichever reference form named it.
@@ -392,7 +384,7 @@ mod tests {
 
     fn replay_req(line: &str) -> ReplayRequest {
         match parse_request(line).unwrap() {
-            Request::Replay(r) => r,
+            Request::Replay(r) => *r,
             other => panic!("{other:?}"),
         }
     }

@@ -45,7 +45,7 @@ pub use tit_core::json;
 pub use accesslog::{AccessLog, Spans};
 pub use cache::TraceCache;
 pub use exec::{Job, Shared, SharedWriter};
-pub use proto::{parse_request, PlatformKind, ReplayRequest, Request};
+pub use proto::{parse_request, ReplayRequest, Request};
 pub use queue::{Admission, Refusal};
 pub use server::Server;
 

@@ -11,15 +11,20 @@
 use crate::json::Json;
 use std::path::PathBuf;
 use tit_core::Budget;
-use tit_replay::collectives::CollectiveAlgo;
-use tit_replay::ReplayConfig;
+use tit_replay::{Placement, ReplayConfig, Spec, SpecError};
 
 /// Hard cap on `np` (and on `nodes`): a request cannot ask the daemon
 /// to spin up an unbounded simulation.
 pub const MAX_NP: usize = 4096;
 
+/// The fields a replay request may carry; any other is refused.
+const REPLAY_FIELDS: [&str; 12] = [
+    "op", "id", "trace_dir", "store", "np", "nodes", "platform", "network", "collectives",
+    "remap", "drop_ranks", "max_wall_s",
+];
+
 /// A validated request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -30,33 +35,13 @@ pub enum Request {
     Drain,
     /// Live observability snapshot (`titobs-metrics-v1` registry dump).
     Metrics,
-    /// A replay simulation.
-    Replay(ReplayRequest),
+    /// A replay simulation (boxed: its spec dwarfs the other variants).
+    Replay(Box<ReplayRequest>),
 }
 
-/// The platform preset a replay request targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlatformKind {
-    /// The bordereau cluster preset (single-core nodes).
-    Bordereau,
-    /// The gdx cluster preset (single-core nodes).
-    Gdx,
-}
-
-/// The network model variants of `tit-replay --network`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetworkKind {
-    /// Contention-aware piece-wise-linear MPI model (the default).
-    Mpi,
-    /// Plain flow model.
-    Flow,
-    /// Constant-time network.
-    Constant,
-}
-
-/// One replay request: a platform variant, a trace reference, and the
-/// robustness knobs (deadline, rank remap, degraded subset).
-#[derive(Debug, Clone, PartialEq)]
+/// One replay request: a trace reference, the model options, and the
+/// degraded subset.
+#[derive(Debug, Clone)]
 pub struct ReplayRequest {
     /// Client-chosen tag echoed back in the response (defaults empty).
     pub id: String,
@@ -70,44 +55,26 @@ pub struct ReplayRequest {
     pub store: Option<PathBuf>,
     /// Ranks the trace carries.
     pub np: usize,
-    /// Nodes of the platform variant (defaults to `np`).
-    pub nodes: usize,
-    /// Cluster preset.
-    pub platform: PlatformKind,
-    /// Network model.
-    pub network: NetworkKind,
-    /// Collective decomposition.
-    pub collectives: CollectiveAlgo,
-    /// Explicit rank → node-index map (defaults to round-robin).
-    pub remap: Option<Vec<usize>>,
+    /// The model options: the `platform` preset of `nodes` nodes, the
+    /// `remap` placement, `network`, `collectives` and the `max_wall_s`
+    /// wall budget.
+    pub spec: Spec,
     /// Degraded subset: ranks whose actions are dropped; the replay
     /// runs damage-tolerant and reports a completeness ratio.
     pub drop_ranks: Vec<usize>,
-    /// Per-request wall-clock budget, seconds (absent = unlimited).
-    pub max_wall_s: Option<f64>,
 }
 
 impl ReplayRequest {
     /// The request's wall-clock budget.
     #[must_use]
     pub fn budget(&self) -> Budget {
-        self.max_wall_s.map_or_else(Budget::unlimited, Budget::from_secs_f64)
+        self.spec.budget
     }
 
     /// The replay configuration this request selects.
     #[must_use]
     pub fn replay_config(&self) -> ReplayConfig {
-        let network = match self.network {
-            NetworkKind::Mpi => simkern::NetworkConfig::mpi_cluster(),
-            NetworkKind::Flow => simkern::NetworkConfig::default(),
-            NetworkKind::Constant => simkern::NetworkConfig::constant(),
-        };
-        ReplayConfig {
-            network,
-            algo: self.collectives,
-            kernel_profile: false,
-            kernel: simkern::KernelMode::Incremental,
-        }
+        self.spec.config.clone()
     }
 
     /// Cache key for the trace reference: FNV-1a-64 over the canonical
@@ -134,6 +101,13 @@ fn field_str(v: &Json, key: &str) -> Result<Option<String>, String> {
         None | Some(Json::Null) => Ok(None),
         Some(Json::Str(s)) => Ok(Some(s.clone())),
         Some(_) => Err(format!("field {key:?} must be a string")),
+    }
+}
+
+fn field_num(v: &Json, key: &str) -> Result<Option<f64>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(n) => n.as_f64().map(Some).ok_or_else(|| format!("field {key:?} must be a number")),
     }
 }
 
@@ -181,12 +155,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "stats" => Ok(Request::Stats),
         "drain" => Ok(Request::Drain),
         "metrics" => Ok(Request::Metrics),
-        "replay" => parse_replay(&v).map(Request::Replay),
+        "replay" => parse_replay(&v).map(|r| Request::Replay(Box::new(r))),
         other => Err(format!("unknown op {other:?}")),
     }
 }
 
 fn parse_replay(v: &Json) -> Result<ReplayRequest, String> {
+    if let Json::Obj(pairs) = v {
+        if let Some((key, _)) = pairs.iter().find(|(k, _)| !REPLAY_FIELDS.contains(&k.as_str())) {
+            return Err(format!("unknown field {key:?}"));
+        }
+    }
     let store = field_str(v, "store")?;
     let trace_dir = match (&store, field_str(v, "trace_dir")?) {
         (Some(_), Some(_)) => {
@@ -200,74 +179,54 @@ fn parse_replay(v: &Json) -> Result<ReplayRequest, String> {
     if np == 0 || np > MAX_NP {
         return Err(format!("\"np\" must be in 1..={MAX_NP}"));
     }
-    let nodes = field_count(v, "nodes")?.map_or(np, |n| n as usize);
-    if nodes == 0 || nodes > MAX_NP {
-        return Err(format!("\"nodes\" must be in 1..={MAX_NP}"));
+    let mut spec = Spec::default();
+    let named = |key: &'static str| move |e: SpecError| format!("field {key:?}: {e}");
+    if let Some(n) = field_count(v, "nodes")? {
+        spec.set_nodes(n, Some(MAX_NP)).map_err(named("nodes"))?;
     }
-    let platform = match field_str(v, "platform")?.as_deref() {
-        None | Some("bordereau") => PlatformKind::Bordereau,
-        Some("gdx") => PlatformKind::Gdx,
-        Some(other) => return Err(format!("unknown platform {other:?}")),
-    };
-    let network = match field_str(v, "network")?.as_deref() {
-        None | Some("mpi") => NetworkKind::Mpi,
-        Some("flow") => NetworkKind::Flow,
-        Some("constant") => NetworkKind::Constant,
-        Some(other) => return Err(format!("unknown network {other:?}")),
-    };
-    let collectives = match field_str(v, "collectives")?.as_deref() {
-        None | Some("binomial") => CollectiveAlgo::Binomial,
-        Some("flat") => CollectiveAlgo::Flat,
-        Some(other) => return Err(format!("unknown collectives {other:?}")),
-    };
-    let remap = field_ranks(v, "remap", nodes)?;
-    if let Some(m) = &remap {
-        if m.len() != np {
+    for key in ["platform", "network", "collectives"] {
+        if let Some(name) = field_str(v, key)? {
+            spec.set(key, &name).map_err(named(key))?;
+        }
+    }
+    if let Some(map) = field_ranks(v, "remap", spec.nodes.unwrap_or(np))? {
+        if map.len() != np {
             return Err(format!("\"remap\" must list one node index per rank ({np})"));
         }
+        spec.placement = Placement::Remap(map);
     }
     let drop_ranks = field_ranks(v, "drop_ranks", np)?.unwrap_or_default();
     if drop_ranks.len() >= np {
         return Err("\"drop_ranks\" cannot drop every rank".into());
     }
-    let max_wall_s = match v.get("max_wall_s") {
-        None | Some(Json::Null) => None,
-        Some(n) => {
-            let f = n.as_f64().ok_or("field \"max_wall_s\" must be a number")?;
-            if f < 0.0 {
-                return Err("field \"max_wall_s\" must be non-negative".into());
-            }
-            Some(f)
-        }
-    };
+    if let Some(secs) = field_num(v, "max_wall_s")? {
+        spec.set_max_wall(secs).map_err(named("max_wall_s"))?;
+    }
     Ok(ReplayRequest {
         id: field_str(v, "id")?.unwrap_or_default(),
         trace_dir: PathBuf::from(trace_dir),
         store: store.map(PathBuf::from),
         np,
-        nodes,
-        platform,
-        network,
-        collectives,
-        remap,
+        spec,
         drop_ranks,
-        max_wall_s,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tit_replay::PlatformSource;
 
     #[test]
     fn parses_minimal_and_full_replay_requests() {
         let r = parse_request(r#"{"op":"replay","trace_dir":"/tmp/t","np":4}"#).unwrap();
         let Request::Replay(r) = r else { panic!("not a replay") };
         assert_eq!(r.np, 4);
-        assert_eq!(r.nodes, 4);
-        assert_eq!(r.platform, PlatformKind::Bordereau);
-        assert_eq!(r.network, NetworkKind::Mpi);
-        assert!(r.remap.is_none() && r.drop_ranks.is_empty() && r.max_wall_s.is_none());
+        assert_eq!(r.spec.nodes, None, "one node per rank");
+        assert!(matches!(r.spec.placement, Placement::RoundRobin));
+        assert!(matches!(&r.spec.platform, PlatformSource::Preset(c) if c.id == "bordereau"));
+        assert!(r.spec.config.network.tcp_gamma.is_some(), "the mpi model");
+        assert!(r.drop_ranks.is_empty());
         assert!(r.budget().is_unlimited());
 
         let r = parse_request(
@@ -278,20 +237,21 @@ mod tests {
         .unwrap();
         let Request::Replay(r) = r else { panic!("not a replay") };
         assert_eq!(r.id, "x1");
-        assert_eq!(r.nodes, 8);
-        assert_eq!(r.platform, PlatformKind::Gdx);
-        assert_eq!(r.network, NetworkKind::Constant);
-        assert_eq!(r.remap, Some(vec![7, 0]));
+        assert_eq!(r.spec.nodes, Some(8));
+        assert!(matches!(&r.spec.platform, PlatformSource::Preset(c) if c.id == "gdx"));
+        assert!(!r.spec.config.network.contention, "the constant model");
+        assert!(matches!(&r.spec.placement, Placement::Remap(m) if *m == [7, 0]));
         assert_eq!(r.drop_ranks, vec![1]);
+        assert_eq!(r.replay_config().algo, tit_replay::collectives::CollectiveAlgo::Flat);
         assert!(!r.budget().is_unlimited());
     }
 
     #[test]
     fn control_ops_parse() {
-        assert_eq!(parse_request(r#"{"op":"ping"}"#).unwrap(), Request::Ping);
-        assert_eq!(parse_request(r#"{"op":"stats"}"#).unwrap(), Request::Stats);
-        assert_eq!(parse_request(r#"{"op":"drain"}"#).unwrap(), Request::Drain);
-        assert_eq!(parse_request(r#"{"op":"metrics"}"#).unwrap(), Request::Metrics);
+        assert!(matches!(parse_request(r#"{"op":"ping"}"#), Ok(Request::Ping)));
+        assert!(matches!(parse_request(r#"{"op":"stats"}"#), Ok(Request::Stats)));
+        assert!(matches!(parse_request(r#"{"op":"drain"}"#), Ok(Request::Drain)));
+        assert!(matches!(parse_request(r#"{"op":"metrics"}"#), Ok(Request::Metrics)));
     }
 
     #[test]
@@ -312,6 +272,12 @@ mod tests {
                 "every rank",
             ),
             (r#"{"op":"replay","trace_dir":"/t","np":2,"max_wall_s":-1}"#, "non-negative"),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"nodes":0}"#, "\"nodes\": must be in 1"),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"nodes":4097}"#, "must be in 1..=4096"),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"network":"x"}"#, "field \"network\""),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"collectives":"x"}"#, "binomial|flat"),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"netwrok":"flow"}"#, "field \"netwrok\""),
+            (r#"{"op":"replay","trace_dir":"/t","np":4,"kernel":"reference"}"#, "field \"kernel\""),
             (r#"{"op":"replay","trace_dir":"/t","np":2,"np":3}"#, ""),
         ] {
             match parse_request(line) {

@@ -312,7 +312,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>, drain: &Drain) {
                 }
                 let job = Job {
                     deadline: req.budget().start(),
-                    req,
+                    req: *req,
                     preemptions: 0,
                     resume: None,
                     out: Arc::clone(&out),

@@ -110,6 +110,11 @@ fn ping_stats_malformed_oversized_on_one_connection() {
     let unknown = c.roundtrip(r#"{"op":"explode"}"#);
     assert_eq!(field(&unknown, "code"), Some("bad_request"));
 
+    // A misspelled field is refused by name, not replayed as the default.
+    let typo = c.roundtrip(r#"{"op":"replay","trace_dir":"/t","np":2,"netwrok":"flow"}"#);
+    assert_eq!(field(&typo, "code"), Some("bad_request"), "{typo}");
+    assert!(typo.contains(r#"unknown field \"netwrok\""#), "{typo}");
+
     let oversized = c.roundtrip(&format!("{{\"pad\":\"{}\"}}", "x".repeat(2 << 20)));
     assert_eq!(field(&oversized, "code"), Some("oversized"));
 
@@ -333,6 +338,36 @@ fn oversized_comm_size_is_an_error_response_not_an_abort() {
     }
     server.drain();
     server.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A wall budget longer than the clock can hold never expires: the
+/// request and one pipelined after it on the same connection are both
+/// answered `ok`, and the access log closes every admission it opened.
+#[test]
+fn budget_past_the_clock_is_served_and_logged() {
+    let d = scratch("hugebudget");
+    write_ring(&d, 3, 4);
+    let log = d.join("access.ndjson");
+    let server =
+        Server::start(ServerConfig { access_log: Some(log.clone()), ..ServerConfig::default() })
+            .unwrap();
+    let mut c = Client::connect(server.port());
+    let dir = d.display().to_string();
+    c.send(&format!(
+        "{{\"op\":\"replay\",\"id\":\"huge\",\"trace_dir\":{dir:?},\"np\":3,\"max_wall_s\":1e20}}"
+    ));
+    c.send(&format!("{{\"op\":\"replay\",\"id\":\"plain\",\"trace_dir\":{dir:?},\"np\":3}}"));
+    let (a, b) = (c.recv(), c.recv());
+    assert_eq!(field(&a, "status"), Some("ok"), "{a}");
+    assert_eq!(field(&b, "status"), Some("ok"), "{b}");
+    assert_eq!(field(&a, "simulated_time"), field(&b, "simulated_time"));
+    server.drain();
+    server.wait().unwrap();
+    let text = std::fs::read_to_string(&log).unwrap();
+    let admits = text.matches("\"event\":\"admit\"").count();
+    let dones = text.matches("\"event\":\"done\"").count();
+    assert_eq!((admits, dones), (2, 2), "{text}");
     let _ = std::fs::remove_dir_all(&d);
 }
 
