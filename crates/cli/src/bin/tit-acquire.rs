@@ -12,42 +12,37 @@ use npb::ring::RingConfig;
 use npb::stencil::StencilConfig;
 use npb::{Class, LuConfig};
 use std::path::PathBuf;
-use tit_cli::{parse_mode, Args};
+use tit_cli::{or_exit, parse_mode, Args};
 
 const USAGE: &str =
     "tit-acquire --workload lu|ring|stencil --np N --out DIR [--class S..E] [--mode R|F-x|S-2|SF-2,v] [--itmax N] [--iters N] [--seed S]";
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let workload = args.get_or("workload", "lu".to_string());
     let np: usize = args.get_or("np", 4);
-    let out = PathBuf::from(args.require("out", USAGE));
-    let mode = match parse_mode(&args.get_or("mode", "R".to_string())) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let out = PathBuf::from(args.require("out"));
+    let mode = parse_mode(&args.get_or("mode", "R".to_string()))
+        .unwrap_or_else(|e| args.usage_error(&format!("--mode: {e}")));
     let cfg = EmulConfig { seed: args.get_or("seed", 0xDE5Bu64), ..Default::default() };
 
     let program: Box<dyn Fn(usize, usize) -> Box<dyn mpi_emul::OpStream>> =
         match workload.as_str() {
             "lu" => {
+                if !np.is_power_of_two() {
+                    args.usage_error(&format!("--workload lu needs a power-of-two --np, got {np}"));
+                }
                 let class: Class = args.get_or("class", Class::S);
                 let mut lu = LuConfig::new(class, np);
-                if let Some(it) = args.get("itmax") {
-                    match it.parse() {
-                        Ok(n) => lu = lu.with_itmax(n),
-                        Err(_) => {
-                            eprintln!("bad --itmax {it:?}\nusage: {USAGE}");
-                            std::process::exit(2);
-                        }
-                    }
+                if args.get("itmax").is_some() {
+                    lu = lu.with_itmax(args.get_or("itmax", 0));
                 }
                 Box::new(lu.program())
             }
             "ring" => {
+                if np < 2 {
+                    args.usage_error(&format!("--workload ring needs --np >= 2, got {np}"));
+                }
                 let ring = RingConfig {
                     nproc: np,
                     iters: args.get_or("iters", 4),
@@ -57,9 +52,10 @@ fn main() {
             }
             "stencil" => {
                 let px = (np as f64).sqrt() as usize;
-                if px * px != np {
-                    eprintln!("stencil needs a square process count, got --np {np}");
-                    std::process::exit(2);
+                if np == 0 || px * px != np {
+                    args.usage_error(&format!(
+                        "--workload stencil needs a square --np >= 1, got {np}"
+                    ));
                 }
                 let st = StencilConfig {
                     px,
@@ -69,25 +65,17 @@ fn main() {
                 };
                 Box::new(st.program())
             }
-            other => {
-                eprintln!("unknown workload {other:?}\nusage: {USAGE}");
-                std::process::exit(2);
-            }
+            other => args.usage_error(&format!(
+                "--workload: unknown value {other:?} (expected lu|ring|stencil)"
+            )),
         };
 
-    match acquire(&program, np, mode, &cfg, &out) {
-        Ok(r) => {
-            println!("mode:            {}", r.mode.label());
-            println!("processes:       {}", r.nproc);
-            println!("nodes used:      {}", r.mode.nodes_needed(np));
-            println!("exec time (sim): {:.3} s", r.exec_time);
-            println!("program ops:     {}", r.ops);
-            println!("tau bytes:       {} ({:.2} MiB)", r.tau_bytes, r.tau_bytes as f64 / (1 << 20) as f64);
-            println!("tau dir:         {}", r.tau_dir.display());
-        }
-        Err(e) => {
-            eprintln!("acquisition failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let r = or_exit(acquire(&program, np, mode, &cfg, &out), "acquisition failed");
+    println!("mode:            {}", r.mode.label());
+    println!("processes:       {}", r.nproc);
+    println!("nodes used:      {}", r.mode.nodes_needed(np));
+    println!("exec time (sim): {:.3} s", r.exec_time);
+    println!("program ops:     {}", r.ops);
+    println!("tau bytes:       {} ({:.2} MiB)", r.tau_bytes, r.tau_bytes as f64 / (1 << 20) as f64);
+    println!("tau dir:         {}", r.tau_dir.display());
 }

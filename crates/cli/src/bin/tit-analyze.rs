@@ -37,15 +37,15 @@ use titobs::Metrics;
 const USAGE: &str = "tit-analyze --trace-dir DIR --np N [--platform FILE] [--deploy FILE] [--nodes N] [--collectives binomial|flat] [--network mpi|flow|constant] [--json FILE] [--metrics FILE] [--jobs N]";
 
 fn main() {
-    let args = Args::from_env_listed(USAGE);
-    let dir = PathBuf::from(args.require("trace-dir", USAGE));
+    let args = Args::from_env(USAGE);
+    let dir = PathBuf::from(args.require("trace-dir"));
     let np: usize = args.get_or("np", 0);
     if np == 0 {
-        tit_cli::usage_error("missing --np", USAGE);
+        args.usage_error("missing --np");
     }
     let jobs: usize = args.get_or("jobs", 1);
 
-    let (platform, hosts, replay) = tit_cli::build(&tit_cli::spec(&args, USAGE), np);
+    let (platform, hosts, replay) = tit_cli::build(&tit_cli::spec(&args), np);
     let cfg = AnalyzeConfig { network: replay.network, algo: replay.algo, jobs };
 
     let metrics = Metrics::new();

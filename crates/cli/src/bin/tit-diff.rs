@@ -11,7 +11,7 @@
 //! counter jitter; the paper observes <1 % effects).
 
 use std::path::PathBuf;
-use tit_cli::Args;
+use tit_cli::{or_exit, Args};
 use tit_core::{Action, TiTrace};
 
 const USAGE: &str = "tit-diff --a DIR --b DIR [--coalesce] [--tolerance REL]";
@@ -32,16 +32,13 @@ fn volumes_match(a: &Action, b: &Action, tol: f64) -> bool {
 }
 
 fn main() {
-    let args = Args::from_env();
-    let a_dir = PathBuf::from(args.require("a", USAGE));
-    let b_dir = PathBuf::from(args.require("b", USAGE));
+    let args = Args::from_env(USAGE);
+    let a_dir = PathBuf::from(args.require("a"));
+    let b_dir = PathBuf::from(args.require("b"));
     let tol: f64 = args.get_or("tolerance", 0.0);
 
     let load = |p: &PathBuf| {
-        TiTrace::load_per_process(p).unwrap_or_else(|e| {
-            eprintln!("cannot load {}: {e}", p.display());
-            std::process::exit(1);
-        })
+        or_exit(TiTrace::load_per_process(p), format_args!("cannot load {}", p.display()))
     };
     let mut a = load(&a_dir);
     let mut b = load(&b_dir);

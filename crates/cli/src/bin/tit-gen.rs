@@ -41,16 +41,11 @@
 
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
-use tit_cli::Args;
+use tit_cli::{or_exit, Args};
 use tit_core::tib2::Tib2Summary;
 use tit_core::{Action, AtomicFile, CompactTrace, TiTrace, Tib2Writer};
 
 const USAGE: &str = "tit-gen (--out DIR | --tib2 FILE [--seg-actions N]) --np N --pattern ring|stencil|allreduce|lu [--iters K] [--flops F] [--bytes B] [--class S|W|A|B|C|D]";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}\nusage: {USAGE}");
-    std::process::exit(2);
-}
 
 fn ring(np: usize, iters: usize, flops: f64, bytes: f64) -> TiTrace {
     let mut t = TiTrace::new(np);
@@ -129,35 +124,35 @@ fn stream_tib2(
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let out = args.get("out").map(PathBuf::from);
     let tib2 = args.get("tib2").map(PathBuf::from);
     if out.is_none() && tib2.is_none() {
-        usage_error("missing --out or --tib2");
+        args.usage_error("missing --out or --tib2");
     }
     let seg_actions: usize = args.get_or("seg-actions", tit_core::tib2::DEFAULT_SEG_ACTIONS);
     if seg_actions == 0 {
-        usage_error("--seg-actions wants a positive action count");
+        args.usage_error("--seg-actions wants a positive action count");
     }
     let np: usize = args.get_or("np", 0);
     if np == 0 {
-        usage_error("missing --np");
+        args.usage_error("missing --np");
     }
     let iters: usize = args.get_or("iters", 1);
     let flops: f64 = args.get_or("flops", 1e6);
     let bytes: f64 = args.get_or("bytes", 1e4);
     if !(flops.is_finite() && flops >= 0.0 && bytes.is_finite() && bytes >= 0.0) {
-        usage_error("--flops and --bytes want non-negative finite numbers");
+        args.usage_error("--flops and --bytes want non-negative finite numbers");
     }
 
-    let pattern = args.require("pattern", USAGE);
+    let pattern = args.require("pattern");
     let lu_cfg = if pattern == "lu" {
         if np < 2 || !np.is_power_of_two() {
-            usage_error("--pattern lu needs a power-of-two --np >= 2");
+            args.usage_error("--pattern lu needs a power-of-two --np >= 2");
         }
         let class: npb::Class = match args.get_or("class", "S".to_string()).parse() {
             Ok(c) => c,
-            Err(e) => usage_error(&e),
+            Err(e) => args.usage_error(&e),
         };
         let mut cfg = npb::LuConfig::new(class, np);
         if args.get("iters").is_some() {
@@ -174,13 +169,13 @@ fn main() {
         let mut trace = match pattern.as_str() {
             "ring" => {
                 if np < 2 {
-                    usage_error("--pattern ring needs --np >= 2");
+                    args.usage_error("--pattern ring needs --np >= 2");
                 }
                 ring(np, iters, flops, bytes)
             }
             "stencil" => {
                 if np < 3 {
-                    usage_error("--pattern stencil needs --np >= 3");
+                    args.usage_error("--pattern stencil needs --np >= 3");
                 }
                 stencil(np, iters, flops, bytes)
             }
@@ -189,7 +184,7 @@ fn main() {
                 // panics: lu_cfg was just built for the lu pattern
                 npb::program_trace(&lu_cfg.unwrap().program(), np)
             }
-            other => usage_error(&format!("unknown pattern {other:?}")),
+            other => args.usage_error(&format!("unknown pattern {other:?}")),
         };
         // Collectives (and tit-replay/tit-analyze) need the
         // communicator size declared before anything else; the LU
@@ -202,13 +197,13 @@ fn main() {
         Some(trace)
     } else {
         if !["ring", "stencil", "allreduce", "lu"].contains(&pattern.as_str()) {
-            usage_error(&format!("unknown pattern {pattern:?}"));
+            args.usage_error(&format!("unknown pattern {pattern:?}"));
         }
         if pattern == "ring" && np < 2 {
-            usage_error("--pattern ring needs --np >= 2");
+            args.usage_error("--pattern ring needs --np >= 2");
         }
         if pattern == "stencil" && np < 3 {
-            usage_error("--pattern stencil needs --np >= 3");
+            args.usage_error("--pattern stencil needs --np >= 3");
         }
         None
     };
@@ -217,53 +212,35 @@ fn main() {
         let result = match (&lu_cfg, &trace) {
             // The streaming path: LuStream → Tib2Writer, op by op.
             (Some(cfg), _) => stream_tib2(dest, np, seg_actions, &cfg.program()),
-            (None, Some(t)) => match CompactTrace::from_trace(t) {
-                Ok(ct) => tit_core::tib2::write_compact_atomic(dest, &ct, seg_actions),
-                Err(e) => {
-                    eprintln!("cannot pack trace: {e}");
-                    std::process::exit(1);
-                }
-            },
+            (None, Some(t)) => {
+                let ct = or_exit(CompactTrace::from_trace(t), "cannot pack trace");
+                tit_core::tib2::write_compact_atomic(dest, &ct, seg_actions)
+            }
             // panics: non-lu with --tib2 always materializes above
             (None, None) => unreachable!("non-lu --tib2 without a trace"),
         };
-        match result {
-            Ok(s) => println!(
-                "tib2 store:       {} ({} ranks, {} actions, {} segments, {} bytes, fingerprint {:#018x})",
-                dest.display(),
-                s.ranks,
-                s.actions,
-                s.segments,
-                s.bytes,
-                s.fingerprint
-            ),
-            Err(e) => {
-                eprintln!("cannot write store {}: {e}", dest.display());
-                std::process::exit(1);
-            }
-        }
+        let s = or_exit(result, format_args!("cannot write store {}", dest.display()));
+        println!(
+            "tib2 store:       {} ({} ranks, {} actions, {} segments, {} bytes, fingerprint {:#018x})",
+            dest.display(),
+            s.ranks,
+            s.actions,
+            s.segments,
+            s.bytes,
+            s.fingerprint
+        );
     }
 
     if let Some(out) = &out {
         // panics: --out always materializes the trace above
         let trace = trace.as_ref().unwrap();
-        if let Err(e) = std::fs::create_dir_all(out) {
-            eprintln!("cannot create {}: {e}", out.display());
-            std::process::exit(1);
-        }
-        match trace.save_per_process(out) {
-            Ok(files) => {
-                println!(
-                    "wrote {} ({} files, {} actions, pattern {pattern})",
-                    out.display(),
-                    files.len(),
-                    trace.num_actions()
-                );
-            }
-            Err(e) => {
-                eprintln!("cannot write trace set: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(std::fs::create_dir_all(out), format_args!("cannot create {}", out.display()));
+        let files = or_exit(trace.save_per_process(out), "cannot write trace set");
+        println!(
+            "wrote {} ({} files, {} actions, pattern {pattern})",
+            out.display(),
+            files.len(),
+            trace.num_actions()
+        );
     }
 }

@@ -21,8 +21,10 @@ use titlint::{lint_dir_jobs, LintCode, LintConfig, Severity};
 
 const USAGE: &str = "tit-lint --trace-dir DIR --np N [--format text|json] [--deny-warnings] [--allow CODES] [--warn CODES] [--error CODES] [--jobs N]";
 
-fn apply_levels(cfg: &mut LintConfig, spec: &str, level: Severity) {
-    for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+/// Sets every code `--{flag}` lists to `level`.
+fn apply_levels(args: &Args, cfg: &mut LintConfig, flag: &str, level: Severity) {
+    let Some(codes) = args.get(flag) else { return };
+    for item in codes.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         if item.eq_ignore_ascii_case("all") {
             for code in LintCode::ALL {
                 cfg.set_level(code, level);
@@ -33,42 +35,33 @@ fn apply_levels(cfg: &mut LintConfig, spec: &str, level: Severity) {
             Some(code) => {
                 cfg.set_level(code, level);
             }
-            None => {
-                eprintln!("unknown lint code {item:?} (codes are TL0001..TL0020)");
-                std::process::exit(2);
-            }
+            None => args.usage_error(&format!(
+                "--{flag}: unknown lint code {item:?} (codes are TL0001..TL0020)"
+            )),
         }
     }
 }
 
 fn main() {
-    let args = Args::from_env();
-    let dir = PathBuf::from(args.require("trace-dir", USAGE));
+    let args = Args::from_env(USAGE);
+    let dir = PathBuf::from(args.require("trace-dir"));
     let np: usize = args.get_or("np", 0);
     if np == 0 {
-        eprintln!("missing --np\nusage: {USAGE}");
-        std::process::exit(2);
+        args.usage_error("missing --np");
     }
 
     let mut cfg = LintConfig::default();
-    if let Some(spec) = args.get("allow") {
-        apply_levels(&mut cfg, spec, Severity::Allow);
-    }
-    if let Some(spec) = args.get("warn") {
-        apply_levels(&mut cfg, spec, Severity::Warn);
-    }
-    if let Some(spec) = args.get("error") {
-        apply_levels(&mut cfg, spec, Severity::Error);
-    }
+    apply_levels(&args, &mut cfg, "allow", Severity::Allow);
+    apply_levels(&args, &mut cfg, "warn", Severity::Warn);
+    apply_levels(&args, &mut cfg, "error", Severity::Error);
 
     let report = lint_dir_jobs(&dir, np, &cfg, args.get_or("jobs", 1));
     match args.get_or("format", "text".to_string()).as_str() {
         "text" => print!("{}", report.render_text()),
         "json" => println!("{}", report.to_json()),
-        other => {
-            eprintln!("unknown format {other:?} (expected text or json)");
-            std::process::exit(2);
-        }
+        other => args.usage_error(&format!(
+            "--format: unknown value {other:?} (expected text|json)"
+        )),
     }
     let fail = report.has_errors() || (args.has_flag("deny-warnings") && report.warnings() > 0);
     std::process::exit(i32::from(fail));

@@ -3,7 +3,7 @@
 //! without re-running the simulation.
 //!
 //! ```text
-//! tit-profile --input timed.csv [--format text|json] [--out FILE]
+//! tit-profile --input CSV [--format text|json] [--out FILE]
 //! ```
 //!
 //! Each `rank,action,start,end,volume` row is mapped back to its action
@@ -21,7 +21,7 @@
 use tit_replay::tags;
 use titobs::Profile;
 
-const USAGE: &str = "tit-profile --input timed.csv [--format text|json] [--out FILE]";
+const USAGE: &str = "tit-profile --input CSV [--format text|json] [--out FILE]";
 
 /// Ranks a CSV row may name: far above the paper's largest run (1024
 /// ranks), and small enough that the per-rank tables stay bounded.
@@ -33,18 +33,14 @@ fn die(input: &str, lineno: usize, what: &str, line: &str) -> ! {
 }
 
 fn main() {
-    let args = tit_cli::Args::from_env();
-    let input = args.require("input", USAGE);
+    let args = tit_cli::Args::from_env(USAGE);
+    let input = args.require("input");
     let format = args.get_or("format", "text".to_string());
     if format != "text" && format != "json" {
-        eprintln!("unknown format {format:?} (expected text or json)\nusage: {USAGE}");
-        std::process::exit(2);
+        args.usage_error(&format!("--format: unknown value {format:?} (expected text|json)"));
     }
 
-    let text = std::fs::read_to_string(&input).unwrap_or_else(|e| {
-        eprintln!("cannot read {input}: {e}");
-        std::process::exit(1);
-    });
+    let text = tit_cli::or_exit(std::fs::read_to_string(&input), format_args!("cannot read {input}"));
 
     let profile = Profile::new(0, tags::name, tags::is_comm);
     let mut sink = profile.sink();

@@ -124,10 +124,6 @@ const USAGE: &str = "tit-replay (--trace-dir DIR --np N | --store FILE [--mem-bu
 /// replay that lost actions.
 const EXIT_PARTIAL: i32 = 3;
 
-fn usage_error(msg: &str) -> ! {
-    tit_cli::usage_error(msg, USAGE)
-}
-
 fn open_atomic(path: &str) -> BufWriter<AtomicFile> {
     let file = or_exit(AtomicFile::create(Path::new(path)), format_args!("cannot create {path}"));
     BufWriter::with_capacity(1 << 16, file)
@@ -168,45 +164,43 @@ const CONFLICTS: [(&str, &[&str], &str); 6] = [
 ];
 
 fn main() {
-    let args = Args::from_env_listed(USAGE);
+    let args = Args::from_env(USAGE);
     // Input selection: a per-rank trace directory or a TIB2 store.
     let store_path = args.get("store").map(str::to_owned);
     if store_path.is_some() && args.get("trace-dir").is_some() {
-        usage_error("--store and --trace-dir are mutually exclusive");
+        args.usage_error("--store and --trace-dir are mutually exclusive");
     }
     let dir = match &store_path {
         Some(_) => PathBuf::new(),
-        None => PathBuf::from(args.require("trace-dir", USAGE)),
+        None => PathBuf::from(args.require("trace-dir")),
     };
 
     // Robustness-mode flags and their interactions (exit 2 on misuse).
     let degraded = args.has_flag("degraded");
-    let lint = args.has_flag("lint") || args.get("lint").is_some();
+    let lint = args.has_flag("lint");
     let checkpoint = args.get("checkpoint").map(str::to_owned);
     let resume = args.get("resume").map(str::to_owned);
     let every: u64 = args.get_or("checkpoint-every", 0);
     let stop_after: Option<u64> = args.get("stop-after-checkpoints").map(|s| match s.parse() {
         Ok(v) => v,
-        Err(_) => usage_error("--stop-after-checkpoints wants a count"),
+        Err(_) => args.usage_error("--stop-after-checkpoints wants a count"),
     });
     let jobs: usize = args.get_or("jobs", 1);
     let given = |flag: &str| match flag {
-        "degraded" => degraded,
-        "lint" => lint,
         "jobs" => jobs != 1,
         "checkpoint-every" => every != 0,
-        _ => args.get(flag).is_some(),
+        _ => args.has_flag(flag),
     };
     for (flag, others, why) in CONFLICTS {
         let with: Vec<String> =
             others.iter().filter(|o| given(o)).map(|o| format!("--{o}")).collect();
         if given(flag) && !with.is_empty() {
-            usage_error(&format!("--{flag} cannot be combined with {}: {why}", with.join(" ")));
+            args.usage_error(&format!("--{flag} cannot be combined with {}: {why}", with.join(" ")));
         }
     }
     for flag in &CHECKPOINTING[2..] {
         if given(flag) && checkpoint.is_none() {
-            usage_error(&format!("--{flag} needs --checkpoint FILE"));
+            args.usage_error(&format!("--{flag} needs --checkpoint FILE"));
         }
     }
     let checkpointing = checkpoint.is_some() || resume.is_some();
@@ -221,14 +215,14 @@ fn main() {
             let n = s.num_ranks();
             let asked: usize = args.get_or("np", n);
             if asked != n {
-                usage_error(&format!("--np {asked} does not match the store's {n} rank(s)"));
+                args.usage_error(&format!("--np {asked} does not match the store's {n} rank(s)"));
             }
             n
         }
         None => {
             let np = args.get_or("np", 0);
             if np == 0 {
-                usage_error("missing --np");
+                args.usage_error("missing --np");
             }
             np
         }
@@ -236,12 +230,12 @@ fn main() {
     let mem_budget: Option<u64> = args.get("mem-budget").map(|s| {
         match tit_cli::parse_byte_size(s) {
             Ok(v) if v > 0 => v,
-            Ok(_) => usage_error("--mem-budget wants a positive byte size"),
-            Err(e) => usage_error(&e),
+            Ok(_) => args.usage_error("--mem-budget wants a positive byte size"),
+            Err(e) => args.usage_error(&e),
         }
     });
     if mem_budget.is_some() && store.is_none() {
-        usage_error("--mem-budget needs --store (directory replays stream at O(ranks) anyway)");
+        args.usage_error("--mem-budget needs --store (directory replays stream at O(ranks) anyway)");
     }
     let budget = Arc::new(mem_budget.map_or_else(MemBudget::unlimited, MemBudget::new));
 
@@ -251,13 +245,13 @@ fn main() {
     let want_timeres = time_resolved.is_some() || time_resolved_csv.is_some();
     let window: Option<f64> = args.get("window").map(|s| match s.parse::<f64>() {
         Ok(v) if v > 0.0 && v.is_finite() => v,
-        _ => usage_error("--window wants a positive number of simulated seconds"),
+        _ => args.usage_error("--window wants a positive number of simulated seconds"),
     });
     if window.is_some() && !want_timeres {
-        usage_error("--window needs --time-resolved or --time-resolved-csv");
+        args.usage_error("--window needs --time-resolved or --time-resolved-csv");
     }
     let kernel_profile_path = args.get("kernel-profile").map(str::to_owned);
-    let spec = tit_cli::spec(&args, USAGE);
+    let spec = tit_cli::spec(&args);
 
     let metrics = Metrics::new();
     if lint {
@@ -279,7 +273,7 @@ fn main() {
 
     // Assemble the streaming observer set. `--profile` doubles as a
     // flag (text table to stdout) and a `--profile FILE` pair (JSON).
-    let want_profile = args.has_flag("profile") || args.get("profile").is_some();
+    let want_profile = args.has_flag("profile");
     let want_metrics_file = args.get("metrics").is_some();
     let mut fan = simkern::observer::Fanout::new();
     let mut stream = |flag: &str, format, what: &str| {

@@ -4,34 +4,32 @@
 //! tit-stats --trace-dir DIR --np N [--validate] [--compress]
 //! tit-stats --trace FILE [--validate] [--compress]
 //! ```
+//!
+//! `--validate` runs the `titlint` static analyzer on the loaded trace:
+//! `validation:       OK` (exit 0) when it finds no error, otherwise its
+//! error findings (exit 1).
 
 use std::path::PathBuf;
-use tit_cli::Args;
-use tit_core::{validate, TiTrace, TraceStats};
+use tit_cli::{or_exit, Args};
+use tit_core::{TiTrace, TraceStats};
+use titlint::Severity;
 
 const USAGE: &str = "tit-stats (--trace-dir DIR --np N | --trace FILE) [--validate] [--compress]";
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     let trace = if let Some(dir) = args.get("trace-dir") {
         let np: usize = args.get_or("np", 0);
         if np == 0 {
-            tit_cli::usage_error("missing --np", USAGE);
+            args.usage_error("missing --np");
         }
         // Exactly ranks 0..np: a missing rank file is an error naming
         // the rank, and files past np are not read.
-        tit_core::load_exact(&PathBuf::from(dir), np, 1).unwrap_or_else(|e| {
-            eprintln!("cannot load traces: {e}");
-            std::process::exit(1);
-        })
+        or_exit(tit_core::load_exact(&PathBuf::from(dir), np, 1), "cannot load traces")
     } else if let Some(file) = args.get("trace") {
-        TiTrace::load_merged(&PathBuf::from(file)).unwrap_or_else(|e| {
-            eprintln!("cannot load trace: {e}");
-            std::process::exit(1);
-        })
+        or_exit(TiTrace::load_merged(&PathBuf::from(file)), "cannot load trace")
     } else {
-        eprintln!("usage: {USAGE}");
-        std::process::exit(2);
+        args.usage_error("missing --trace-dir or --trace");
     };
 
     let stats = TraceStats::of(&trace);
@@ -47,7 +45,7 @@ fn main() {
 
     if args.has_flag("compress") {
         let mut buf = Vec::new();
-        trace.write_merged(&mut buf).expect("serialise");
+        or_exit(trace.write_merged(&mut buf), "cannot serialise the trace");
         let compressed = tit_core::compress::compress(&buf);
         println!(
             "compressed:       {:.2} MiB ({:.1}x)",
@@ -57,13 +55,13 @@ fn main() {
     }
 
     if args.has_flag("validate") {
-        let errors = validate(&trace);
-        if errors.is_empty() {
+        let report = titlint::analyze(&trace);
+        if !report.has_errors() {
             println!("validation:       OK");
         } else {
-            println!("validation:       {} error(s)", errors.len());
-            for e in errors.iter().take(20) {
-                println!("  {e}");
+            println!("validation:       {} error(s)", report.errors());
+            for f in report.findings.iter().filter(|f| f.severity == Severity::Error).take(20) {
+                println!("  {f}");
             }
             std::process::exit(1);
         }

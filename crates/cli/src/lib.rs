@@ -13,12 +13,14 @@
 //! * `tit-lint` — static trace analyzer: ordered send/recv matching,
 //!   guaranteed-deadlock detection, collective alignment and volume
 //!   sanity, with stable lint codes and JSON output.
-//! * `tit-stats` — trace statistics and validation (Table 3's columns).
+//! * `tit-stats` — trace statistics (Table 3's columns) and the
+//!   `titlint` structural check.
 //! * `tit-calibrate` — flop rate, ping-pong latency, piecewise fit
 //!   (Section 5's calibration).
 //!
-//! Argument parsing is a deliberately small `--key value` convention
-//! (no external dependency): [`Args`].
+//! Each tool's usage line is its argument grammar (no external
+//! dependency): [`Args`] reads the flags it lists and refuses anything
+//! else with exit code 2.
 
 #![forbid(unsafe_code)]
 
@@ -30,93 +32,129 @@ use tit_platform::deployment::Deployment;
 use tit_platform::desc::PlatformDesc;
 use tit_replay::{Placement, PlatformSource, ReplayConfig, Spec, SpecError};
 
-/// Minimal `--key value` / `--flag` parser.
-#[derive(Debug, Default)]
+/// What a flag of a usage line takes after its name.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// A lone `--name`.
+    Nothing,
+    /// `--name META`.
+    Value,
+    /// `[--name [META]]`.
+    Optional,
+}
+
+/// The flags a usage line lists, with what each takes: `--name META`
+/// (an upper-case metavariable or an `a|b` list) takes a value, a lone
+/// `--name` takes none, and `[--name [META]]` takes an optional one.
+fn grammar(usage: &str) -> Vec<(&str, Takes)> {
+    let is_meta = |w: &str| {
+        let w = w.trim_end_matches([']', ')']);
+        !w.is_empty()
+            && !w.starts_with('-')
+            && (w.contains('|') || w.chars().all(|c| c.is_ascii_uppercase() || ".:_-".contains(c)))
+    };
+    let words: Vec<&str> = usage.split_whitespace().collect();
+    let mut flags = Vec::new();
+    for (i, word) in words.iter().enumerate() {
+        let Some(at) = word.find("--") else { continue };
+        let rest = &word[at + 2..];
+        let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        let (name, closed) = rest.split_at(end.unwrap_or(rest.len()));
+        let next = words.get(i + 1).copied().unwrap_or("");
+        let takes = match next.strip_prefix('[') {
+            _ if !closed.is_empty() => Takes::Nothing,
+            Some(inner) if is_meta(inner) => Takes::Optional,
+            None if is_meta(next) => Takes::Value,
+            _ => Takes::Nothing,
+        };
+        flags.push((name, takes));
+    }
+    flags
+}
+
+/// Command-line flags, read by the grammar of the tool's usage line
+/// (see [`Args::from_env`]).
+#[derive(Debug)]
 pub struct Args {
+    usage: &'static str,
     values: HashMap<String, String>,
-    flags: Vec<String>,
-    positional: Vec<String>,
+    given: Vec<String>,
 }
 
 impl Args {
-    /// Parses raw arguments (without the program name). `--key value`
-    /// pairs, bare `--flag`s (followed by another `--` or end), and
-    /// positional values.
-    pub fn parse(raw: impl IntoIterator<Item = String>) -> Self {
-        let mut out = Args::default();
-        let mut it = raw.into_iter().peekable();
-        while let Some(tok) = it.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                match it.next_if(|v| !v.starts_with("--")) {
-                    Some(v) => {
-                        out.values.insert(key.to_string(), v);
-                    }
-                    None => out.flags.push(key.to_string()),
+    /// Parses raw arguments (without the program name) against the
+    /// flags `usage` lists; an error names the refused token.
+    fn parse(usage: &'static str, raw: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let grammar = grammar(usage);
+        let mut args = Args { usage, values: HashMap::new(), given: Vec::new() };
+        let mut raw = raw.into_iter().peekable();
+        while let Some(tok) = raw.next() {
+            let Some(name) = tok.strip_prefix("--") else {
+                return Err(format!("unexpected argument {tok:?}"));
+            };
+            let Some(&(_, takes)) = grammar.iter().find(|(n, _)| *n == name) else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            match (takes, raw.next_if(|v| !v.starts_with("--"))) {
+                (Takes::Nothing, Some(word)) => {
+                    return Err(format!("--{name} takes no value, got {word:?}"));
                 }
-            } else {
-                out.positional.push(tok);
+                (Takes::Value, None) => return Err(format!("--{name} needs a value")),
+                (_, Some(value)) => {
+                    args.values.insert(name.to_string(), value);
+                }
+                (_, None) => {}
             }
+            args.given.push(name.to_string());
         }
-        out
+        Ok(args)
     }
 
-    /// From the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// From the process arguments, parsed against the flags `usage`
+    /// lists. Refused with exit 2, a message naming the offending token
+    /// and then the usage line: a flag `usage` does not list, a value
+    /// flag with no value, and a word no flag takes (a bare flag's next
+    /// word, or any word past a flag's value). A value is the next
+    /// argument not starting with `--`.
+    pub fn from_env(usage: &'static str) -> Self {
+        Self::parse(usage, std::env::args().skip(1)).unwrap_or_else(|msg| usage_exit(&msg, usage))
     }
 
-    /// From the process arguments of a tool whose `usage` line lists
-    /// every flag it takes: any other `--flag` exits 2, naming it.
-    pub fn from_env_listed(usage: &str) -> Self {
-        let args = Self::from_env();
-        let listed = |name: &str| {
-            usage
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                .any(|word| word.strip_prefix("--") == Some(name))
-        };
-        if let Some(name) = args.values.keys().chain(&args.flags).filter(|k| !listed(k)).min() {
-            usage_error(&format!("unknown flag --{name}"), usage);
-        }
-        args
-    }
-
+    /// The value given to `key`, if any.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
 
-    /// Required string value or exit with a message.
-    pub fn require(&self, key: &str, usage: &str) -> String {
+    /// Required string value or exit 2 with a message.
+    pub fn require(&self, key: &str) -> String {
         match self.get(key) {
             Some(v) => v.to_string(),
-            None => {
-                eprintln!("missing --{key}\nusage: {usage}");
-                std::process::exit(2);
-            }
+            None => self.usage_error(&format!("missing --{key}")),
         }
     }
 
-    /// Parsed value with default.
+    /// Parsed value with default; a value that does not parse exits 2.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.get(key) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value for --{key}: {v:?}");
-                std::process::exit(2);
-            }),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| self.usage_error(&format!("invalid value for --{key}: {v:?}"))),
         }
     }
 
+    /// True when `name` was given, with or without a value.
     pub fn has_flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.given.iter().any(|f| f == name)
     }
 
-    pub fn positional(&self) -> &[String] {
-        &self.positional
+    /// Prints `msg` and the usage line to stderr and exits 2.
+    pub fn usage_error(&self, msg: &str) -> ! {
+        usage_exit(msg, self.usage)
     }
 }
 
-/// Prints `msg` and the usage line to stderr and exits 2.
-pub fn usage_error(msg: &str, usage: &str) -> ! {
+fn usage_exit(msg: &str, usage: &str) -> ! {
     eprintln!("{msg}\nusage: {usage}");
     std::process::exit(2);
 }
@@ -150,9 +188,9 @@ fn load_xml<T, E: Display>(path: &str, what: &str, parse: impl FnOnce(&str) -> R
 /// `--collectives`, `--kernel` and `--max-wall SECS`. Without
 /// `--platform` the platform is a bordereau-like cluster of `--nodes`
 /// (default: one per rank) single-core nodes; without `--deploy` ranks
-/// map round-robin. A value the spec refuses exits 2 with `usage`,
-/// naming the flag; an unreadable or malformed file exits 1.
-pub fn spec(args: &Args, usage: &str) -> Spec {
+/// map round-robin. A value the spec refuses exits 2 with the usage
+/// line, naming the flag; an unreadable or malformed file exits 1.
+pub fn spec(args: &Args) -> Spec {
     let mut spec = Spec::default();
     if let Some(path) = args.get("platform") {
         spec.platform =
@@ -164,7 +202,7 @@ pub fn spec(args: &Args, usage: &str) -> Spec {
     }
     let check = |flag: &str, set: Result<(), SpecError>| {
         if let Err(e) = set {
-            usage_error(&format!("--{flag}: {e}"), usage);
+            args.usage_error(&format!("--{flag}: {e}"));
         }
     };
     for flag in ["network", "collectives", "kernel"] {
@@ -190,27 +228,27 @@ pub fn build(spec: &Spec, np: usize) -> (Platform, Vec<HostId>, ReplayConfig) {
 }
 
 /// Parses a Table 2 mode label (`R`, `F-8`, `S-2`, `SF-2,8` or
-/// `SF-(2,8)`).
+/// `SF-(2,8)`): a folding factor is at least 1, and the only scattered
+/// scenario modelled has 2 sites.
 pub fn parse_mode(s: &str) -> Result<mpi_emul::AcquisitionMode, String> {
     use mpi_emul::AcquisitionMode as M;
     let s = s.trim();
-    if s.eq_ignore_ascii_case("r") {
-        return Ok(M::Regular);
-    }
-    if let Some(x) = s.strip_prefix("F-").or_else(|| s.strip_prefix("f-")) {
-        return x.parse().map(M::Folding).map_err(|_| format!("bad folding factor in {s:?}"));
-    }
-    if let Some(y) = s.strip_prefix("S-").or_else(|| s.strip_prefix("s-")) {
-        return y.parse().map(M::Scattering).map_err(|_| format!("bad site count in {s:?}"));
-    }
-    if let Some(rest) = s.strip_prefix("SF-").or_else(|| s.strip_prefix("sf-")) {
+    let label = s.to_ascii_uppercase();
+    let count = |x: &str| x.trim().parse::<usize>().ok();
+    let mode = if label == "R" {
+        Some(M::Regular)
+    } else if let Some(rest) = label.strip_prefix("SF-") {
         let rest = rest.trim_start_matches('(').trim_end_matches(')');
-        let (u, v) = rest.split_once(',').ok_or_else(|| format!("bad SF mode {s:?}"))?;
-        let u = u.trim().parse().map_err(|_| format!("bad site count in {s:?}"))?;
-        let v = v.trim().parse().map_err(|_| format!("bad folding factor in {s:?}"))?;
-        return Ok(M::ScatterFold(u, v));
+        rest.split_once(',').and_then(|(u, v)| Some(M::ScatterFold(count(u)?, count(v)?)))
+    } else if let Some(x) = label.strip_prefix("F-") {
+        count(x).map(M::Folding)
+    } else {
+        label.strip_prefix("S-").and_then(count).map(M::Scattering)
+    };
+    match mode {
+        Some(m @ (M::Regular | M::Folding(1..) | M::Scattering(2) | M::ScatterFold(2, 1..))) => Ok(m),
+        _ => Err(format!("unknown acquisition mode {s:?} (expected R, F-x, S-2, SF-2,x with x >= 1)")),
     }
-    Err(format!("unknown acquisition mode {s:?} (expected R, F-x, S-y, SF-u,v)"))
 }
 
 /// Parses a byte size with an optional binary-power suffix:
@@ -239,27 +277,38 @@ mod tests {
     use super::*;
     use mpi_emul::AcquisitionMode as M;
 
-    fn args(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
+    const USAGE: &str = "tool (--dir DIR --np N | --store FILE) [--mode R|F-x] [--profile [FILE]] [--validate] [--jobs N]";
+
+    fn args(s: &str) -> Result<Args, String> {
+        Args::parse(USAGE, s.split_whitespace().map(String::from))
     }
 
     #[test]
-    fn parses_pairs_flags_positionals() {
-        // A bare flag is one followed by another `--` option or the end;
-        // `--key value` pairs are greedy.
-        let a = args("file.trace --np 8 --validate --out dir");
-        assert_eq!(a.get("np"), Some("8"));
-        assert!(a.has_flag("validate"));
-        assert_eq!(a.get("out"), Some("dir"));
-        assert_eq!(a.positional(), &["file.trace".to_string()]);
+    fn parses_values_bare_and_optional_flags() {
+        let a = args("--np 8 --validate --dir d --profile --mode F-2").unwrap();
+        assert_eq!((a.get("np"), a.get("dir"), a.get("mode")), (Some("8"), Some("d"), Some("F-2")));
+        assert!(a.has_flag("validate") && a.has_flag("profile") && a.has_flag("np"));
+        assert!(!a.has_flag("jobs"));
+        assert_eq!(a.get("profile"), None);
         assert_eq!(a.get_or("np", 0usize), 8);
-        assert_eq!(a.get_or("missing", 3usize), 3);
+        assert_eq!(a.get_or("jobs", 3usize), 3);
+        let a = args("--store s.tib2 --profile p.json").unwrap();
+        assert_eq!((a.get("store"), a.get("profile")), (Some("s.tib2"), Some("p.json")));
     }
 
     #[test]
-    fn trailing_flag() {
-        let a = args("--np 4 --profile");
-        assert!(a.has_flag("profile"));
+    fn refusals_name_the_offending_token() {
+        for (argv, msg) in [
+            ("--np 4 --jbos 2", "unknown flag --jbos"),
+            ("--tool", "unknown flag --tool"),
+            ("--np --validate", "--np needs a value"),
+            ("--dir", "--dir needs a value"),
+            ("--validate yes", "--validate takes no value, got \"yes\""),
+            ("--np 4 --validate --dir d yes", "unexpected argument \"yes\""),
+            ("stray --np 4", "unexpected argument \"stray\""),
+        ] {
+            assert_eq!(args(argv).unwrap_err(), msg, "{argv}");
+        }
     }
 
     #[test]
@@ -286,7 +335,9 @@ mod tests {
         assert_eq!(parse_mode("S-2").unwrap(), M::Scattering(2));
         assert_eq!(parse_mode("SF-2,16").unwrap(), M::ScatterFold(2, 16));
         assert_eq!(parse_mode("SF-(2,4)").unwrap(), M::ScatterFold(2, 4));
-        assert!(parse_mode("Q-9").is_err());
+        for bad in ["Q-9", "F-0", "F-x", "S-3", "SF-3,2", "SF-2,0", "SF-2"] {
+            assert!(parse_mode(bad).is_err(), "{bad}");
+        }
         for m in [M::Regular, M::Folding(2), M::Scattering(2), M::ScatterFold(2, 8)] {
             assert_eq!(parse_mode(&m.label()).unwrap(), m);
         }

@@ -37,16 +37,19 @@ fn full_pipeline_through_the_binaries() {
     assert!(text.contains("mode:            F-2"), "{text}");
     assert!(tau.join("tautrace.3.0.0.trc").exists());
 
-    // Extract + bundle.
+    // Extract + bundle + the binary (TIB2) form.
+    let store = dir.join("ti.tib2");
     let (ok, text) = run(
         env!("CARGO_BIN_EXE_tit-extract"),
         &[
             "--tau", tau.to_str().unwrap(), "--np", "4",
             "--out", ti.to_str().unwrap(), "--bundle", bundle.to_str().unwrap(),
+            "--tib2", store.to_str().unwrap(),
         ],
     );
     assert!(ok, "tit-extract failed:\n{text}");
     assert!(text.contains("actions written"), "{text}");
+    assert!(text.contains("tib2 store:"), "{text}");
     assert!(ti.join("SG_process0.trace").exists());
     assert!(bundle.exists());
 
@@ -71,8 +74,18 @@ fn full_pipeline_through_the_binaries() {
         ],
     );
     assert!(ok, "tit-replay failed:\n{text}");
-    assert!(text.contains("simulated time:"), "{text}");
+    let sim_line = |text: &str| text.lines().find(|l| l.starts_with("simulated time:")).map(str::to_owned);
+    let sim = sim_line(&text);
+    assert!(sim.is_some(), "{text}");
     assert!(timed.exists());
+
+    // The store replays to the same simulated time as the directory.
+    let (ok, text) = run(
+        env!("CARGO_BIN_EXE_tit-replay"),
+        &["--store", store.to_str().unwrap(), "--nodes", "4"],
+    );
+    assert!(ok, "tit-replay --store failed:\n{text}");
+    assert_eq!(sim_line(&text), sim, "{text}");
     let csv = std::fs::read_to_string(&timed).unwrap();
     assert!(csv.starts_with("rank,action,start,end,volume"));
     let paje_text = std::fs::read_to_string(&paje).unwrap();
@@ -705,6 +718,106 @@ fn stats_loads_exactly_np_ranks() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     let (code, stderr) = run_code(bin, &["--trace-dir", dir]);
     assert_eq!(code, Some(2), "{stderr}");
+}
+
+/// The `tit-serve` binary, which the serve crate builds next to this
+/// crate's binaries (`cargo test --workspace` builds both).
+fn tit_serve() -> PathBuf {
+    let path = PathBuf::from(env!("CARGO_BIN_EXE_tit-replay")).with_file_name("tit-serve");
+    assert!(path.exists(), "{} is not built: run cargo build -p tit-serve", path.display());
+    path
+}
+
+/// `tit-stats --validate` reports titlint's error findings: a request
+/// never waited is TL0008, exit 1.
+#[test]
+fn stats_validate_prints_the_error_findings() {
+    let dir = write_traces("statsval", &["p0 Irecv p1\n", "p1 send p0 100\n"]);
+    let out = Command::new(env!("CARGO_BIN_EXE_tit-stats"))
+        .args(["--trace-dir", dir.to_str().unwrap(), "--np", "2", "--validate"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("validation:       1 error(s)"), "{stdout}");
+    assert!(stdout.contains("error[TL0008]"), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every binary reads its flags by its usage line. An unknown flag, a
+/// value flag given no value, a bare flag given a word, a stray word
+/// and a value the flag does not accept exit 2: a message line naming
+/// the offending flag or word, then the usage line.
+#[test]
+fn every_binary_refuses_what_its_usage_line_does_not_allow() {
+    let ring4 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/traces/ring4");
+    let ring4 = ring4.to_str().unwrap();
+    let dir = std::env::temp_dir().join(format!("titr-cliusage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.join("out");
+    let out = out.to_str().unwrap();
+    let csv = dir.join("timed.csv");
+    let csv = csv.to_str().unwrap();
+    let serve = tit_serve();
+    let serve = serve.to_str().unwrap();
+    let table: &[(&str, &[&str], &str)] = &[
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--out", out, "--np", "4", "--bogus", "1"], "--bogus"),
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--np", "4", "--out"], "--out"),
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--workload", "lu", "--np", "3", "--out", out], "--np"),
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--np", "0", "--out", out], "--np"),
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--mode", "F-0", "--out", out], "--mode"),
+        (env!("CARGO_BIN_EXE_tit-acquire"), &["--workload", "ring", "--np", "1", "--out", out], "--np"),
+        (env!("CARGO_BIN_EXE_tit-extract"), &["--tau", out, "--np", "4", "--out", out, "--binary"], "--binary"),
+        (env!("CARGO_BIN_EXE_tit-extract"), &["--tau", out, "--np", "4", "--out", out, "--threads", "2"], "--threads"),
+        (env!("CARGO_BIN_EXE_tit-extract"), &["--tau", out, "--np", "--out", out], "--np"),
+        (env!("CARGO_BIN_EXE_tit-extract"), &["--tau", out, "--np", "4", "--out", out, "--arity", "0"], "--arity"),
+        (env!("CARGO_BIN_EXE_tit-replay"), &["--trace-dir", ring4, "--np", "4", "--netwrok", "flow"], "--netwrok"),
+        (
+            env!("CARGO_BIN_EXE_tit-replay"),
+            &["--trace-dir", ring4, "--np", "4", "--checkpoint", out, "--max-wall", "--checkpoint-every", "5"],
+            "--max-wall",
+        ),
+        (env!("CARGO_BIN_EXE_tit-replay"), &["--trace-dir", ring4, "--np", "4", "--degraded", "yes"], "--degraded"),
+        (env!("CARGO_BIN_EXE_tit-replay"), &["--trace-dir", ring4, "--np", "4", "--lint", "yes"], "--lint"),
+        (env!("CARGO_BIN_EXE_tit-stats"), &["--trace-dir", ring4, "--np", "4", "--validte"], "--validte"),
+        (env!("CARGO_BIN_EXE_tit-stats"), &["--trace-dir", ring4, "--np"], "--np"),
+        (env!("CARGO_BIN_EXE_tit-stats"), &["--trace-dir", ring4, "--np", "4", "--validate", "yes"], "--validate"),
+        (env!("CARGO_BIN_EXE_tit-stats"), &[ring4], ring4),
+        (env!("CARGO_BIN_EXE_tit-calibrate"), &["--runs", "1", "--bogus"], "--bogus"),
+        (env!("CARGO_BIN_EXE_tit-calibrate"), &["--runs"], "--runs"),
+        (env!("CARGO_BIN_EXE_tit-calibrate"), &["--np", "3"], "--np"),
+        (env!("CARGO_BIN_EXE_tit-calibrate"), &["--np", "0"], "--np"),
+        (env!("CARGO_BIN_EXE_tit-calibrate"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_tit-diff"), &["--a", ring4, "--b", ring4, "--tolerence", "0.1"], "--tolerence"),
+        (env!("CARGO_BIN_EXE_tit-diff"), &["--a", ring4, "--b"], "--b"),
+        (env!("CARGO_BIN_EXE_tit-diff"), &["--a", ring4, "--b", ring4, "--coalesce", "yes"], "--coalesce"),
+        (env!("CARGO_BIN_EXE_tit-lint"), &["--trace-dir", ring4, "--np", "4", "--bogus"], "--bogus"),
+        (env!("CARGO_BIN_EXE_tit-lint"), &["--trace-dir", ring4, "--np", "4", "--allow"], "--allow"),
+        (env!("CARGO_BIN_EXE_tit-lint"), &["--trace-dir", ring4, "--np", "4", "--deny-warnings", "yes"], "--deny-warnings"),
+        (env!("CARGO_BIN_EXE_tit-profile"), &["--input", csv, "--fromat", "json"], "--fromat"),
+        (env!("CARGO_BIN_EXE_tit-profile"), &["--input"], "--input"),
+        (env!("CARGO_BIN_EXE_tit-analyze"), &["--trace-dir", ring4, "--np", "4", "--kernel", "reference"], "--kernel"),
+        (env!("CARGO_BIN_EXE_tit-analyze"), &["--trace-dir", ring4, "--np", "4", "--json"], "--json"),
+        (env!("CARGO_BIN_EXE_tit-gen"), &["--out", out, "--np", "4", "--pattern", "ring", "--iter", "10"], "--iter"),
+        (env!("CARGO_BIN_EXE_tit-gen"), &["--out", out, "--np", "4", "--pattern"], "--pattern"),
+        (env!("CARGO_BIN_EXE_tit-gen"), &["--out", out, "--np", "3", "--pattern", "lu"], "--np"),
+        (serve, &["--addr", "127.0.0.1:0", "--worker", "4", "--drain-on-stdin"], "--worker"),
+        (serve, &["--workers", "--drain-on-stdin"], "--workers"),
+        (serve, &["--drain-on-stdin", "yes"], "--drain-on-stdin"),
+    ];
+    let mut binaries: Vec<&str> = table.iter().map(|&(bin, _, _)| bin).collect();
+    binaries.dedup();
+    assert_eq!(binaries.len(), 11, "every binary has rows");
+    for &(bin, argv, named) in table {
+        let name = std::path::Path::new(bin).file_name().unwrap().to_str().unwrap();
+        let (code, stderr) = run_code(bin, argv);
+        assert_eq!(code, Some(2), "{name} {argv:?}:\n{stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 2, "{name} {argv:?}:\n{stderr}");
+        assert!(lines[0].contains(named), "{name} {argv:?} must name {named}:\n{stderr}");
+        assert!(lines[1].starts_with(&format!("usage: {name} ")), "{name} {argv:?}:\n{stderr}");
+    }
+    assert!(!dir.exists(), "a refused run writes nothing");
 }
 
 #[test]

@@ -19,7 +19,8 @@
 //! This crate provides the action vocabulary ([`Action`], Table 1 of the
 //! paper), parsing and serialisation ([`codec`]), whole-trace containers
 //! and streaming per-process readers/writers ([`trace`]), statistics
-//! ([`stats`]), structural validation ([`validate()`]), the block
+//! ([`stats`]), the ordered point-to-point matching and collective
+//! sequences every structural check starts from ([`validate`]), the block
 //! compressor used for the paper's Section 6.5 compressed-size figure
 //! ([`compress`]), a struct-of-arrays interned form for the replay hot
 //! path ([`compact`]), parallel per-rank file ingestion ([`ingest`]),
@@ -36,7 +37,6 @@
 
 pub mod action;
 pub mod atomicio;
-pub mod binfmt;
 pub mod checkpoint;
 pub mod codec;
 pub mod compact;
@@ -62,11 +62,7 @@ pub use lru::Lru;
 pub use membudget::{MemBudget, MemoryExceeded};
 pub use tib2::{SegmentColumns, StoreError, Tib2Store, Tib2Writer};
 pub use ingest::{load_compact_exact, load_exact, load_per_process_jobs, IngestError};
-pub use binfmt::{BinaryTraceReader, BinaryTraceWriter};
 pub use codec::{format_action, parse_line, ParseError};
 pub use stats::TraceStats;
 pub use trace::{ProcessTraceReader, ProcessTraceWriter, TiTrace};
-pub use validate::{
-    collective_sequences, match_p2p, validate, MatchedPair, P2pEndpoint, P2pMatching,
-    ValidationError,
-};
+pub use validate::{collective_sequences, match_p2p, MatchedPair, P2pEndpoint, P2pMatching};

@@ -2,14 +2,12 @@
 //!
 //! Table 3 of the paper reports, per benchmark instance, the
 //! time-independent trace size in MiB and the number of actions in
-//! millions; this module computes both (and more) from in-memory traces or
-//! trace files.
+//! millions; this module computes both (and more) from in-memory traces.
 
 use crate::action::Action;
 use crate::codec::format_action_into;
 use crate::trace::TiTrace;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Aggregate statistics over a time-independent trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -51,24 +49,6 @@ impl TraceStats {
         s
     }
 
-    /// Streams statistics from trace files without loading them.
-    pub fn of_files(paths: &[std::path::PathBuf]) -> std::io::Result<Self> {
-        let mut s = TraceStats::default();
-        let mut line = String::with_capacity(64);
-        let mut max_pid = 0usize;
-        let mut any = false;
-        for p in paths {
-            let mut r = crate::trace::ProcessTraceReader::open(p)?;
-            while let Some((pid, a)) = r.next_action()? {
-                any = true;
-                max_pid = max_pid.max(pid);
-                s.add(pid, &a, &mut line);
-            }
-        }
-        s.num_processes = if any { max_pid + 1 } else { 0 };
-        Ok(s)
-    }
-
     fn add(&mut self, rank: usize, a: &Action, scratch: &mut String) {
         self.num_actions += 1;
         *self.per_keyword.entry(a.keyword()).or_insert(0) += 1;
@@ -98,11 +78,6 @@ impl TraceStats {
     pub fn actions_millions(&self) -> f64 {
         self.num_actions as f64 / 1e6
     }
-}
-
-/// Size of a file in MiB, for comparing on-disk trace formats.
-pub fn file_size_mib(path: &Path) -> std::io::Result<f64> {
-    Ok(std::fs::metadata(path)?.len() as f64 / (1024.0 * 1024.0))
 }
 
 #[cfg(test)]
@@ -156,17 +131,6 @@ mod tests {
         let mut buf = Vec::new();
         t.write_merged(&mut buf).unwrap();
         assert_eq!(s.encoded_bytes, buf.len() as u64);
-    }
-
-    #[test]
-    fn stream_and_memory_agree() {
-        let t = sample();
-        let dir = std::env::temp_dir().join(format!("titr-stats-{}", std::process::id()));
-        let paths = t.save_per_process(&dir).unwrap();
-        let s1 = TraceStats::of(&t);
-        let s2 = TraceStats::of_files(&paths).unwrap();
-        assert_eq!(s1, s2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -112,13 +112,6 @@ impl TiTrace {
         Ok(())
     }
 
-    /// Saves the merged layout to `path`.
-    pub fn save_merged(&self, path: &Path) -> std::io::Result<()> {
-        let mut w = BufWriter::with_capacity(1 << 20, File::create(path)?);
-        self.write_merged(&mut w)?;
-        w.flush()
-    }
-
     /// Merges adjacent `compute` actions per process (summing volumes).
     ///
     /// Extraction from TAU traces cannot distinguish two back-to-back

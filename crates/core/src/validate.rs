@@ -1,23 +1,14 @@
-//! Structural validation of time-independent traces.
+//! The structural primitives of trace checking.
 //!
-//! A trace that violates these rules cannot replay (it would deadlock or
-//! crash the replayer), so validation runs after extraction and before
-//! replay:
-//!
-//! * every point-to-point send has a matching receive (per ordered pair);
-//! * `comm_size` precedes any collective and is consistent across
-//!   processes (Section 3: "the `comm_size` action has to appear in the
-//!   trace file associated to each process prior to any collective");
-//! * all processes perform the same sequence of collective kinds;
-//! * a `wait` never outnumbers the non-blocking requests issued before it;
-//! * referenced ranks are within the process set.
-//!
-//! [`validate()`] is a compatibility wrapper kept for callers of the
-//! original aggregate checks; it is now implemented on top of the
-//! *ordered* per-pair matching primitives ([`match_p2p`],
-//! [`collective_sequences`]) shared with the `titlint` static analyzer,
-//! which supersedes it (deadlock-cycle detection, per-finding severities
-//! and source locations, JSON output).
+//! A trace that violates the replay's structural rules cannot replay
+//! (it would deadlock or crash the replayer). The `titlint` static
+//! analyzer checks those rules — send/receive balance, `comm_size`
+//! discipline, collective agreement, wait/request discipline, rank
+//! ranges — and more (deadlock cycles, volume sanity), with severities
+//! and source locations. This module holds the two primitives it builds
+//! on: ordered per-pair point-to-point matching ([`match_p2p`], which
+//! `titanalyze`'s happens-before graph reuses) and per-rank collective
+//! sequences ([`collective_sequences`]).
 
 use crate::action::Action;
 use crate::trace::TiTrace;
@@ -66,7 +57,7 @@ pub struct P2pMatching {
 ///
 /// Unlike an aggregate count this pins each leftover operation to a
 /// `(rank, action index)` location, which is what the static analyzer
-/// reports and what [`validate()`] folds back into per-pair totals.
+/// reports.
 pub fn match_p2p(trace: &TiTrace) -> P2pMatching {
     // (src, dst) -> (sends in program order, recvs in program order).
     let mut pairs: BTreeMap<(usize, usize), (Vec<P2pEndpoint>, Vec<P2pEndpoint>)> =
@@ -128,306 +119,9 @@ pub fn collective_sequences(trace: &TiTrace) -> Vec<Vec<(usize, &'static str)>> 
         .collect()
 }
 
-/// A structural defect making a trace non-replayable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
-    /// `sends` from `src` to `dst` but `recvs` in the opposite direction.
-    UnbalancedPair {
-        /// Sending rank.
-        src: usize,
-        /// Receiving rank.
-        dst: usize,
-        /// Sends from `src` to `dst`.
-        sends: u64,
-        /// Receives posted by `dst` from `src`.
-        recvs: u64,
-    },
-    /// A collective appears before `comm_size` on `rank`.
-    CollectiveBeforeCommSize {
-        /// Offending rank.
-        rank: usize,
-        /// Index of the collective in `rank`'s action list.
-        index: usize,
-    },
-    /// Processes disagree on the communicator size.
-    InconsistentCommSize {
-        /// Offending rank.
-        rank: usize,
-        /// Size this rank declared.
-        declared: usize,
-        /// Size the other ranks declared.
-        expected: usize,
-    },
-    /// Collective sequences differ between `rank` and rank 0.
-    CollectiveMismatch {
-        /// Diverging rank.
-        rank: usize,
-        /// Position of the first diverging collective.
-        index: usize,
-    },
-    /// A `wait` with no pending request.
-    WaitWithoutRequest {
-        /// Offending rank.
-        rank: usize,
-        /// Index of the `wait` in `rank`'s action list.
-        index: usize,
-    },
-    /// Requests still pending at the end of `rank`'s trace.
-    DanglingRequests {
-        /// Offending rank.
-        rank: usize,
-        /// Requests never completed by a `wait`.
-        pending: u64,
-    },
-    /// An action references a rank outside the process set.
-    RankOutOfRange {
-        /// Rank performing the action.
-        rank: usize,
-        /// Index of the action in `rank`'s list.
-        index: usize,
-        /// The out-of-range rank it references.
-        referenced: usize,
-    },
-}
-
-impl std::fmt::Display for ValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        use ValidationError::*;
-        match self {
-            UnbalancedPair { src, dst, sends, recvs } => write!(
-                f,
-                "p{src}->p{dst}: {sends} send(s) but {recvs} matching recv(s)"
-            ),
-            CollectiveBeforeCommSize { rank, index } => {
-                write!(f, "p{rank}: collective at action {index} before comm_size")
-            }
-            InconsistentCommSize { rank, declared, expected } => write!(
-                f,
-                "p{rank}: comm_size {declared} but other ranks declared {expected}"
-            ),
-            CollectiveMismatch { rank, index } => write!(
-                f,
-                "p{rank}: collective sequence diverges from p0 at collective #{index}"
-            ),
-            WaitWithoutRequest { rank, index } => {
-                write!(f, "p{rank}: wait at action {index} with no pending request")
-            }
-            DanglingRequests { rank, pending } => {
-                write!(f, "p{rank}: {pending} non-blocking request(s) never waited")
-            }
-            RankOutOfRange { rank, index, referenced } => write!(
-                f,
-                "p{rank}: action {index} references p{referenced}, outside the process set"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ValidationError {}
-
-/// Validates `trace`, returning every defect found (empty = valid).
-///
-/// Compatibility wrapper: per-pair balance is derived from the ordered
-/// matching of [`match_p2p`] (the aggregate counting it used to do
-/// itself), and collective agreement from [`collective_sequences`]. The
-/// `titlint` crate performs the full static analysis — deadlock cycles,
-/// volume sanity, source locations — on the same primitives.
-pub fn validate(trace: &TiTrace) -> Vec<ValidationError> {
-    let mut errors = Vec::new();
-    let n = trace.num_processes();
-
-    // Ordered point-to-point matching, folded back into per-pair totals.
-    let matching = match_p2p(trace);
-    let mut pairs: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
-    for m in &matching.matched {
-        let c = pairs.entry((m.send.rank, m.send.peer)).or_insert((0, 0));
-        c.0 += 1;
-        c.1 += 1;
-    }
-    for s in &matching.unmatched_sends {
-        pairs.entry((s.rank, s.peer)).or_insert((0, 0)).0 += 1;
-    }
-    for r in &matching.unmatched_recvs {
-        pairs.entry((r.peer, r.rank)).or_insert((0, 0)).1 += 1;
-    }
-    for (&(src, dst), &(sends, recvs)) in &pairs {
-        if sends != recvs {
-            errors.push(ValidationError::UnbalancedPair { src, dst, sends, recvs });
-        }
-    }
-
-    // Rank ranges, comm_size discipline, wait/request discipline.
-    let mut comm_size: Option<usize> = None;
-    for (rank, actions) in trace.actions.iter().enumerate() {
-        let mut seen_comm_size = false;
-        let mut pending_reqs: u64 = 0;
-        for (index, a) in actions.iter().enumerate() {
-            match a {
-                Action::Send { dst: peer, .. }
-                | Action::Isend { dst: peer, .. }
-                | Action::Recv { src: peer, .. }
-                | Action::Irecv { src: peer, .. }
-                    if *peer >= n => {
-                        errors.push(ValidationError::RankOutOfRange {
-                            rank,
-                            index,
-                            referenced: *peer,
-                        });
-                    }
-                Action::CommSize { nproc } => {
-                    seen_comm_size = true;
-                    match comm_size {
-                        None => comm_size = Some(*nproc),
-                        Some(expected) if expected != *nproc => {
-                            errors.push(ValidationError::InconsistentCommSize {
-                                rank,
-                                declared: *nproc,
-                                expected,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-                Action::Wait => {
-                    if pending_reqs == 0 {
-                        errors.push(ValidationError::WaitWithoutRequest { rank, index });
-                    } else {
-                        pending_reqs -= 1;
-                    }
-                }
-                _ => {}
-            }
-            if a.is_collective() && !seen_comm_size {
-                errors.push(ValidationError::CollectiveBeforeCommSize { rank, index });
-            }
-            if a.is_nonblocking() {
-                pending_reqs += 1;
-            }
-        }
-        if pending_reqs > 0 {
-            errors.push(ValidationError::DanglingRequests { rank, pending: pending_reqs });
-        }
-    }
-
-    // Collective sequences must agree across the communicator.
-    let coll_seqs = collective_sequences(trace);
-    if n > 1 {
-        let reference = &coll_seqs[0];
-        for (rank, seq) in coll_seqs.iter().enumerate().skip(1) {
-            let diverge = reference
-                .iter()
-                .zip(seq.iter())
-                .position(|((_, a), (_, b))| a != b)
-                .or(if reference.len() != seq.len() {
-                    Some(reference.len().min(seq.len()))
-                } else {
-                    None
-                });
-            if let Some(index) = diverge {
-                errors.push(ValidationError::CollectiveMismatch { rank, index });
-            }
-        }
-    }
-
-    errors.sort_by_key(|e| format!("{e:?}"));
-    errors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn valid_ring() -> TiTrace {
-        let mut t = TiTrace::new(2);
-        for r in 0..2usize {
-            t.push(r, Action::CommSize { nproc: 2 });
-        }
-        t.push(0, Action::Compute { flops: 10.0 });
-        t.push(0, Action::Send { dst: 1, bytes: 64.0 });
-        t.push(1, Action::Recv { src: 0, bytes: None });
-        for r in 0..2usize {
-            t.push(r, Action::Barrier);
-        }
-        t
-    }
-
-    #[test]
-    fn valid_trace_has_no_errors() {
-        assert!(validate(&valid_ring()).is_empty());
-    }
-
-    #[test]
-    fn detects_unbalanced_pair() {
-        let mut t = valid_ring();
-        t.push(0, Action::Send { dst: 1, bytes: 1.0 });
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::UnbalancedPair { src: 0, dst: 1, sends: 2, recvs: 1 })));
-    }
-
-    #[test]
-    fn detects_collective_before_comm_size() {
-        let mut t = TiTrace::new(1);
-        t.push(0, Action::Barrier);
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::CollectiveBeforeCommSize { rank: 0, index: 0 })));
-    }
-
-    #[test]
-    fn detects_inconsistent_comm_size() {
-        let mut t = TiTrace::new(2);
-        t.push(0, Action::CommSize { nproc: 2 });
-        t.push(1, Action::CommSize { nproc: 3 });
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::InconsistentCommSize { rank: 1, declared: 3, expected: 2 })));
-    }
-
-    #[test]
-    fn detects_collective_sequence_mismatch() {
-        let mut t = TiTrace::new(2);
-        for r in 0..2usize {
-            t.push(r, Action::CommSize { nproc: 2 });
-        }
-        t.push(0, Action::Barrier);
-        t.push(0, Action::Bcast { bytes: 8.0 });
-        t.push(1, Action::Bcast { bytes: 8.0 });
-        t.push(1, Action::Barrier);
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::CollectiveMismatch { rank: 1, index: 0 })));
-    }
-
-    #[test]
-    fn detects_wait_without_request_and_dangling() {
-        let mut t = TiTrace::new(2);
-        t.push(0, Action::Wait);
-        t.push(1, Action::Irecv { src: 0, bytes: None });
-        // Balance the pair so only the request errors remain.
-        t.push(0, Action::Send { dst: 1, bytes: 1.0 });
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::WaitWithoutRequest { rank: 0, index: 0 })));
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::DanglingRequests { rank: 1, pending: 1 })));
-    }
-
-    #[test]
-    fn detects_rank_out_of_range() {
-        let mut t = TiTrace::new(1);
-        t.push(0, Action::Send { dst: 7, bytes: 1.0 });
-        let errs = validate(&t);
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ValidationError::RankOutOfRange { rank: 0, index: 0, referenced: 7 })));
-    }
 
     #[test]
     fn match_p2p_pairs_in_fifo_order_and_reports_leftovers() {
@@ -463,15 +157,5 @@ mod tests {
         let seqs = collective_sequences(&t);
         assert_eq!(seqs[0], vec![(1, "barrier"), (3, "bcast")]);
         assert_eq!(seqs[1], vec![(0, "barrier")]);
-    }
-
-    #[test]
-    fn irecv_plus_wait_is_valid() {
-        let mut t = TiTrace::new(2);
-        t.push(0, Action::Irecv { src: 1, bytes: None });
-        t.push(0, Action::Compute { flops: 5.0 });
-        t.push(0, Action::Wait);
-        t.push(1, Action::Send { dst: 0, bytes: 32.0 });
-        assert!(validate(&t).is_empty());
     }
 }

@@ -291,9 +291,10 @@ mod tests {
         assert!(res.costs.extraction > 0.0);
         assert!(res.costs.gathering > 0.0);
         assert!(res.bundle_path.exists());
-        // The extracted trace replays: validate structurally.
+        // The extracted trace replays: no error-severity lint.
         let t = tit_core::TiTrace::load_per_process(&res.ti_dir).unwrap();
-        assert!(tit_core::validate(&t).is_empty());
+        let report = titlint::analyze(&t);
+        assert!(!report.has_errors(), "{}", report.render_text());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

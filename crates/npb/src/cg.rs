@@ -190,7 +190,8 @@ mod tests {
     fn trace_validates_and_is_allreduce_heavy() {
         let cfg = CgConfig::new(Class::S, 8).with_niter(2);
         let t = program_trace(&cfg.program(), 8);
-        assert!(tit_core::validate(&t).is_empty());
+        let report = titlint::analyze(&t);
+        assert!(!report.has_errors(), "{}", report.render_text());
         let stats = tit_core::TraceStats::of(&t);
         let allreduces = stats.per_keyword["allReduce"];
         // 2 per inner iteration x 25 x 2 outers + 1 norm per outer, x8.

@@ -478,11 +478,11 @@ mod tests {
 
     #[test]
     fn trace_is_balanced_and_replayable_in_shape() {
-        // Class S on 4 ranks: validate the generated trace structurally.
+        // Class S on 4 ranks: the generated trace has no error lint.
         let cfg = LuConfig::new(Class::S, 4).with_itmax(3);
         let t = program_trace(&cfg.program(), 4);
-        let errors = tit_core::validate(&t);
-        assert!(errors.is_empty(), "LU trace invalid: {errors:?}");
+        let report = titlint::analyze(&t);
+        assert!(!report.has_errors(), "LU trace invalid:\n{}", report.render_text());
     }
 
     #[test]

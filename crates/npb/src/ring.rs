@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn ring_trace_validates() {
         let t = RingConfig::default().trace();
-        assert!(tit_core::validate(&t).is_empty());
+        assert!(!titlint::analyze(&t).has_errors());
         assert_eq!(t.num_actions(), 4 * 3 * 4);
     }
 

@@ -139,8 +139,8 @@ mod tests {
         for (px, py) in [(1, 2), (2, 2), (4, 2), (3, 3)] {
             let cfg = StencilConfig { n: 64, px, py, iters: 5, ..Default::default() };
             let t = cfg.trace();
-            let errs = tit_core::validate(&t);
-            assert!(errs.is_empty(), "{px}x{py}: {errs:?}");
+            let report = titlint::analyze(&t);
+            assert!(!report.has_errors(), "{px}x{py}: {}", report.render_text());
             assert_eq!(t.num_processes(), px * py);
         }
     }

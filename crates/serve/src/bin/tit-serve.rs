@@ -5,7 +5,7 @@
 //!           [--cache-cap N] [--slice N] [--max-line-bytes N]
 //!           [--preempt-backlog N] [--max-preemptions N]
 //!           [--metrics FILE] [--access-log FILE] [--drain-on-stdin]
-//!           [--force-preempt] [--job-delay-ms N]
+//!           [--force-preempt] [--job-delay-ms N] [--help]
 //! ```
 //!
 //! Prints `listening on HOST:PORT` once the socket is bound (scripts
@@ -17,17 +17,18 @@
 //! hooks described in docs/SERVING.md.
 //!
 //! Exit codes: `0` drained cleanly — `1` runtime failure — `2` usage
-//! error.
+//! error (a flag the usage line does not list, or a value its flag does
+//! not take).
 
 use std::io::Read;
 use std::time::Duration;
-use tit_cli::Args;
+use tit_cli::{or_exit, Args};
 use tit_serve::{Server, ServerConfig};
 
-const USAGE: &str = "tit-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-cap N] [--slice N] [--max-line-bytes N] [--preempt-backlog N] [--max-preemptions N] [--metrics FILE] [--access-log FILE] [--drain-on-stdin] [--force-preempt] [--job-delay-ms N]";
+const USAGE: &str = "tit-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-cap N] [--slice N] [--max-line-bytes N] [--preempt-backlog N] [--max-preemptions N] [--metrics FILE] [--access-log FILE] [--drain-on-stdin] [--force-preempt] [--job-delay-ms N] [--help]";
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(USAGE);
     if args.has_flag("help") {
         println!("usage: {USAGE}");
         return;
@@ -49,10 +50,7 @@ fn main() {
     };
     let drain_on_stdin = args.has_flag("drain-on-stdin");
 
-    let server = Server::start(cfg).unwrap_or_else(|e| {
-        eprintln!("tit-serve: cannot start: {e}");
-        std::process::exit(1);
-    });
+    let server = or_exit(Server::start(cfg), "tit-serve: cannot start");
     println!("listening on 127.0.0.1:{}", server.port());
 
     if drain_on_stdin {
@@ -71,11 +69,5 @@ fn main() {
         server.drain();
     }
 
-    match server.wait() {
-        Ok(()) => {}
-        Err(e) => {
-            eprintln!("tit-serve: {e}");
-            std::process::exit(1);
-        }
-    }
+    or_exit(server.wait(), "tit-serve");
 }

@@ -1,10 +1,9 @@
 #!/bin/sh
-# Panic-freedom gate: non-test library code must not call unwrap(),
+# Panic-freedom gate: non-test code must not call unwrap(),
 # expect( or panic! without a written justification.
 #
-# Scope: crates/*/src/**/*.rs, excluding src/bin/ (CLI binaries exit
-# through their own error paths) and everything from the first
-# `#[cfg(test)]` in a file onwards (test modules panic by design).
+# Scope: crates/*/src/**/*.rs, binaries under src/bin/ included, up to
+# the first `#[cfg(test)]` in a file (test modules panic by design).
 # A site is exempt when the same line or the line directly above it
 # carries a `// panics:` comment explaining why the panic is
 # unreachable or wanted. Comment and doc-comment lines are skipped.
@@ -15,7 +14,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 status=0
-for f in $(find crates/*/src -name '*.rs' | grep -v '/bin/' | sort); do
+for f in $(find crates/*/src -name '*.rs' | sort); do
     offenders=$(awk '
         /#\[cfg\(test\)\]/ { exit }         # test module: stop scanning
         { line = $0 }
@@ -40,7 +39,7 @@ done
 
 if [ "$status" -ne 0 ]; then
     echo ""
-    echo "panic gate: unjustified unwrap()/expect(/panic! in library code."
+    echo "panic gate: unjustified unwrap()/expect(/panic! in non-test code."
     echo "Either handle the error, or add a '// panics: <reason>' comment"
     echo "on the same line or the line above."
 fi

@@ -42,8 +42,8 @@ fn lu_pipeline_extracts_exactly_and_replays() {
     assert_eq!(got, want);
     assert_eq!(stats.actions_written as usize, want.num_actions());
 
-    // It validates and replays to the same time as the direct trace.
-    assert!(titr::trace::validate(&got).is_empty());
+    // It lints clean and replays to the same time as the direct trace.
+    assert!(!titr::lint::analyze(&got).has_errors());
     let platform = PlatformDesc::single(presets::bordereau_one_core(nproc)).build();
     let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
     let from_files =

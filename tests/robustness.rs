@@ -74,11 +74,13 @@ fn bitflipped_tau_trace_is_detected_or_extracted_without_panic() {
 fn missing_wait_in_trace_is_caught_by_validation() {
     let text = "p0 Irecv p1\np1 send p0 100\n";
     let trace = titr::trace::TiTrace::from_str_merged(text).unwrap();
-    let errors = titr::trace::validate(&trace);
+    let report = titr::lint::analyze(&trace);
     assert!(
-        errors.iter().any(|e| e.to_string().contains("never waited")),
-        "validation must flag the dangling request: {errors:?}"
+        report.findings.iter().any(|f| f.code == titr::lint::LintCode::DanglingRequests),
+        "the analyzer must flag the dangling request:\n{}",
+        report.render_text()
     );
+    assert!(report.has_errors());
 }
 
 #[test]
