@@ -6,13 +6,16 @@
 //! tit-diff --a DIR_A --b DIR_B [--coalesce] [--tolerance REL]
 //! ```
 //!
-//! `--coalesce` merges adjacent compute bursts on both sides first;
-//! `--tolerance` allows a relative difference on compute volumes (PAPI
-//! counter jitter; the paper observes <1 % effects).
+//! Each side is the consecutive `SG_process<N>.trace` files of its
+//! directory, loaded exactly as the replayer loads them: every line must
+//! carry its file's own rank, so a damaged set is an error (exit 1), not
+//! a difference. `--coalesce` merges adjacent compute bursts on both
+//! sides first; `--tolerance` allows a relative difference on compute
+//! volumes (PAPI counter jitter; the paper observes <1 % effects).
 
 use std::path::PathBuf;
 use tit_cli::{or_exit, Args};
-use tit_core::{Action, TiTrace};
+use tit_core::{ingest, Action};
 
 const USAGE: &str = "tit-diff --a DIR --b DIR [--coalesce] [--tolerance REL]";
 
@@ -38,7 +41,11 @@ fn main() {
     let tol: f64 = args.get_or("tolerance", 0.0);
 
     let load = |p: &PathBuf| {
-        or_exit(TiTrace::load_per_process(p), format_args!("cannot load {}", p.display()))
+        let loaded = match ingest::rank_file_count(p) {
+            0 => Err(format!("no SG_process0.trace in {}", p.display())),
+            n => ingest::load_exact(p, n, 1).map_err(|e| e.to_string()),
+        };
+        or_exit(loaded, "tit-diff")
     };
     let mut a = load(&a_dir);
     let mut b = load(&b_dir);

@@ -720,6 +720,31 @@ fn stats_loads_exactly_np_ranks() {
     assert_eq!(code, Some(2), "{stderr}");
 }
 
+/// `tit-diff` reads each side as the replayer does: a line moved into
+/// another rank's file is a damaged set (exit 1, naming the rank), not
+/// an identical one.
+#[test]
+fn diff_refuses_a_line_filed_under_another_rank() {
+    let a = write_traces("diffa", &["p0 compute 1\np0 compute 5\n", "p1 compute 2\n"]);
+    let b = write_traces("diffb", &["p0 compute 1\n", "p1 compute 2\np0 compute 5\n"]);
+    let bin = env!("CARGO_BIN_EXE_tit-diff");
+    let (ok, text) = run(bin, &["--a", a.to_str().unwrap(), "--b", a.to_str().unwrap()]);
+    assert!(ok && text.contains("IDENTICAL: 2 processes, 3 actions"), "{text}");
+    let (code, stderr) = run_code(bin, &["--a", a.to_str().unwrap(), "--b", b.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("rank 1"), "the damaged rank is named: {stderr}");
+    assert!(stderr.contains("trace line for p0 in p1's file"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    let empty = write_traces("diffnone", &[]);
+    let (code, stderr) =
+        run_code(bin, &["--a", a.to_str().unwrap(), "--b", empty.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("no SG_process0.trace"), "{stderr}");
+    for d in [a, b, empty] {
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+}
+
 /// The `tit-serve` binary, which the serve crate builds next to this
 /// crate's binaries (`cargo test --workspace` builds both).
 fn tit_serve() -> PathBuf {

@@ -8,10 +8,10 @@
 //! extraction stage's `tau2ti`), then merge the per-rank results in
 //! deterministic rank order.
 //!
-//! The contract: [`load_per_process_jobs`] is **bit-for-bit identical**
-//! to the serial [`TiTrace::load_per_process`] — same trace, same error
-//! for the lowest failing rank — and `jobs <= 1` *is* the serial path,
-//! which stays the differential-test oracle.
+//! The contract: every loader gives the same result at any worker
+//! count — same trace, same error for the lowest failing rank — and
+//! `jobs <= 1` is a plain serial rank-order loop, which stays the
+//! differential-test oracle.
 //!
 //! ```
 //! use tit_core::{ingest, Action, TiTrace};
@@ -24,9 +24,10 @@
 //! }
 //! t.save_per_process(&dir).unwrap();
 //!
-//! let parallel = ingest::load_per_process_jobs(&dir, 4).unwrap();
-//! let serial = TiTrace::load_per_process(&dir).unwrap(); // the oracle
+//! let parallel = ingest::load_exact(&dir, 4, 4).unwrap();
+//! let serial = ingest::load_exact(&dir, 4, 1).unwrap(); // the oracle
 //! assert_eq!(parallel, serial);
+//! assert_eq!(parallel, t);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -51,8 +52,7 @@ pub fn effective_jobs(jobs: usize) -> usize {
 }
 
 /// Counts the consecutive `SG_process<N>.trace` files present in `dir`
-/// starting at rank 0 — the rank-discovery rule of
-/// [`TiTrace::load_per_process`].
+/// starting at rank 0 (how `tit-diff` finds a set's width).
 pub fn rank_file_count(dir: &Path) -> usize {
     let mut n = 0;
     while dir.join(process_trace_filename(n)).exists() {
@@ -106,38 +106,6 @@ where
         }
     }
     Ok(out)
-}
-
-/// Parallel [`TiTrace::load_per_process`]: loads the consecutive
-/// `SG_process<N>.trace` files of `dir` with up to `jobs` worker
-/// threads (`0` = one per CPU) and merges them in rank order.
-///
-/// Bit-for-bit identical to the serial loader, including its error
-/// behaviour (`jobs <= 1` *delegates* to it): a missing rank 0 is
-/// `NotFound`, a defective file yields the lowest failing rank's error.
-pub fn load_per_process_jobs(dir: &Path, jobs: usize) -> io::Result<TiTrace> {
-    if effective_jobs(jobs) <= 1 {
-        return TiTrace::load_per_process(dir);
-    }
-    let n = rank_file_count(dir);
-    if n == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no SG_process0.trace in {}", dir.display()),
-        ));
-    }
-    let subs = for_each_rank(n, jobs, |rank| {
-        TiTrace::load_merged(&dir.join(process_trace_filename(rank)))
-    })?;
-    let mut t = TiTrace::default();
-    for sub in subs {
-        for (pid, actions) in sub.actions.into_iter().enumerate() {
-            for a in actions {
-                t.push(pid, a);
-            }
-        }
-    }
-    Ok(t)
 }
 
 /// A failure of an exact-width load, naming the rank it happened on.
@@ -263,22 +231,12 @@ mod tests {
         let dir = tmp("eq");
         let t = ring(8, 50);
         t.save_per_process(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
+        let serial = load_exact(&dir, 8, 1).unwrap();
+        assert_eq!(serial, t);
         for jobs in [0, 2, 3, 8, 64] {
-            let parallel = load_per_process_jobs(&dir, jobs).unwrap();
+            let parallel = load_exact(&dir, 8, jobs).unwrap();
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_rank0_matches_serial_error() {
-        let dir = tmp("none");
-        std::fs::create_dir_all(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap_err();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap_err();
-        assert_eq!(serial.kind(), parallel.kind());
-        assert_eq!(serial.to_string(), parallel.to_string());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -289,24 +247,22 @@ mod tests {
         // Corrupt two ranks; the serial loader stops at the lower one.
         std::fs::write(dir.join(process_trace_filename(2)), "p2 frobnicate 1\n").unwrap();
         std::fs::write(dir.join(process_trace_filename(5)), "p5 bogus\n").unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap_err();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap_err();
-        assert_eq!(serial.kind(), parallel.kind());
+        let serial = load_exact(&dir, 6, 1).unwrap_err();
+        let parallel = load_exact(&dir, 6, 4).unwrap_err();
+        assert_eq!((serial.rank, parallel.rank), (2, 2));
         assert_eq!(serial.to_string(), parallel.to_string());
         assert!(serial.to_string().contains("frobnicate"), "{serial}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn trailing_gap_stops_discovery_like_serial() {
+    fn rank_file_count_stops_at_the_first_gap() {
         let dir = tmp("gap");
         ring(6, 2).save_per_process(&dir).unwrap();
         std::fs::remove_file(dir.join(process_trace_filename(3))).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap();
-        assert_eq!(parallel, serial);
         assert_eq!(rank_file_count(&dir), 3);
         std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(rank_file_count(&dir), 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use graph::{CycleError, Dag, DagBuilder, NodeId};
 pub use lru::Lru;
 pub use membudget::{MemBudget, MemoryExceeded};
 pub use tib2::{SegmentColumns, StoreError, Tib2Store, Tib2Writer};
-pub use ingest::{load_compact_exact, load_exact, load_per_process_jobs, IngestError};
+pub use ingest::{load_compact_exact, load_exact, IngestError};
 pub use codec::{format_action, parse_line, ParseError};
 pub use stats::TraceStats;
 pub use trace::{ProcessTraceReader, ProcessTraceWriter, TiTrace};

@@ -71,33 +71,6 @@ impl TiTrace {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    /// Loads per-process trace files `SG_process*.trace` from `dir`,
-    /// stopping at the first missing rank.
-    pub fn load_per_process(dir: &Path) -> std::io::Result<Self> {
-        let mut t = TiTrace::default();
-        let mut rank = 0;
-        loop {
-            let path = dir.join(process_trace_filename(rank));
-            if !path.exists() {
-                break;
-            }
-            let sub = Self::load_merged(&path)?;
-            for (pid, actions) in sub.actions.into_iter().enumerate() {
-                for a in actions {
-                    t.push(pid, a);
-                }
-            }
-            rank += 1;
-        }
-        if rank == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no SG_process0.trace in {}", dir.display()),
-            ));
-        }
-        Ok(t)
-    }
-
     /// Writes the merged single-file layout.
     pub fn write_merged<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let mut buf = String::with_capacity(64);
@@ -295,7 +268,29 @@ impl ProcessTraceReader {
     /// defective line (invalid UTF-8 included) is an `InvalidData`
     /// error naming the line.
     pub fn next_action(&mut self) -> std::io::Result<Option<(Pid, Action)>> {
-        self.lines.read_action()?.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        self.read_action()?.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// [`next_action`](Self::next_action) keeping a defective line
+    /// apart from a failed read: `Ok(Err)` is the parse error of one
+    /// line (the next call reads on past it), `Err` an I/O error.
+    pub fn read_action(&mut self) -> io::Result<Result<Option<(Pid, Action)>, ParseError>> {
+        self.lines.read_action()
+    }
+
+    /// Reads the rest of the file, counting its non-blank lines
+    /// (comments included). It reads the file directly rather than
+    /// through `ByteLines::next_line`, which then keeps one caller and
+    /// stays inlined in the parse loop.
+    pub fn count_nonblank_lines(&mut self) -> io::Result<u64> {
+        let r = &mut self.lines.r;
+        r.consume(std::mem::take(&mut self.lines.pending));
+        let (mut n, mut line) = (0, Vec::new());
+        while r.read_until(b'\n', &mut line)? > 0 {
+            n += u64::from(!line.iter().all(u8::is_ascii_whitespace));
+            line.clear();
+        }
+        Ok(n)
     }
 
     /// The 1-based number of the line the last action came from.
@@ -350,7 +345,7 @@ mod tests {
         let paths = t.save_per_process(&dir).unwrap();
         assert_eq!(paths.len(), 4);
         assert!(paths[2].file_name().unwrap().to_str().unwrap() == "SG_process2.trace");
-        let t2 = TiTrace::load_per_process(&dir).unwrap();
+        let t2 = crate::ingest::load_exact(&dir, 4, 1).unwrap();
         assert_eq!(t, t2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -412,6 +407,6 @@ mod tests {
     #[test]
     fn load_missing_dir_errors() {
         let dir = std::env::temp_dir().join("titr-definitely-missing-xyz");
-        assert!(TiTrace::load_per_process(&dir).is_err());
+        assert!(crate::ingest::load_exact(&dir, 1, 1).is_err());
     }
 }

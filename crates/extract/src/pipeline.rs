@@ -292,7 +292,7 @@ mod tests {
         assert!(res.costs.gathering > 0.0);
         assert!(res.bundle_path.exists());
         // The extracted trace replays: no error-severity lint.
-        let t = tit_core::TiTrace::load_per_process(&res.ti_dir).unwrap();
+        let t = tit_core::load_exact(&res.ti_dir, 4, 1).unwrap();
         let report = titlint::analyze(&t);
         assert!(!report.has_errors(), "{}", report.render_text());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -355,7 +355,7 @@ mod tests {
                 &dir,
             )
             .unwrap();
-            traces.push(tit_core::TiTrace::load_per_process(&res.ti_dir).unwrap());
+            traces.push(tit_core::load_exact(&res.ti_dir, 4, 1).unwrap());
             std::fs::remove_dir_all(&dir).unwrap();
         }
         for t in &traces[1..] {

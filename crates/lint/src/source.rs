@@ -11,11 +11,9 @@
 //! corruption the acquisition pipeline can suffer surfaces as a lint.
 
 use crate::finding::{Finding, LintCode, Location};
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
-use tit_core::codec::parse_line;
 use tit_core::trace::process_trace_filename;
-use tit_core::TiTrace;
+use tit_core::{ProcessTraceReader, TiTrace};
 
 /// Maps `(rank, action index)` back to the text source it came from.
 #[derive(Debug, Clone, Default)]
@@ -95,71 +93,52 @@ fn load_rank_file(dir: &Path, rank: usize) -> RankLoad {
     let path = dir.join(process_trace_filename(rank));
     let mut out =
         RankLoad { path: path.clone(), opened: false, actions: Vec::new(), findings: Vec::new() };
-    let file = match std::fs::File::open(&path) {
-        Ok(f) => f,
+    let at = |line: Option<usize>| Location {
+        rank,
+        file: Some(path.display().to_string()),
+        line,
+        ..Location::default()
+    };
+    let mut reader = match ProcessTraceReader::open(&path) {
+        Ok(r) => r,
         Err(e) => {
             out.findings.push(Finding::new(
                 LintCode::MissingRankFile,
-                Location {
-                    rank,
-                    file: Some(path.display().to_string()),
-                    ..Location::default()
-                },
+                at(None),
                 format!("cannot open p{rank}'s trace: {e}"),
             ));
             return out;
         }
     };
     out.opened = true;
-    let reader = std::io::BufReader::with_capacity(1 << 20, file);
-    for (line_no, line) in reader.lines().enumerate() {
-        let line_no = line_no + 1;
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                out.findings.push(Finding::new(
-                    LintCode::ParseFailure,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
-                    format!("unreadable data: {e}"),
-                ));
-                break; // the stream is gone; keep what parsed
-            }
-        };
-        match parse_line(&line, line_no) {
+    loop {
+        match reader.read_action() {
+            Ok(Ok(None)) => break,
             // In the per-rank layout every line must carry the
             // file's own rank; a contradicting pid means the file
             // was damaged or mis-gathered, and trusting either side
             // of the contradiction would mis-attribute the action.
-            Ok(Some((pid, _))) if pid != rank => {
+            Ok(Ok(Some((pid, _)))) if pid != rank => {
                 out.findings.push(Finding::new(
                     LintCode::RankMismatch,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
+                    at(Some(reader.line())),
                     format!("line declares p{pid} inside p{rank}'s trace file"),
                 ));
             }
-            Ok(Some((_, action))) => out.actions.push((action, line_no)),
-            Ok(None) => {}
+            Ok(Ok(Some((_, action)))) => out.actions.push((action, reader.line())),
+            // A defective line is one finding; the lines after it
+            // still parse.
+            Ok(Err(e)) => {
+                let at_line = at(Some(e.line));
+                out.findings.push(Finding::new(LintCode::ParseFailure, at_line, e.message));
+            }
             Err(e) => {
                 out.findings.push(Finding::new(
                     LintCode::ParseFailure,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
-                    e.message,
+                    at(Some(reader.line() + 1)),
+                    format!("unreadable data: {e}"),
                 ));
+                break; // the stream is gone; keep what parsed
             }
         }
     }
@@ -284,6 +263,28 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_one_finding_and_the_file_reads_on() {
+        let dir = tmp("utf8");
+        std::fs::write(
+            dir.join("SG_process0.trace"),
+            "p0 comm_size 2\np0 send p1 100\np0 recv p1\n",
+        )
+        .unwrap();
+        let mut p1 = b"p1 comm_size 2\np1 recv p0\n".to_vec();
+        p1.extend_from_slice(b"\xff\xfe junk\np1 send p0 100\n");
+        std::fs::write(dir.join("SG_process1.trace"), p1).unwrap();
+        let loaded = load_dir(&dir, 2);
+        assert_eq!(loaded.trace.actions[1].len(), 3, "lines after the bad one still load");
+        assert_eq!(loaded.sources.lookup(1, 2).unwrap().1, 4);
+        let report = crate::lint_dir(&dir, 2, &crate::LintConfig::default());
+        let found: Vec<_> =
+            report.findings.iter().map(|f| (f.code, f.primary.rank, f.primary.line)).collect();
+        assert_eq!(found, [(LintCode::ParseFailure, 1, Some(3))], "{}", report.render_text());
+        assert_eq!(report.findings[0].message, "not valid UTF-8");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

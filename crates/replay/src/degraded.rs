@@ -27,9 +27,9 @@ use crate::process::Cursor;
 use crate::simulator::Input;
 use std::path::Path;
 use std::sync::Arc;
-use tit_core::parse_line;
 use tit_core::tib2::SegmentColumns;
 use tit_core::trace::process_trace_filename;
+use tit_core::ProcessTraceReader;
 
 /// Why a rank's stream was degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,13 +82,14 @@ struct ScannedRank {
     degradation: Option<RankDegradation>,
 }
 
-/// Reads `rank`'s trace file, keeping the longest parseable prefix.
+/// Streams `rank`'s trace file, keeping the longest parseable prefix.
 /// Damage (unreadable bytes, a parse error, a line owned by another
-/// pid, a peer past the intern range) trims the stream at that point.
+/// pid, a peer past the intern range) trims the stream at that point;
+/// a defective line is described as the strict reader describes it.
 fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
     let path = dir.join(process_trace_filename(rank));
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
+    let mut reader = match ProcessTraceReader::open(&path) {
+        Ok(r) => r,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(ScannedRank {
                 actions: SegmentColumns::new(),
@@ -104,47 +105,31 @@ fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
         Err(e) => return Err(e),
     };
     let mut actions = SegmentColumns::new();
-    let mut trim: Option<String> = None;
-    let mut lines_trimmed = 0u64;
-    for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-        let line_no = idx + 1;
-        if trim.is_some() {
-            // Count the untrusted tail (non-empty payload lines only).
-            if !raw.iter().all(u8::is_ascii_whitespace) {
-                lines_trimmed += 1;
-            }
-            continue;
-        }
-        let Ok(text) = std::str::from_utf8(raw) else {
-            trim = Some(format!("line {line_no}: not valid UTF-8"));
-            lines_trimmed += 1;
-            continue;
-        };
-        match parse_line(text, line_no) {
-            Ok(None) => {}
+    let trim = loop {
+        match reader.read_action()? {
+            Ok(None) => break None,
             Ok(Some((pid, a))) if pid == rank => {
                 if let Err(e) = actions.push(&a) {
-                    trim = Some(format!("line {line_no}: {e}"));
-                    lines_trimmed += 1;
+                    break Some(format!("line {}: {e}", reader.line()));
                 }
             }
             Ok(Some((pid, _))) => {
-                trim = Some(format!("line {line_no}: belongs to p{pid}, not p{rank}"));
-                lines_trimmed += 1;
+                break Some(format!("line {}: belongs to p{pid}, not p{rank}", reader.line()));
             }
-            Err(e) => {
-                trim = Some(e.to_string());
-                lines_trimmed += 1;
-            }
+            Err(e) => break Some(e.to_string()),
         }
-    }
-    let degradation = trim.map(|detail| RankDegradation {
-        rank,
-        reason: DegradationReason::TrimmedTail,
-        actions_kept: actions.len() as u64,
-        lines_trimmed,
-        detail: format!("{}: {detail}", path.display()),
-    });
+    };
+    let degradation = match trim {
+        None => None,
+        // The damaged line and the untrusted tail (its non-blank lines).
+        Some(detail) => Some(RankDegradation {
+            rank,
+            reason: DegradationReason::TrimmedTail,
+            actions_kept: actions.len() as u64,
+            lines_trimmed: 1 + reader.count_nonblank_lines()?,
+            detail: format!("{}: {detail}", path.display()),
+        }),
+    };
     Ok(ScannedRank { actions, degradation })
 }
 
@@ -255,6 +240,28 @@ mod tests {
         assert_eq!(d3.actions_kept, 1);
         assert_eq!(d3.lines_trimmed, 2, "damaged line + untrusted tail");
         assert!(out.completeness() < 1.0);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn non_utf8_line_is_cut_with_the_strict_readers_text() {
+        let d = tmp_dir("utf8");
+        ring_trace().save_per_process(&d).unwrap();
+        let path = d.join("SG_process1.trace");
+        let mut bytes = b"p1 recv p0\np1 compute 1e6\n".to_vec();
+        bytes.extend_from_slice(b"\xff\xfe junk\n# comment\n\n  \np1 send p2 1e6\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let out = salvage(&d);
+        let d1 = out.ranks.iter().find(|r| r.rank == 1).expect("rank 1 degraded");
+        assert_eq!(d1.reason, DegradationReason::TrimmedTail);
+        assert_eq!(d1.actions_kept, 2);
+        assert_eq!(d1.lines_trimmed, 3, "the bad line, the comment and the send");
+        let detail = format!("{}: trace parse error at line 3: not valid UTF-8", path.display());
+        assert_eq!(d1.detail, detail);
+        // The strict replay stops at the same line with the same words.
+        let (p, hosts) = mycluster(4);
+        let err = Replay::new(Input::files(&d, 4), p, &hosts, &plain_cfg()).run().unwrap_err();
+        assert!(err.to_string().ends_with(&detail), "{err}");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

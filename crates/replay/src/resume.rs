@@ -21,14 +21,13 @@
 
 use crate::error::ReplayError;
 use crate::simulator::ReplayConfig;
-use simkern::engine::MailboxKey;
-use simkern::lmm::{CnstSnap, LmmSnapshot, VarSnap};
-use simkern::resource::Sharing;
-use simkern::snapshot::{
-    ActivitySnap, ActorSnap, CommSnap, CommStateSnap, EngineSnapshot, EventKindSnap,
-    EventSnap, MailboxSnap, OpSnap, OwnerSnap, SlabSnap,
+use simkern::engine::{
+    Activity, Comm, CommState, Event, EventKind, MailboxKey, Op, OpState, Owner,
 };
-use simkern::{OpKind, Platform};
+use simkern::lmm::{CnstSnap, LmmSnapshot, VarId, VarSnap};
+use simkern::resource::Sharing;
+use simkern::snapshot::{ActorSnap, EngineSnapshot, MailboxSnap, SlabSnap};
+use simkern::{HostId, OpId, OpKind, Platform};
 use std::path::Path;
 use tit_core::checkpoint::{fnv1a, read_checkpoint, write_checkpoint, Dec, Enc};
 
@@ -143,9 +142,14 @@ fn dec_usize_list(d: &mut Dec<'_>) -> Result<Vec<usize>, String> {
     Ok(v)
 }
 
-fn enc_slab<T>(e: &mut Enc, s: &SlabSnap<T>, enc_item: impl Fn(&mut Enc, &T)) {
-    e.usize(s.slots.len());
-    for slot in &s.slots {
+fn enc_slab<T>(
+    e: &mut Enc,
+    slots: &[Option<T>],
+    free: &[usize],
+    enc_item: impl Fn(&mut Enc, &T),
+) {
+    e.usize(slots.len());
+    for slot in slots {
         match slot {
             Some(item) => {
                 e.u8(1);
@@ -154,7 +158,7 @@ fn enc_slab<T>(e: &mut Enc, s: &SlabSnap<T>, enc_item: impl Fn(&mut Enc, &T)) {
             None => e.u8(0),
         }
     }
-    enc_usize_list(e, &s.free);
+    enc_usize_list(e, free);
 }
 
 fn dec_slab<T>(
@@ -199,13 +203,13 @@ fn enc_engine(e: &mut Enc, s: &EngineSnapshot) {
         e.f64(ev.time);
         e.u64(ev.seq);
         match ev.kind {
-            EventKindSnap::LatencyDone { comm } => {
+            EventKind::LatencyDone { comm } => {
                 e.u8(0);
                 e.usize(comm);
             }
-            EventKindSnap::SleepDone { op } => {
+            EventKind::SleepDone { op } => {
                 e.u8(1);
-                e.usize(op);
+                e.usize(op.to_raw());
             }
         }
     }
@@ -216,34 +220,34 @@ fn enc_engine(e: &mut Enc, s: &EngineSnapshot) {
         e.usize(k);
     }
 
-    enc_slab(e, &SlabSnap { slots: s.lmm.cnsts.clone(), free: s.lmm.cnst_free.clone() }, |e, c: &CnstSnap| {
+    enc_slab(e, &s.lmm.cnsts, &s.lmm.cnst_free, |e, c: &CnstSnap| {
         e.f64(c.capacity);
         enc_usize_list(e, &c.vars);
     });
-    enc_slab(e, &SlabSnap { slots: s.lmm.vars.clone(), free: s.lmm.var_free.clone() }, |e, v: &VarSnap| {
+    enc_slab(e, &s.lmm.vars, &s.lmm.var_free, |e, v: &VarSnap| {
         e.f64(v.bound);
         enc_usize_list(e, &v.cnsts);
         e.f64(v.value);
     });
 
-    enc_slab(e, &s.activities, |e, a: &ActivitySnap| {
-        e.usize(a.var);
+    enc_slab(e, &s.activities.slots, &s.activities.free, |e, a: &Activity| {
+        e.usize(a.var.0);
         e.f64(a.remaining);
         e.f64(a.rate);
         e.f64(a.t_last);
         match a.owner {
-            OwnerSnap::Exec { op } => {
+            Owner::Exec { op } => {
                 e.u8(0);
-                e.usize(op);
+                e.usize(op.to_raw());
             }
-            OwnerSnap::Comm { comm } => {
+            Owner::Comm { comm } => {
                 e.u8(1);
                 e.usize(comm);
             }
         }
     });
 
-    enc_slab(e, &s.ops, |e, o: &OpSnap| {
+    enc_slab(e, &s.ops.slots, &s.ops.free, |e, o: &Op| {
         e.usize(o.actor);
         enc_op_kind(e, o.kind);
         e.u32(o.tag);
@@ -256,20 +260,20 @@ fn enc_engine(e: &mut Enc, s: &EngineSnapshot) {
             }
             None => e.u8(0),
         }
-        enc_bool(e, o.complete);
+        enc_bool(e, o.state == OpState::Complete);
     });
 
-    enc_slab(e, &s.comms, |e, c: &CommSnap| {
+    enc_slab(e, &s.comms.slots, &s.comms.free, |e, c: &Comm| {
         e.f64(c.size);
-        e.u32(c.src_host);
-        e.u32(c.dst_host);
-        e.usize(c.send_op);
-        e.opt_usize(c.recv_op);
+        e.u32(c.src_host.0);
+        e.u32(c.dst_host.0);
+        e.usize(c.send_op.to_raw());
+        e.opt_usize(c.recv_op.map(OpId::to_raw));
         enc_bool(e, c.eager);
         e.u8(match c.state {
-            CommStateSnap::Unlaunched => 0,
-            CommStateSnap::InFlight => 1,
-            CommStateSnap::Arrived => 2,
+            CommState::Unlaunched => 0,
+            CommState::InFlight => 1,
+            CommState::Arrived => 2,
         });
     });
 
@@ -311,11 +315,11 @@ fn dec_engine(d: &mut Dec<'_>) -> Result<EngineSnapshot, String> {
         let time = d.f64()?;
         let ev_seq = d.u64()?;
         let kind = match d.u8()? {
-            0 => EventKindSnap::LatencyDone { comm: d.usize()? },
-            1 => EventKindSnap::SleepDone { op: d.usize()? },
+            0 => EventKind::LatencyDone { comm: d.usize()? },
+            1 => EventKind::SleepDone { op: OpId::from_raw(d.usize()?) },
             k => return Err(format!("unknown event kind {k}")),
         };
-        events.push(EventSnap { time, seq: ev_seq, kind });
+        events.push(Event { time, seq: ev_seq, kind });
     }
 
     let n_comp = d.usize()?;
@@ -340,16 +344,16 @@ fn dec_engine(d: &mut Dec<'_>) -> Result<EngineSnapshot, String> {
     };
 
     let activities = dec_slab(d, |d| {
-        let var = d.usize()?;
+        let var = VarId(d.usize()?);
         let remaining = d.f64()?;
         let rate = d.f64()?;
         let t_last = d.f64()?;
         let owner = match d.u8()? {
-            0 => OwnerSnap::Exec { op: d.usize()? },
-            1 => OwnerSnap::Comm { comm: d.usize()? },
+            0 => Owner::Exec { op: OpId::from_raw(d.usize()?) },
+            1 => Owner::Comm { comm: d.usize()? },
             k => return Err(format!("unknown activity owner {k}")),
         };
-        Ok(ActivitySnap { var, remaining, rate, t_last, owner })
+        Ok(Activity { var, remaining, rate, t_last, owner })
     })?;
 
     let ops = dec_slab(d, |d| {
@@ -359,24 +363,24 @@ fn dec_engine(d: &mut Dec<'_>) -> Result<EngineSnapshot, String> {
         let t_start = d.f64()?;
         let volume = d.f64()?;
         let mailbox = if dec_bool(d)? { Some(dec_mailbox_key(d)?) } else { None };
-        let complete = dec_bool(d)?;
-        Ok(OpSnap { actor, kind, tag, t_start, volume, mailbox, complete })
+        let state = if dec_bool(d)? { OpState::Complete } else { OpState::Pending };
+        Ok(Op { actor, kind, tag, t_start, volume, mailbox, state })
     })?;
 
     let comms = dec_slab(d, |d| {
         let size = d.f64()?;
-        let src_host = d.u32()?;
-        let dst_host = d.u32()?;
-        let send_op = d.usize()?;
-        let recv_op = d.opt_usize()?;
+        let src_host = HostId(d.u32()?);
+        let dst_host = HostId(d.u32()?);
+        let send_op = OpId::from_raw(d.usize()?);
+        let recv_op = d.opt_usize()?.map(OpId::from_raw);
         let eager = dec_bool(d)?;
         let state = match d.u8()? {
-            0 => CommStateSnap::Unlaunched,
-            1 => CommStateSnap::InFlight,
-            2 => CommStateSnap::Arrived,
+            0 => CommState::Unlaunched,
+            1 => CommState::InFlight,
+            2 => CommState::Arrived,
             k => return Err(format!("unknown comm state {k}")),
         };
-        Ok(CommSnap { size, src_host, dst_host, send_op, recv_op, eager, state })
+        Ok(Comm { size, src_host, dst_host, send_op, recv_op, eager, state })
     })?;
 
     let n_mb = d.usize()?;

@@ -372,7 +372,7 @@ impl<'a> Replay<'a> {
                     ck.fingerprint
                 )));
             }
-            engine.restore_state(&ck.engine).map_err(ck_err)?;
+            engine.restore_state(ck.engine).map_err(ck_err)?;
             counter.store(ck.actions_replayed, Ordering::Relaxed);
         }
         // A failure the segment cache recorded, as the typed error it

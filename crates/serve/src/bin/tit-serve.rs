@@ -51,7 +51,7 @@ fn main() {
     let drain_on_stdin = args.has_flag("drain-on-stdin");
 
     let server = or_exit(Server::start(cfg), "tit-serve: cannot start");
-    println!("listening on 127.0.0.1:{}", server.port());
+    println!("listening on {}", server.local_addr());
 
     if drain_on_stdin {
         // Consume stdin until EOF, then drain: `daemon < pipe` stops

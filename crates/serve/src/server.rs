@@ -61,7 +61,7 @@ impl Drain {
 pub struct Server {
     shared: Arc<Shared>,
     drain: Arc<Drain>,
-    port: u16,
+    addr: SocketAddr,
     supervisor: Option<JoinHandle<std::io::Result<()>>>,
 }
 
@@ -69,8 +69,8 @@ impl Server {
     /// Binds, spawns the worker pool and the supervisor, and returns.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let mut wake = listener.local_addr()?;
-        let port = wake.port();
+        let addr = listener.local_addr()?;
+        let mut wake = addr;
         if wake.ip().is_unspecified() {
             wake.set_ip(match wake.ip() {
                 IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
@@ -106,13 +106,21 @@ impl Server {
         let dr = Arc::clone(&drain);
         let supervisor =
             std::thread::spawn(move || supervise(&listener, &sh, &dr, workers));
-        Ok(Server { shared, drain, port, supervisor: Some(supervisor) })
+        Ok(Server { shared, drain, addr, supervisor: Some(supervisor) })
     }
 
     /// The bound port (useful with `addr` port 0).
     #[must_use]
     pub fn port(&self) -> u16 {
-        self.port
+        self.addr.port()
+    }
+
+    /// The address the listener is bound to, as bound: an unspecified
+    /// host such as `0.0.0.0` stays unspecified (the drain wake-up
+    /// connects to the loopback address instead).
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// The shared state (metrics introspection in tests).

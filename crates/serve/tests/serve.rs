@@ -403,19 +403,58 @@ fn every_drain_trigger_wakes_the_blocked_accept() {
     let mut banner = String::new();
     BufReader::new(daemon.stdout.take().unwrap()).read_line(&mut banner).unwrap();
     assert!(banner.starts_with("listening on"), "{banner}");
-    let t0 = Instant::now();
     drop(daemon.stdin.take());
-    let status = loop {
+    let status = exits_within(&mut daemon, limit);
+    assert!(status.success(), "{status}");
+}
+
+/// Waits for a daemon whose stdin was closed to exit; fails after
+/// `limit`.
+fn exits_within(daemon: &mut std::process::Child, limit: Duration) -> std::process::ExitStatus {
+    let t0 = Instant::now();
+    loop {
         if let Some(status) = daemon.try_wait().unwrap() {
-            break status;
+            return status;
         }
         if t0.elapsed() > limit {
             let _ = daemon.kill();
             panic!("stdin EOF did not drain the daemon within {limit:?}");
         }
         std::thread::sleep(Duration::from_millis(5));
-    };
-    assert!(status.success(), "{status}");
+    }
+}
+
+/// The banner names the address the daemon bound, host included:
+/// `--addr 0.0.0.0:0` prints `0.0.0.0:PORT`, and stdin EOF still drains
+/// it (the wake-up connects through the loopback address).
+#[test]
+fn banner_prints_the_bound_address() {
+    let limit = Duration::from_secs(1);
+    let any = ServerConfig { addr: "0.0.0.0:0".into(), ..ServerConfig::default() };
+    let server = Server::start(any).unwrap();
+    assert!(server.local_addr().ip().is_unspecified(), "{}", server.local_addr());
+    assert_eq!(server.local_addr().port(), server.port());
+    server.drain();
+    drains_within(server, limit);
+
+    let banners =
+        [("0.0.0.0:0", "listening on 0.0.0.0:"), ("127.0.0.1:0", "listening on 127.0.0.1:")];
+    for (addr, want) in banners {
+        let mut daemon = Command::new(env!("CARGO_BIN_EXE_tit-serve"))
+            .args(["--addr", addr, "--drain-on-stdin"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut banner = String::new();
+        BufReader::new(daemon.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+        drop(daemon.stdin.take());
+        let status = exits_within(&mut daemon, limit);
+        assert!(banner.starts_with(want), "{addr}: {banner}");
+        let port: u16 = banner.trim_end()[want.len()..].parse().unwrap();
+        assert_ne!(port, 0, "{banner}");
+        assert!(status.success(), "{addr}: {status}");
+    }
 }
 
 #[test]

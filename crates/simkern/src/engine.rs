@@ -39,6 +39,7 @@ use crate::netmodel::NetworkConfig;
 use crate::observer::{Observer, OpRecord};
 use crate::resource::{HostId, Platform, Route};
 use crate::slab::Slab;
+use crate::snapshot::{ActorSnap, EngineSnapshot, MailboxSnap, SlabSnap};
 
 /// Which kernel implementation drives the run (docs/KERNEL.md §1).
 ///
@@ -111,43 +112,74 @@ impl MailboxKey {
 
 const EPS_REMAINING: f64 = 1e-6;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpState {
+// The engine's records below are plain public data: an
+// [`EngineSnapshot`](crate::snapshot::EngineSnapshot) holds them as
+// they are, and the checkpoint codec reads and writes their fields.
+
+/// Whether a posted operation has completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpState {
+    /// Still running (or waiting for its rendezvous).
     Pending,
+    /// Completed but not yet delivered to a waiter.
     Complete,
 }
 
-#[derive(Debug)]
-struct Op {
-    actor: ActorId,
-    kind: OpKind,
-    tag: u32,
-    t_start: f64,
-    volume: f64,
+/// One posted operation (an op slab entry).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Op {
+    /// Owning actor.
+    pub actor: ActorId,
+    /// Operation kind.
+    pub kind: OpKind,
+    /// Observer tag.
+    pub tag: u32,
+    /// Simulated post time.
+    pub t_start: f64,
+    /// Volume (flops or bytes).
+    pub volume: f64,
     /// Mailbox the op rendezvouses through (communications only) — kept
     /// so a deadlock report can say *which* channel never matched.
-    mailbox: Option<MailboxKey>,
-    state: OpState,
+    pub mailbox: Option<MailboxKey>,
+    /// Completion state.
+    pub state: OpState,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Owner {
-    Exec { op: OpId },
-    Comm { comm: usize },
-}
-
-#[derive(Debug)]
-struct Activity {
-    var: lmm::VarId,
-    remaining: f64,
-    rate: f64,
-    /// Simulated time at which `remaining` was last integrated.
-    t_last: f64,
-    owner: Owner,
-}
-
+/// Who owns an activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommState {
+pub enum Owner {
+    /// A CPU burst completing op `op`.
+    Exec {
+        /// The op the burst completes.
+        op: OpId,
+    },
+    /// A network flow of comm `comm`.
+    Comm {
+        /// Comm slab key.
+        comm: usize,
+    },
+}
+
+/// One in-flight activity, a computation or a transfer (an activity
+/// slab entry).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Activity {
+    /// Solver variable carrying the activity's rate.
+    pub var: lmm::VarId,
+    /// Work left, partially integrated: a snapshot carries it verbatim,
+    /// it is never recomputed from the op volume.
+    pub remaining: f64,
+    /// Rate the solver last assigned.
+    pub rate: f64,
+    /// Simulated time at which `remaining` was last integrated.
+    pub t_last: f64,
+    /// Owning op or comm.
+    pub owner: Owner,
+}
+
+/// Rendezvous progress of a communication.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommState {
     /// Rendezvous send waiting for its receive before the flow starts.
     Unlaunched,
     /// Flow in progress (latency phase or transfer).
@@ -157,20 +189,27 @@ enum CommState {
     Arrived,
 }
 
-#[derive(Debug)]
-struct Comm {
-    size: f64,
-    src_host: HostId,
-    dst_host: HostId,
-    send_op: OpId,
-    recv_op: Option<OpId>,
+/// One communication (a comm slab entry).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Comm {
+    /// Message size, bytes.
+    pub size: f64,
+    /// Sending host.
+    pub src_host: HostId,
+    /// Receiving host.
+    pub dst_host: HostId,
+    /// The send op.
+    pub send_op: OpId,
+    /// The receive op, once matched.
+    pub recv_op: Option<OpId>,
     /// True when the sender's op was completed eagerly at post time;
     /// eager flows also start immediately, without waiting for the
     /// rendezvous (buffered mode), so their latency overlaps with
     /// whatever the receiver is doing — essential for pipelined
     /// applications like LU.
-    eager: bool,
-    state: CommState,
+    pub eager: bool,
+    /// Rendezvous progress.
+    pub state: CommState,
 }
 
 #[derive(Default)]
@@ -191,19 +230,30 @@ struct ActorSlot {
     phase: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
+/// The payload of a timed event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
     /// A flow finished its latency phase.
-    LatencyDone { comm: usize },
+    LatencyDone {
+        /// Comm slab key.
+        comm: usize,
+    },
     /// A sleep operation expired.
-    SleepDone { op: OpId },
+    SleepDone {
+        /// The sleep op.
+        op: OpId,
+    },
 }
 
+/// A queued timed event, ordered by `(time, seq)`.
 #[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
+pub struct Event {
+    /// Absolute simulated time of the event.
+    pub time: f64,
+    /// Engine-wide sequence number (total tiebreak order).
+    pub seq: u64,
+    /// What fires.
+    pub kind: EventKind,
 }
 
 impl PartialEq for Event {
@@ -1175,13 +1225,13 @@ impl Engine {
     // ------------------------------------------------------------------
     // Checkpoint support
 
-    /// Captures the engine's full raw state at a safe point (see
+    /// Captures the engine's full raw state at a safe point: the
+    /// sorted events and a verbatim copy of each slab (see
     /// [`crate::snapshot`] for why layouts are captured verbatim).
     /// Fails when the engine is mid-step (pending run queue, pending
     /// failure, stale rates, never started) or when an alive actor does
     /// not support checkpointing.
-    pub fn export_state(&self) -> Result<crate::snapshot::EngineSnapshot, String> {
-        use crate::snapshot as snap;
+    pub fn export_state(&self) -> Result<EngineSnapshot, String> {
         if !self.started {
             return Err("engine snapshot requested before the run started".into());
         }
@@ -1199,90 +1249,19 @@ impl Engine {
         }
         let lmm = self.lmm.export_snapshot()?;
 
-        let mut events: Vec<snap::EventSnap> = self
-            .events
-            .iter()
-            .map(|e| snap::EventSnap {
-                time: e.time,
-                seq: e.seq,
-                kind: match e.kind {
-                    EventKind::LatencyDone { comm } => snap::EventKindSnap::LatencyDone { comm },
-                    EventKind::SleepDone { op } => snap::EventKindSnap::SleepDone { op: op.0 },
-                },
-            })
-            .collect();
+        let mut events: Vec<Event> = self.events.iter().collect();
         // (time, seq) is a total order — seq is unique — so sorting
         // gives deterministic bytes and an order-independent rebuild.
-        events.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
-
-        let activities = snap::SlabSnap {
-            slots: self
-                .activities
-                .slots()
-                .map(|s| {
-                    s.map(|a| snap::ActivitySnap {
-                        var: a.var.0,
-                        remaining: a.remaining,
-                        rate: a.rate,
-                        t_last: a.t_last,
-                        owner: match a.owner {
-                            Owner::Exec { op } => snap::OwnerSnap::Exec { op: op.0 },
-                            Owner::Comm { comm } => snap::OwnerSnap::Comm { comm },
-                        },
-                    })
-                })
-                .collect(),
-            free: self.activities.free_list().to_vec(),
-        };
-        let ops = snap::SlabSnap {
-            slots: self
-                .ops
-                .slots()
-                .map(|s| {
-                    s.map(|o| snap::OpSnap {
-                        actor: o.actor,
-                        kind: o.kind,
-                        tag: o.tag,
-                        t_start: o.t_start,
-                        volume: o.volume,
-                        mailbox: o.mailbox,
-                        complete: o.state == OpState::Complete,
-                    })
-                })
-                .collect(),
-            free: self.ops.free_list().to_vec(),
-        };
-        let comms = snap::SlabSnap {
-            slots: self
-                .comms
-                .slots()
-                .map(|s| {
-                    s.map(|c| snap::CommSnap {
-                        size: c.size,
-                        src_host: c.src_host.0,
-                        dst_host: c.dst_host.0,
-                        send_op: c.send_op.0,
-                        recv_op: c.recv_op.map(|o| o.0),
-                        eager: c.eager,
-                        state: match c.state {
-                            CommState::Unlaunched => snap::CommStateSnap::Unlaunched,
-                            CommState::InFlight => snap::CommStateSnap::InFlight,
-                            CommState::Arrived => snap::CommStateSnap::Arrived,
-                        },
-                    })
-                })
-                .collect(),
-            free: self.comms.free_list().to_vec(),
-        };
+        events.sort();
 
         // Mailbox iteration order is nondeterministic (hash map); sort
         // by key for deterministic snapshot bytes. Restoring into a
         // hash map is safe: all engine accesses are keyed lookups.
-        let mut mailboxes: Vec<snap::MailboxSnap> = self
+        let mut mailboxes: Vec<MailboxSnap> = self
             .mailboxes
             .iter()
             .filter(|(_, m)| !m.comms.is_empty() || !m.recvs.is_empty())
-            .map(|(k, m)| snap::MailboxSnap {
+            .map(|(k, m)| MailboxSnap {
                 key: *k,
                 comms: m.comms.iter().copied().collect(),
                 recvs: m.recvs.iter().map(|&(op, a)| (op.0, a)).collect(),
@@ -1303,7 +1282,7 @@ impl Engine {
             } else {
                 None
             };
-            actors.push(snap::ActorSnap {
+            actors.push(ActorSnap {
                 host: slot.host.0,
                 waiting: slot.waiting.map(|o| o.0),
                 alive: slot.alive,
@@ -1312,16 +1291,16 @@ impl Engine {
             });
         }
 
-        Ok(snap::EngineSnapshot {
+        Ok(EngineSnapshot {
             clock: self.clock,
             seq: self.seq,
             ops_completed: self.ops_completed,
             events,
             completions: self.completions.raw().to_vec(),
             lmm,
-            activities,
-            ops,
-            comms,
+            activities: SlabSnap::of(&self.activities),
+            ops: SlabSnap::of(&self.ops),
+            comms: SlabSnap::of(&self.comms),
             mailboxes,
             actors,
         })
@@ -1333,13 +1312,10 @@ impl Engine {
     /// re-imported through [`Actor::import_state`]). On success the
     /// engine continues from the captured safe point via
     /// [`Engine::run_until`] and evolves bit-identically to the
-    /// original. On error the engine must be discarded: restoration is
-    /// not transactional.
-    pub fn restore_state(
-        &mut self,
-        snapshot: &crate::snapshot::EngineSnapshot,
-    ) -> Result<(), String> {
-        use crate::snapshot as snap;
+    /// original; the snapshot's slabs are moved in as they are. On
+    /// error the engine must be discarded: restoration is not
+    /// transactional.
+    pub fn restore_state(&mut self, snapshot: EngineSnapshot) -> Result<(), String> {
         snapshot.validate()?;
         if snapshot.actors.len() != self.actors.len() {
             return Err(format!(
@@ -1371,79 +1347,32 @@ impl Engine {
             }
         }
 
-        let activities = Slab::from_raw(
-            snapshot
-                .activities
-                .slots
-                .iter()
-                .map(|s| {
-                    s.as_ref().map(|a| Activity {
-                        var: lmm::VarId(a.var),
-                        remaining: a.remaining,
-                        rate: a.rate,
-                        t_last: a.t_last,
-                        owner: match a.owner {
-                            snap::OwnerSnap::Exec { op } => Owner::Exec { op: OpId(op) },
-                            snap::OwnerSnap::Comm { comm } => Owner::Comm { comm },
-                        },
-                    })
-                })
-                .collect(),
-            snapshot.activities.free.clone(),
-        )?;
-        let ops = Slab::from_raw(
-            snapshot
-                .ops
-                .slots
-                .iter()
-                .map(|s| {
-                    s.as_ref().map(|o| Op {
-                        actor: o.actor,
-                        kind: o.kind,
-                        tag: o.tag,
-                        t_start: o.t_start,
-                        volume: o.volume,
-                        mailbox: o.mailbox,
-                        state: if o.complete { OpState::Complete } else { OpState::Pending },
-                    })
-                })
-                .collect(),
-            snapshot.ops.free.clone(),
-        )?;
+        let EngineSnapshot {
+            clock,
+            seq,
+            ops_completed,
+            events: queued,
+            completions,
+            lmm: _,
+            activities,
+            ops,
+            comms,
+            mailboxes: queues,
+            actors,
+        } = snapshot;
+        let activities = Slab::from_raw(activities.slots, activities.free)?;
+        let ops = Slab::from_raw(ops.slots, ops.free)?;
         let nhosts = self.platform.num_hosts() as u32;
-        for c in snapshot.comms.slots.iter().flatten() {
-            if c.src_host >= nhosts || c.dst_host >= nhosts {
+        for c in comms.slots.iter().flatten() {
+            if c.src_host.0 >= nhosts || c.dst_host.0 >= nhosts {
                 return Err(format!(
                     "comm references host {}->{} outside the platform",
-                    c.src_host, c.dst_host
+                    c.src_host.0, c.dst_host.0
                 ));
             }
         }
-        let comms = Slab::from_raw(
-            snapshot
-                .comms
-                .slots
-                .iter()
-                .map(|s| {
-                    s.as_ref().map(|c| Comm {
-                        size: c.size,
-                        src_host: HostId(c.src_host),
-                        dst_host: HostId(c.dst_host),
-                        send_op: OpId(c.send_op),
-                        recv_op: c.recv_op.map(OpId),
-                        eager: c.eager,
-                        state: match c.state {
-                            snap::CommStateSnap::Unlaunched => CommState::Unlaunched,
-                            snap::CommStateSnap::InFlight => CommState::InFlight,
-                            snap::CommStateSnap::Arrived => CommState::Arrived,
-                        },
-                    })
-                })
-                .collect(),
-            snapshot.comms.free.clone(),
-        )?;
-        let completions =
-            crate::idxheap::IndexedHeap::from_raw(snapshot.completions.clone())?;
+        let comms = Slab::from_raw(comms.slots, comms.free)?;
+        let completions = crate::idxheap::IndexedHeap::from_raw(completions)?;
 
         let mut var_act = Vec::new();
         for (act, a) in activities.iter() {
@@ -1457,7 +1386,7 @@ impl Engine {
         }
 
         let mut mailboxes: FxHashMap<MailboxKey, Mailbox> = FxHashMap::default();
-        for m in &snapshot.mailboxes {
+        for m in &queues {
             if mailboxes.contains_key(&m.key) {
                 return Err(format!(
                     "duplicate mailbox {}->{} chan {}",
@@ -1481,23 +1410,14 @@ impl Engine {
             KernelMode::Reference => EventQueue::binary(),
             KernelMode::Incremental => EventQueue::pairing(),
         };
-        for e in &snapshot.events {
-            events.push(Event {
-                time: e.time,
-                seq: e.seq,
-                kind: match e.kind {
-                    snap::EventKindSnap::LatencyDone { comm } => EventKind::LatencyDone { comm },
-                    snap::EventKindSnap::SleepDone { op } => {
-                        EventKind::SleepDone { op: OpId(op) }
-                    }
-                },
-            });
+        for e in queued {
+            events.push(e);
         }
 
         // Re-import the per-actor state before committing any engine
         // field, so a failed import leaves a recognizably broken engine
         // rather than a half-restored one.
-        for (i, (a, slot)) in snapshot.actors.iter().zip(self.actors.iter_mut()).enumerate() {
+        for (i, (a, slot)) in actors.iter().zip(self.actors.iter_mut()).enumerate() {
             if a.alive {
                 let state = a
                     .state
@@ -1514,9 +1434,9 @@ impl Engine {
             slot.phase = a.phase;
         }
 
-        self.clock = snapshot.clock;
-        self.seq = snapshot.seq;
-        self.ops_completed = snapshot.ops_completed;
+        self.clock = clock;
+        self.seq = seq;
+        self.ops_completed = ops_completed;
         self.events = events;
         self.completions = completions;
         self.lmm = lmm;
@@ -2327,7 +2247,7 @@ mod tests {
             snap.validate().unwrap();
 
             let mut resumed = pingpong_engine();
-            resumed.restore_state(&snap).unwrap();
+            resumed.restore_state(snap).unwrap();
             assert_eq!(resumed.clock().to_bits(), t_pause.to_bits());
             let t_res = resumed.run_checked().unwrap();
             assert_eq!(
@@ -2369,13 +2289,13 @@ mod tests {
         let (p, hs) = simple_platform(2);
         let mut other = Engine::new(p);
         other.spawn(Box::new(PingPong { rank: 0, rounds: 8 }), hs[0]);
-        assert!(other.restore_state(&snap).is_err());
+        assert!(other.restore_state(snap.clone()).is_err());
 
         // Corrupted cross-reference fails validation.
         let mut bad = snap.clone();
         bad.actors[0].waiting = Some(9999);
         let mut fresh = pingpong_engine();
-        assert!(fresh.restore_state(&bad).is_err());
+        assert!(fresh.restore_state(bad).is_err());
     }
 
     #[test]

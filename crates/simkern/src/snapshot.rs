@@ -17,8 +17,13 @@
 //!
 //! So a snapshot captures those layouts *verbatim* (see
 //! [`crate::slab::Slab::from_raw`], [`crate::idxheap::IndexedHeap::from_raw`]
-//! and [`crate::lmm::System::export_snapshot`]). Everything here is
-//! plain public data: the kernel stays dependency-free, and byte
+//! and [`crate::lmm::System::export_snapshot`]). It holds the kernel's
+//! own records — the engine's [`Event`]s, [`Activity`]s, [`Op`]s and
+//! [`Comm`]s, which are plain public data — in their slab layouts, so
+//! export copies each slab once and restore moves it back in. Only the
+//! mailboxes (a hash map in the engine), the actor slots (which hold a
+//! boxed actor) and the solver (whose scratch state is left out) take a
+//! shape of their own here. The kernel stays dependency-free, and byte
 //! serialization lives with the checkpoint file format in the replay
 //! layer.
 //!
@@ -27,9 +32,9 @@
 //! solver is clean — which is where [`crate::Engine::run_until`]
 //! consults its pause guard.
 
-use crate::engine::MailboxKey;
-use crate::error::OpKind;
+use crate::engine::{Activity, Comm, Event, EventKind, MailboxKey, Op, Owner};
 use crate::lmm::LmmSnapshot;
+use crate::slab::Slab;
 
 /// Raw slab layout: every slot in index order (`None` = vacant) plus
 /// the free-list in its internal order, so index reuse after restore
@@ -42,110 +47,14 @@ pub struct SlabSnap<T> {
     pub free: Vec<usize>,
 }
 
-/// A queued timed event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventSnap {
-    /// Absolute simulated time of the event.
-    pub time: f64,
-    /// Engine-wide sequence number (total tiebreak order).
-    pub seq: u64,
-    /// What fires.
-    pub kind: EventKindSnap,
-}
-
-/// The payload of a timed event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKindSnap {
-    /// A flow finished its latency phase; `comm` is the comm slab key.
-    LatencyDone {
-        /// Comm slab key.
-        comm: usize,
-    },
-    /// A sleep expired; `op` is the op slab key.
-    SleepDone {
-        /// Op slab key.
-        op: usize,
-    },
-}
-
-/// One posted operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpSnap {
-    /// Owning actor.
-    pub actor: usize,
-    /// Operation kind.
-    pub kind: OpKind,
-    /// Observer tag.
-    pub tag: u32,
-    /// Simulated post time.
-    pub t_start: f64,
-    /// Volume (flops or bytes).
-    pub volume: f64,
-    /// Rendezvous mailbox (communications only).
-    pub mailbox: Option<MailboxKey>,
-    /// True when already completed but not yet delivered to a waiter.
-    pub complete: bool,
-}
-
-/// Who owns an activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OwnerSnap {
-    /// A CPU burst completing op `op`.
-    Exec {
-        /// Op slab key.
-        op: usize,
-    },
-    /// A network flow of comm `comm`.
-    Comm {
-        /// Comm slab key.
-        comm: usize,
-    },
-}
-
-/// One in-flight activity (computation or transfer).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivitySnap {
-    /// LMM variable key.
-    pub var: usize,
-    /// Work left, partially integrated — restored verbatim, never
-    /// recomputed from the op volume.
-    pub remaining: f64,
-    /// Rate at capture time.
-    pub rate: f64,
-    /// Simulated time `remaining` was last integrated at.
-    pub t_last: f64,
-    /// Owning op or comm.
-    pub owner: OwnerSnap,
-}
-
-/// Rendezvous progress of a communication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommStateSnap {
-    /// Send posted, waiting for the matching receive.
-    Unlaunched,
-    /// Flow in progress (latency phase or transfer).
-    InFlight,
-    /// Eager data buffered at the receiver.
-    Arrived,
-}
-
-/// One communication.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommSnap {
-    /// Message size, bytes.
-    pub size: f64,
-    /// Sending host index.
-    pub src_host: u32,
-    /// Receiving host index.
-    pub dst_host: u32,
-    /// Send op slab key.
-    pub send_op: usize,
-    /// Receive op slab key, once matched.
-    pub recv_op: Option<usize>,
-    /// Completed eagerly for the sender at post time.
-    pub eager: bool,
-    /// Rendezvous progress.
-    pub state: CommStateSnap,
+impl<T: Clone> SlabSnap<T> {
+    /// A copy of `slab`'s exact layout.
+    pub fn of(slab: &Slab<T>) -> Self {
+        SlabSnap {
+            slots: slab.slots().map(Option::<&T>::cloned).collect(),
+            free: slab.free_list().to_vec(),
+        }
+    }
 }
 
 /// One mailbox's queued entries. Mailboxes are stored sorted by
@@ -191,18 +100,18 @@ pub struct EngineSnapshot {
     /// Queued timed events, sorted by `(time, seq)` (a total order —
     /// `seq` is unique — so rebuilding the binary heap by pushing them
     /// cannot permute ties).
-    pub events: Vec<EventSnap>,
+    pub events: Vec<Event>,
     /// Raw completion-heap array: `(predicted time, activity key)` in
     /// internal layout order (equal-time pops are layout-dependent).
     pub completions: Vec<(f64, usize)>,
     /// Raw solver layout.
     pub lmm: LmmSnapshot,
     /// In-flight activities.
-    pub activities: SlabSnap<ActivitySnap>,
+    pub activities: SlabSnap<Activity>,
     /// Posted operations.
-    pub ops: SlabSnap<OpSnap>,
+    pub ops: SlabSnap<Op>,
     /// Communications.
-    pub comms: SlabSnap<CommSnap>,
+    pub comms: SlabSnap<Comm>,
     /// Non-empty mailboxes, sorted by key.
     pub mailboxes: Vec<MailboxSnap>,
     /// Actor slots in spawn order.
@@ -222,11 +131,11 @@ impl EngineSnapshot {
 
         for ev in &self.events {
             match ev.kind {
-                EventKindSnap::LatencyDone { comm } if !comm_ok(comm) => {
+                EventKind::LatencyDone { comm } if !comm_ok(comm) => {
                     return Err(format!("event references missing comm {comm}"));
                 }
-                EventKindSnap::SleepDone { op } if !op_ok(op) => {
-                    return Err(format!("event references missing op {op}"));
+                EventKind::SleepDone { op } if !op_ok(op.0) => {
+                    return Err(format!("event references missing op {}", op.0));
                 }
                 _ => {}
             }
@@ -240,14 +149,14 @@ impl EngineSnapshot {
             }
         }
         for a in self.activities.slots.iter().flatten() {
-            if !var_ok(a.var) {
-                return Err(format!("activity references missing lmm variable {}", a.var));
+            if !var_ok(a.var.0) {
+                return Err(format!("activity references missing lmm variable {}", a.var.0));
             }
             match a.owner {
-                OwnerSnap::Exec { op } if !op_ok(op) => {
-                    return Err(format!("activity owner references missing op {op}"));
+                Owner::Exec { op } if !op_ok(op.0) => {
+                    return Err(format!("activity owner references missing op {}", op.0));
                 }
-                OwnerSnap::Comm { comm } if !comm_ok(comm) => {
+                Owner::Comm { comm } if !comm_ok(comm) => {
                     return Err(format!("activity owner references missing comm {comm}"));
                 }
                 _ => {}
@@ -264,12 +173,12 @@ impl EngineSnapshot {
             // lingers in the mailbox until the receiver matches it; the
             // engine never dereferences `send_op` again on that path,
             // so only rendezvous comms pin their send op.
-            if !c.eager && !op_ok(c.send_op) {
-                return Err(format!("comm references missing send op {}", c.send_op));
+            if !c.eager && !op_ok(c.send_op.0) {
+                return Err(format!("comm references missing send op {}", c.send_op.0));
             }
             if let Some(r) = c.recv_op {
-                if !op_ok(r) {
-                    return Err(format!("comm references missing recv op {r}"));
+                if !op_ok(r.0) {
+                    return Err(format!("comm references missing recv op {}", r.0));
                 }
             }
         }

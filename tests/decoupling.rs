@@ -40,7 +40,7 @@ fn acquire_and_extract(
     let cfg = EmulConfig { seed, papi_jitter: jitter, ..Default::default() };
     acquire(&lu.program(), nproc, mode, &cfg, &tau).unwrap();
     tau2ti(&tau, nproc, &ti, 2).unwrap();
-    let trace = TiTrace::load_per_process(&ti).unwrap();
+    let trace = titr::trace::load_exact(&ti, nproc, 1).unwrap();
     let platform = PlatformDesc::single(presets::bordereau_one_core(nproc)).build();
     let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
     let t = Replay::new(Input::files(&ti, nproc), platform, &hosts, &ReplayConfig::default())

@@ -60,9 +60,9 @@ fn merged_bytes(t: &TiTrace) -> Vec<u8> {
 fn parallel_load_is_byte_identical_to_serial() {
     let dir = tmp("bytes");
     rich_trace(8, 20).save_per_process(&dir).unwrap();
-    let serial = TiTrace::load_per_process(&dir).unwrap();
+    let serial = ingest::load_exact(&dir, 8, 1).unwrap();
     for jobs in [0, 2, 5, 8, 32] {
-        let parallel = ingest::load_per_process_jobs(&dir, jobs).unwrap();
+        let parallel = ingest::load_exact(&dir, 8, jobs).unwrap();
         assert_eq!(parallel, serial, "jobs={jobs}");
         assert_eq!(merged_bytes(&parallel), merged_bytes(&serial), "jobs={jobs}");
     }
@@ -76,11 +76,11 @@ fn truncation_fails_identically_on_both_loaders() {
     let dir = tmp("trunc");
     rich_trace(6, 10).save_per_process(&dir).unwrap();
     Injector::new(0x7A).truncate_file(&dir.join(process_trace_filename(3))).unwrap();
-    let serial = TiTrace::load_per_process(&dir);
-    let parallel = ingest::load_per_process_jobs(&dir, 4);
+    let serial = ingest::load_exact(&dir, 6, 1);
+    let parallel = ingest::load_exact(&dir, 6, 4);
     match (serial, parallel) {
         (Err(s), Err(p)) => {
-            assert_eq!(s.kind(), p.kind());
+            assert_eq!(s.source.kind(), p.source.kind());
             assert_eq!(s.to_string(), p.to_string());
         }
         // A truncation can land exactly on a line boundary, leaving a
@@ -101,11 +101,11 @@ fn bit_flips_fail_or_survive_identically() {
         rich_trace(4, 6).save_per_process(&dir).unwrap();
         let victim = dir.join(process_trace_filename((seed % 4) as usize));
         Injector::new(seed).flip_bit(&victim).unwrap();
-        let serial = TiTrace::load_per_process(&dir);
-        let parallel = ingest::load_per_process_jobs(&dir, 3);
+        let serial = ingest::load_exact(&dir, 4, 1);
+        let parallel = ingest::load_exact(&dir, 4, 3);
         match (serial, parallel) {
             (Err(s), Err(p)) => {
-                assert_eq!(s.kind(), p.kind(), "seed {seed}");
+                assert_eq!(s.source.kind(), p.source.kind(), "seed {seed}");
                 assert_eq!(s.to_string(), p.to_string(), "seed {seed}");
             }
             (Ok(s), Ok(p)) => assert_eq!(s, p, "seed {seed}"),
@@ -115,27 +115,22 @@ fn bit_flips_fail_or_survive_identically() {
     }
 }
 
-/// Dropping a rank's file ends discovery at the same point for both
-/// loaders (dropping rank 0 is the NotFound case for both).
+/// A dropped rank's file fails both loaders with the same error, which
+/// names the missing rank and its file.
 #[test]
 fn dropped_ranks_fail_identically_on_both_loaders() {
     for victim in [0usize, 2, 5] {
         let dir = tmp(&format!("drop{victim}"));
         rich_trace(6, 4).save_per_process(&dir).unwrap();
         Injector::new(9).drop_rank(&dir, victim).unwrap();
-        let serial = TiTrace::load_per_process(&dir);
-        let parallel = ingest::load_per_process_jobs(&dir, 4);
-        match (serial, parallel) {
-            (Err(s), Err(p)) => {
-                assert_eq!(s.kind(), p.kind(), "victim {victim}");
-                assert_eq!(s.to_string(), p.to_string(), "victim {victim}");
-            }
-            (Ok(s), Ok(p)) => {
-                assert_eq!(s, p, "victim {victim}");
-                assert_eq!(s.num_processes(), victim, "discovery stops at the gap");
-            }
-            (s, p) => panic!("victim {victim}: loaders disagree: {s:?} vs {p:?}"),
-        }
+        let serial = ingest::load_exact(&dir, 6, 1).unwrap_err();
+        let parallel = ingest::load_exact(&dir, 6, 4).unwrap_err();
+        assert_eq!(serial.source.kind(), parallel.source.kind(), "victim {victim}");
+        assert_eq!(serial.to_string(), parallel.to_string(), "victim {victim}");
+        assert_eq!(serial.rank, victim);
+        assert_eq!(serial.source.kind(), std::io::ErrorKind::NotFound, "victim {victim}");
+        let file = process_trace_filename(victim);
+        assert!(serial.to_string().contains(&file), "victim {victim}: {serial}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -285,8 +280,8 @@ proptest! {
         }
         let dir = tmp(&format!("prop{jobs}-{}", t.num_actions()));
         t.save_per_process(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
-        let parallel = ingest::load_per_process_jobs(&dir, jobs).unwrap();
+        let serial = ingest::load_exact(&dir, 4, 1).unwrap();
+        let parallel = ingest::load_exact(&dir, 4, jobs).unwrap();
         prop_assert_eq!(&parallel, &serial);
         prop_assert_eq!(merged_bytes(&parallel), merged_bytes(&serial));
         std::fs::remove_dir_all(&dir).unwrap();

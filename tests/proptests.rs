@@ -280,13 +280,29 @@ fn strict_lints() -> LintConfig {
     cfg
 }
 
+/// A fault case's scratch directory, removed when the case drops it.
+struct SentinelDir(PathBuf);
+
+impl std::ops::Deref for SentinelDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for SentinelDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Writes a pristine copy of the sentinel trace into a fresh directory.
-fn fresh_sentinel_dir(tag: &str) -> PathBuf {
+fn fresh_sentinel_dir(tag: &str) -> SentinelDir {
     let dir = std::env::temp_dir().join(format!("titr-faultlint-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     sentinel_trace().save_per_process(&dir).unwrap();
-    dir
+    SentinelDir(dir)
 }
 
 /// True when `dir` still loads and replays exactly like the sentinel
@@ -306,7 +322,7 @@ fn semantically_intact(dir: &Path) -> bool {
         }
         t
     }
-    TiTrace::load_per_process(dir)
+    titr::trace::load_exact(dir, 2, 1)
         .map(|t| strip_advisory(t).actions == strip_advisory(sentinel_trace()).actions)
         .unwrap_or(false)
 }
