@@ -940,6 +940,53 @@ fn checkpoint_from_an_earlier_build_still_resumes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A paused store replay writes the same `TICK1` bytes as the build
+/// before trivial islands were solved directly, the completion heap
+/// popped by moving a hole and the segment cache indexed by touch. The
+/// pause finds many activities in flight, islands of a lone variable and
+/// islands whose variables share a constraint, and a budget that has
+/// already evicted, so the bytes pin the completion heap's layout and
+/// the order in which solves write rates back. The fixture was written,
+/// with that earlier build, by
+///
+/// ```text
+/// tit-gen --tib2 lu16.tib2 --np 16 --pattern lu --class S --iters 2 --seg-actions 32
+/// tit-replay --store lu16.tib2 --mem-budget 16K --checkpoint lu16-store-evicting.tick \
+///     --checkpoint-every 1500 --stop-after-checkpoints 1
+/// ```
+#[test]
+fn store_checkpoint_bytes_match_an_earlier_build() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/lu16-store-evicting.tick");
+    let ck = tit_replay::ReplayCheckpoint::load(&fixture).unwrap();
+    let e = &ck.engine;
+    assert!(e.completions.len() >= 8, "{} activities in flight", e.completions.len());
+    let crossing = |c: usize| e.lmm.cnsts[c].as_ref().map_or(0, |c| c.vars.len());
+    let vars = e.lmm.vars.iter().flatten().filter(|v| !v.cnsts.is_empty());
+    let lone = vars.filter(|v| v.cnsts.iter().all(|&c| crossing(c) == 1)).count();
+    let shared = e.lmm.cnsts.iter().flatten().filter(|c| c.vars.len() > 1).count();
+    assert!(lone > 0 && shared > 0, "{lone} lone variables, {shared} shared constraints");
+
+    let dir = std::env::temp_dir().join(format!("titr-ckbytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, tick) = (dir.join("lu16.tib2"), dir.join("lu16.tick"));
+    let (store, tick) = (store.to_str().unwrap(), tick.to_str().unwrap());
+    let gen = ["--np", "16", "--pattern", "lu", "--class", "S", "--iters", "2"];
+    let gen = [&["--tib2", store][..], &gen, &["--seg-actions", "32"]].concat();
+    let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-gen"), &gen);
+    assert!(ok, "{msg}");
+    let out = Command::new(env!("CARGO_BIN_EXE_tit-replay"))
+        .args(["--store", store, "--mem-budget", "16K", "--checkpoint", tick])
+        .args(["--checkpoint-every", "1500", "--stop-after-checkpoints", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let same = std::fs::read(tick).unwrap() == std::fs::read(&fixture).unwrap();
+    assert!(same, "checkpoint bytes differ from the fixture's");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// tit-replay's optional flags, each with a valid value and the flags it
 /// needs: `STORE`, `PLATFORM` and `DEPLOY` name the inputs of
 /// [`every_pair_of_replay_flags_runs_or_is_refused_naming_both`], `@`

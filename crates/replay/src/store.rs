@@ -30,7 +30,7 @@ use crate::process::Cursor;
 use crate::simulator::{Input, Replay, ReplayConfig, ReplayOutcome};
 use simkern::resource::HostId;
 use simkern::Platform;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tit_core::membudget::{MemBudget, MemoryExceeded};
@@ -80,7 +80,26 @@ struct Entry {
 
 struct Inner {
     map: HashMap<(usize, usize), Entry>,
+    /// One `(touched, key)` record per resident segment, in ascending
+    /// touch clock: the eviction order.
+    order: VecDeque<(u64, (usize, usize))>,
     clock: u64,
+}
+
+impl Inner {
+    /// Ticks the clock and, on a hit, marks `key` touched now: its
+    /// record moves from its place (found by binary search, clocks
+    /// being sorted) to the back.
+    fn touch(&mut self, key: (usize, usize)) -> Option<Arc<SegmentColumns>> {
+        self.clock += 1;
+        let e = self.map.get_mut(&key)?;
+        if let Ok(i) = self.order.binary_search_by_key(&e.touched, |&(t, _)| t) {
+            self.order.remove(i);
+        }
+        e.touched = self.clock;
+        self.order.push_back((self.clock, key));
+        Some(Arc::clone(&e.seg))
+    }
 }
 
 /// Shared segment residency: one per replay, feeding every rank's store
@@ -88,7 +107,8 @@ struct Inner {
 /// `Arc<SegmentColumns>`; a cursor holding its current segment pins it
 /// (Arc refcount > 1), everything else is evictable. Residency is
 /// charged against the [`MemBudget`] *before* each read, and eviction
-/// is least-recently-touched-first among unpinned segments.
+/// is least-recently-touched-first among unpinned segments, read off an
+/// index kept in touch order rather than found by scanning the cache.
 pub struct SegmentCache {
     store: Arc<Tib2Store>,
     budget: Arc<MemBudget>,
@@ -104,7 +124,7 @@ impl SegmentCache {
         SegmentCache {
             store,
             budget,
-            inner: Mutex::new(Inner { map: HashMap::new(), clock: 0 }),
+            inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new(), clock: 0 }),
             fault: Mutex::new(None),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -151,21 +171,19 @@ impl SegmentCache {
         msg
     }
 
-    /// Evicts the least-recently-touched segment nobody holds; returns
-    /// false when everything resident is pinned.
+    /// Evicts the least-recently-touched segment nobody holds: the first
+    /// unpinned record of the touch-ordered index (touch clocks are
+    /// unique, so it is the segment a scan of the whole cache for the
+    /// oldest unpinned one would pick). Returns false when everything
+    /// resident is pinned.
     fn evict_one(&self) -> bool {
         // panics: mutex poisoned only if another thread already panicked
         let mut inner = self.inner.lock().unwrap();
-        let victim = inner
-            .map
-            .iter()
-            .filter(|(_, e)| Arc::strong_count(&e.seg) == 1)
-            .min_by_key(|(_, e)| e.touched)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                // panics: the key was just found in the map
-                let e = inner.map.remove(&k).unwrap();
+        let Inner { map, order, .. } = &mut *inner;
+        let unpinned = |k| map.get(k).is_some_and(|e: &Entry| Arc::strong_count(&e.seg) == 1);
+        let victim = order.iter().position(|(_, k)| unpinned(k));
+        match victim.and_then(|i| order.remove(i)).and_then(|(_, k)| map.remove(&k)) {
+            Some(e) => {
                 self.budget.release(e.bytes);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 true
@@ -178,15 +196,9 @@ impl SegmentCache {
     /// Fail-closed on damage; typed refusal when the budget cannot be
     /// met even with every evictable segment dropped.
     pub(crate) fn segment(&self, rank: usize, seg: usize) -> Result<Arc<SegmentColumns>, Fault> {
-        {
-            // panics: mutex poisoned only if another thread already panicked
-            let mut inner = self.inner.lock().unwrap();
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(e) = inner.map.get_mut(&(rank, seg)) {
-                e.touched = clock;
-                return Ok(Arc::clone(&e.seg));
-            }
+        // panics: mutex poisoned only if another thread already panicked
+        if let Some(hit) = self.inner.lock().unwrap().touch((rank, seg)) {
+            return Ok(hit);
         }
         let meta = *self
             .store
@@ -213,17 +225,16 @@ impl SegmentCache {
         self.faults.fetch_add(1, Ordering::Relaxed);
         // panics: mutex poisoned only if another thread already panicked
         let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let clock = inner.clock;
         // Two cursors racing on the same uncached segment may both read
         // it (same tradeoff as the serve trace cache: a wasted read,
         // never a blocked one); the loser's charge is returned.
-        if let Some(e) = inner.map.get_mut(&(rank, seg)) {
-            e.touched = clock;
+        if let Some(hit) = inner.touch((rank, seg)) {
             self.budget.release(bytes);
-            return Ok(Arc::clone(&e.seg));
+            return Ok(hit);
         }
-        inner.map.insert((rank, seg), Entry { seg: Arc::clone(&seg_cols), bytes, touched: clock });
+        let touched = inner.clock;
+        inner.map.insert((rank, seg), Entry { seg: Arc::clone(&seg_cols), bytes, touched });
+        inner.order.push_back((touched, (rank, seg)));
         Ok(seg_cols)
     }
 }
@@ -389,6 +400,97 @@ mod tests {
         drop(cache.segment(0, 0).unwrap()); // dropped: must re-fault
         assert_eq!(cache.fault_count(), 4, "3 distinct segments + 1 re-fault");
         std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// The eviction rule as a scan of every resident segment: the
+    /// oldest touch among those nobody pins goes first.
+    #[derive(Default)]
+    struct ScanOracle {
+        cap: u64,
+        used: u64,
+        clock: u64,
+        /// Resident segments: key, decoded bytes, last touch.
+        resident: Vec<((usize, usize), u64, u64)>,
+        faults: u64,
+        evicted: Vec<(usize, usize)>,
+    }
+
+    impl ScanOracle {
+        /// Requests `key`; false when everything evictable is gone and
+        /// it still does not fit.
+        fn request(&mut self, key: (usize, usize), bytes: u64, pinned: &[(usize, usize)]) -> bool {
+            self.clock += 1;
+            if let Some(e) = self.resident.iter_mut().find(|e| e.0 == key) {
+                e.2 = self.clock;
+                return true;
+            }
+            while self.used + bytes > self.cap {
+                let victim = (0..self.resident.len())
+                    .filter(|&i| !pinned.contains(&self.resident[i].0))
+                    .min_by_key(|&i| self.resident[i].2);
+                let Some(i) = victim else { return false };
+                let (k, b, _) = self.resident.swap_remove(i);
+                self.used -= b;
+                self.evicted.push(k);
+            }
+            self.used += bytes;
+            self.clock += 1;
+            self.resident.push((key, bytes, self.clock));
+            self.faults += 1;
+            true
+        }
+    }
+
+    proptest::proptest! {
+        /// Under a budget of about three segments, random requests with
+        /// pins held and dropped evict the segments a full scan picks,
+        /// in its order, and leave the same residents in the same touch
+        /// order, with the same fault and eviction counts.
+        #[test]
+        fn eviction_index_picks_the_full_scans_victims(
+            ops in proptest::collection::vec((0usize..4, 0usize..64, 0u8..4), 1..120),
+        ) {
+            let (d, store) = tmp_store("victims", 40, 32);
+            let one = store.segment_meta(0, 0).unwrap().decoded_bytes();
+            let cache = cache(&store, MemBudget::new(3 * one));
+            let mut oracle = ScanOracle { cap: 3 * one, ..ScanOracle::default() };
+            let mut pins: Vec<((usize, usize), Arc<SegmentColumns>)> = Vec::new();
+            for (rank, seg, pin) in ops {
+                let key = (rank, seg % store.num_segments(rank));
+                let bytes = store.segment_meta(key.0, key.1).unwrap().decoded_bytes();
+                let pinned: Vec<(usize, usize)> = pins.iter().map(|p| p.0).collect();
+                let before: Vec<(usize, usize)> =
+                    cache.inner.lock().unwrap().order.iter().map(|r| r.1).collect();
+                let evicted = oracle.evicted.len();
+                let fits = oracle.request(key, bytes, &pinned);
+                let got = cache.segment(key.0, key.1);
+                proptest::prop_assert_eq!(got.is_ok(), fits);
+                match (got, pin) {
+                    (Ok(seg), 0) => pins.push((key, seg)),
+                    (Err(e), _) => proptest::prop_assert!(e.is_memory(), "{e}"),
+                    _ => {}
+                }
+                if pin == 3 && !pins.is_empty() {
+                    pins.remove(0);
+                }
+                let inner = cache.inner.lock().unwrap();
+                let mut want = oracle.resident.clone();
+                want.sort_by_key(|e| e.2);
+                let order: Vec<(usize, usize)> = inner.order.iter().map(|r| r.1).collect();
+                let want: Vec<(usize, usize)> = want.iter().map(|e| e.0).collect();
+                let gone: Vec<(usize, usize)> =
+                    before.into_iter().filter(|k| !order.contains(k)).collect();
+                proptest::prop_assert_eq!(&gone[..], &oracle.evicted[evicted..]);
+                proptest::prop_assert_eq!(order, want);
+                proptest::prop_assert_eq!(inner.map.len(), inner.order.len());
+                for &(t, k) in &inner.order {
+                    proptest::prop_assert_eq!(inner.map[&k].touched, t);
+                }
+                proptest::prop_assert_eq!(cache.fault_count(), oracle.faults);
+                proptest::prop_assert_eq!(cache.eviction_count(), oracle.evicted.len() as u64);
+            }
+            std::fs::remove_dir_all(&d).unwrap();
+        }
     }
 
     #[test]

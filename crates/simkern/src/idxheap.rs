@@ -105,19 +105,15 @@ impl IndexedHeap {
             self.stale[key] = false;
             self.nstale -= 1;
         }
+        let item = (priority, key);
         let p = self.pos[key];
         if p == ABSENT {
-            self.heap.push((priority, key));
-            self.pos[key] = self.heap.len() - 1;
-            self.sift_up(self.heap.len() - 1);
+            self.heap.push(item);
+            self.sift_up(self.heap.len() - 1, item);
+        } else if lt(item, self.heap[p]) {
+            self.sift_up(p, item);
         } else {
-            let old = self.heap[p].0;
-            self.heap[p].0 = priority;
-            if lt((priority, key), (old, key)) {
-                self.sift_up(p);
-            } else {
-                self.sift_down(p);
-            }
+            self.sift_down(p, item);
         }
     }
 
@@ -158,31 +154,53 @@ impl IndexedHeap {
         if p == ABSENT {
             return;
         }
-        if self.stale[key] {
-            self.stale[key] = false;
-            self.nstale -= 1;
+        self.unlist(key);
+        // The last entry fills the hole at `p`: it moves up if it is
+        // smaller than the hole's parent, else down.
+        let Some(last) = self.heap.pop() else { return };
+        if p == self.heap.len() {
+            return;
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(p, last);
-        self.pos[self.heap[p].1] = p;
-        self.heap.pop();
-        self.pos[key] = ABSENT;
-        if p < self.heap.len() {
-            // Re-establish the invariant for the element moved into `p`.
-            let moved = self.heap[p].1;
-            self.sift_up(p);
-            self.sift_down(self.pos[moved]);
+        if p > 0 && lt(last, self.heap[(p - 1) / 2]) {
+            self.sift_up(p, last);
+        } else {
+            self.sift_down(p, last);
         }
     }
 
     /// Pops the minimum (priority, key). Callers running the lazy
     /// discipline must refresh stale tops first; popping a stale entry
     /// would deliver a lower bound as if it were the true priority.
+    ///
+    /// The hole at the root moves down the smaller-child path to a leaf,
+    /// one comparison per level, and the last entry sifts up from there.
+    /// Keys are unique, so the children along that path increase and the
+    /// last entry stops where a sift down from the root would stop it:
+    /// the array is the one the classic pop leaves.
     pub fn pop(&mut self) -> Option<(f64, usize)> {
-        let (prio, key) = *self.heap.first()?;
-        debug_assert!(!self.stale[key], "popping a stale heap entry");
-        self.remove(key);
-        Some((prio, key))
+        let top = *self.heap.first()?;
+        debug_assert!(!self.stale[top.1], "popping a stale heap entry");
+        self.unlist(top.1);
+        let last = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return Some(top);
+        }
+        let mut i = 0;
+        while let Some(c) = self.min_child(i) {
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.sift_up(i, last);
+        Some(top)
+    }
+
+    /// Marks a present `key` absent and clears its stale mark.
+    fn unlist(&mut self, key: usize) {
+        if self.stale[key] {
+            self.stale[key] = false;
+            self.nstale -= 1;
+        }
+        self.pos[key] = ABSENT;
     }
 
     /// The raw heap array in its internal order.
@@ -221,39 +239,45 @@ impl IndexedHeap {
         Ok(IndexedHeap { heap, pos, stale, nstale: 0 })
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if lt(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                self.pos[self.heap[i].1] = i;
-                self.pos[self.heap[parent].1] = parent;
-                i = parent;
-            } else {
-                break;
-            }
-        }
+    /// Writes `item` at index `i` and records its position.
+    #[inline]
+    fn place(&mut self, i: usize, item: (f64, usize)) {
+        self.heap[i] = item;
+        self.pos[item.1] = i;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < self.heap.len() && lt(self.heap[l], self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && lt(self.heap[r], self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
+    /// Fills the hole at `i` with `item`, moving the hole up past every
+    /// larger parent first. Each moved entry is written once.
+    fn sift_up(&mut self, mut i: usize, item: (f64, usize)) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !lt(item, self.heap[parent]) {
                 break;
             }
-            self.heap.swap(i, smallest);
-            self.pos[self.heap[i].1] = i;
-            self.pos[self.heap[smallest].1] = smallest;
-            i = smallest;
+            self.place(i, self.heap[parent]);
+            i = parent;
         }
+        self.place(i, item);
+    }
+
+    /// Fills the hole at `i` with `item`, moving the hole down past
+    /// every smaller child first (the smaller of two children moves).
+    fn sift_down(&mut self, mut i: usize, item: (f64, usize)) {
+        while let Some(c) = self.min_child(i) {
+            if !lt(self.heap[c], item) {
+                break;
+            }
+            self.place(i, self.heap[c]);
+            i = c;
+        }
+        self.place(i, item);
+    }
+
+    /// The smaller child of `i`, if `i` has children.
+    #[inline]
+    fn min_child(&self, i: usize) -> Option<usize> {
+        let (l, len) = (2 * i + 1, self.heap.len());
+        (l < len).then(|| if l + 1 < len && lt(self.heap[l + 1], self.heap[l]) { l + 1 } else { l })
     }
 }
 
@@ -429,6 +453,133 @@ mod tests {
         assert!(IndexedHeap::from_raw(vec![(f64::NAN, 0)]).is_err());
         // Equal priorities with descending keys violate the total order.
         assert!(IndexedHeap::from_raw(vec![(1.0, 5), (1.0, 2)]).is_err());
+    }
+
+    /// The swap-based binary heap [`IndexedHeap`] sifted with before it
+    /// moved holes: the layout oracle.
+    #[derive(Default)]
+    struct SwapHeap {
+        heap: Vec<(f64, usize)>,
+        pos: Vec<usize>,
+    }
+
+    impl SwapHeap {
+        fn set(&mut self, key: usize, priority: f64) {
+            if key >= self.pos.len() {
+                self.pos.resize(key + 1, ABSENT);
+            }
+            let p = self.pos[key];
+            if p == ABSENT {
+                self.heap.push((priority, key));
+                self.pos[key] = self.heap.len() - 1;
+                self.sift_up(self.heap.len() - 1);
+            } else {
+                let old = self.heap[p].0;
+                self.heap[p].0 = priority;
+                if lt((priority, key), (old, key)) {
+                    self.sift_up(p);
+                } else {
+                    self.sift_down(p);
+                }
+            }
+        }
+
+        fn remove(&mut self, key: usize) {
+            let Some(&p) = self.pos.get(key) else { return };
+            if p == ABSENT {
+                return;
+            }
+            let last = self.heap.len() - 1;
+            self.heap.swap(p, last);
+            self.pos[self.heap[p].1] = p;
+            self.heap.pop();
+            self.pos[key] = ABSENT;
+            if p < self.heap.len() {
+                let moved = self.heap[p].1;
+                self.sift_up(p);
+                self.sift_down(self.pos[moved]);
+            }
+        }
+
+        fn pop(&mut self) -> Option<(f64, usize)> {
+            let top = *self.heap.first()?;
+            self.remove(top.1);
+            Some(top)
+        }
+
+        fn sift_up(&mut self, mut i: usize) {
+            while i > 0 {
+                let parent = (i - 1) / 2;
+                if !lt(self.heap[i], self.heap[parent]) {
+                    break;
+                }
+                self.heap.swap(i, parent);
+                self.pos[self.heap[i].1] = i;
+                self.pos[self.heap[parent].1] = parent;
+                i = parent;
+            }
+        }
+
+        fn sift_down(&mut self, mut i: usize) {
+            loop {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let mut smallest = i;
+                if l < self.heap.len() && lt(self.heap[l], self.heap[smallest]) {
+                    smallest = l;
+                }
+                if r < self.heap.len() && lt(self.heap[r], self.heap[smallest]) {
+                    smallest = r;
+                }
+                if smallest == i {
+                    break;
+                }
+                self.heap.swap(i, smallest);
+                self.pos[self.heap[i].1] = i;
+                self.pos[self.heap[smallest].1] = smallest;
+                i = smallest;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Moving holes leaves the array, and every key's position, where
+        /// the swap-based sifts leave them, under random `set`, `remove`,
+        /// `pop` and `mark_stale` sequences. Priorities come from a small
+        /// set, so many entries tie and order by key; stale tops are
+        /// refreshed before a pop, as the engine does.
+        #[test]
+        fn hole_moves_keep_the_swap_heaps_layout(
+            ops in proptest::collection::vec((0u8..8, 0usize..48, 0u8..12), 1..400),
+        ) {
+            let (mut h, mut r) = (IndexedHeap::new(), SwapHeap::default());
+            for (op, key, prio) in ops {
+                let prio = f64::from(prio) * 0.5;
+                match op {
+                    0..=3 => {
+                        h.set(key, prio);
+                        r.set(key, prio);
+                    }
+                    4 => {
+                        h.remove(key);
+                        r.remove(key);
+                    }
+                    5 => {
+                        h.mark_stale(key);
+                    }
+                    _ => {
+                        while let Some((p, k)) = h.peek().filter(|&(_, k)| h.is_stale(k)) {
+                            h.set(k, p + prio);
+                            r.set(k, p + prio);
+                        }
+                        proptest::prop_assert_eq!(h.pop(), r.pop());
+                    }
+                }
+                proptest::prop_assert_eq!(&h.heap, &r.heap);
+                for (i, &(_, k)) in h.heap.iter().enumerate() {
+                    proptest::prop_assert_eq!(h.pos[k], i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,12 @@
 //! each variable's constraint list is stored inline (up to
 //! [`INLINE_CNSTS`]) instead of in a heap `Vec` — activity churn is the
 //! kernel's allocation bottleneck at scale (docs/KERNEL.md §5).
+//!
+//! Most dirty islands are trivial: a constraint no variable crosses, or
+//! one variable alone on every constraint it crosses. A solve whose
+//! islands are all trivial skips the packing and sets each lone
+//! variable to `min(bound, capacities)`, the rate the fill would give
+//! it (docs/KERNEL.md §2).
 
 use crate::slab::Slab;
 
@@ -551,9 +557,16 @@ impl System {
 
     /// Re-solves only the islands touched since the last solve. Appends
     /// to `changed` every variable whose rate changed (including freshly
-    /// created ones). Untouched islands keep their cached rates — no
+    /// created ones): free variables first, then island variables in
+    /// ascending id. Untouched islands keep their cached rates — no
     /// work is spent on them at all.
     pub fn solve_dirty(&mut self, changed: &mut Vec<VarId>) {
+        self.solve_dirty_with(changed, true);
+    }
+
+    /// [`solve_dirty`](Self::solve_dirty), solving trivial islands
+    /// directly when `direct` allows it and every dirty island is one.
+    fn solve_dirty_with(&mut self, changed: &mut Vec<VarId>, direct: bool) {
         if !self.dirty {
             return;
         }
@@ -561,9 +574,9 @@ impl System {
         self.stats.solves += 1;
         let changed_before = changed.len();
 
-        // Free variables: rate = bound, no sharing.
-        let free = std::mem::take(&mut self.dirty_free_vars);
-        for v in free {
+        // Free variables: rate = bound, no sharing. Drained in place, so
+        // the buffer keeps its capacity.
+        for v in self.dirty_free_vars.drain(..) {
             if let Some(var) = self.vars.get_mut(v) {
                 if var.cnsts.is_empty() && var.value != var.bound {
                     var.value = var.bound;
@@ -572,6 +585,94 @@ impl System {
             }
         }
 
+        if !(direct && self.solve_trivial(changed)) {
+            self.solve_packed(changed);
+        }
+        self.dirty_cnsts.clear();
+        self.stats.rate_changes += (changed.len() - changed_before) as u64;
+    }
+
+    /// Solves the dirty islands without packing them, when every one is
+    /// trivial: a constraint no variable crosses, or one variable alone
+    /// on every constraint it crosses. That variable's rate is
+    /// `min(bound, capacities)`, which is what [`Islands::fill`] gives
+    /// it: each of its constraints has ratio `capacity / 1.0`, the
+    /// level is the min of those and the bound, and min is exact and
+    /// order-free. The islands, constraints and variables are counted
+    /// as [`solve_packed`](Self::solve_packed) counts them, and the
+    /// changed rates are appended in ascending id. Returns false, having
+    /// changed neither rates nor counters, when some island's variables
+    /// share a constraint.
+    fn solve_trivial(&mut self, changed: &mut Vec<VarId>) -> bool {
+        let System { cnsts, vars, dirty_cnsts, stats, islands: isl, .. } = self;
+        isl.cnst_seen.grow(cnsts.slot_count());
+        // Visited constraints, and each lone variable with its rate.
+        isl.cnst_id.clear();
+        isl.var_id.clear();
+        isl.value.clear();
+        let mut islands = 0;
+        let mut trivial = true;
+        'seeds: for &seed in dirty_cnsts.iter() {
+            let Some(cn) = cnsts.get_mut(seed) else { continue };
+            cn.queued_dirty = false;
+            if !isl.cnst_seen.insert(seed) {
+                continue;
+            }
+            islands += 1;
+            isl.cnst_id.push(seed);
+            let v = match cnsts[seed].vars[..] {
+                [] => continue,
+                [v] => v,
+                _ => {
+                    trivial = false;
+                    break;
+                }
+            };
+            let var = &vars[v];
+            let mut x = var.bound;
+            for &c in var.cnsts.as_slice() {
+                if cnsts[c].vars.len() != 1 {
+                    trivial = false;
+                    break 'seeds;
+                }
+                x = x.min(cnsts[c].capacity);
+                if isl.cnst_seen.insert(c) {
+                    isl.cnst_id.push(c);
+                }
+            }
+            isl.var_id.push(v);
+            isl.value.push(x);
+        }
+        for &c in &isl.cnst_id {
+            isl.cnst_seen.remove(c);
+        }
+        if !trivial {
+            return false;
+        }
+
+        let ncnsts = isl.cnst_id.len();
+        stats.islands += islands;
+        stats.constraints_touched += ncnsts as u64;
+        stats.constraints_skipped += (cnsts.len() - ncnsts) as u64;
+        if ncnsts < cnsts.len() {
+            stats.partial_solves += 1;
+        }
+        stats.vars_touched += isl.var_id.len() as u64;
+        let first = changed.len();
+        for (&v, &x) in isl.var_id.iter().zip(&isl.value) {
+            let var = &mut vars[v];
+            if var.value != x {
+                var.value = x;
+                changed.push(VarId(v));
+            }
+        }
+        changed[first..].sort_unstable_by_key(|v| v.0);
+        true
+    }
+
+    /// Collects the dirty islands, packs them and fills them with
+    /// [`Islands::fill`], writing back the rates that changed.
+    fn solve_packed(&mut self, changed: &mut Vec<VarId>) {
         // One breadth-first pass from the dirty constraints marks the
         // islands' members in the bitsets and packs each constraint;
         // the packed constraint list is the queue.
@@ -609,7 +710,6 @@ impl System {
                 }
             }
         }
-        dirty_cnsts.clear();
         for &c in &isl.cnst_id {
             isl.cnst_seen.remove(c);
         }
@@ -654,7 +754,6 @@ impl System {
                 changed.push(VarId(v));
             }
         }
-        stats.rate_changes += (changed.len() - changed_before) as u64;
     }
 
     /// Computes the max-min fair allocation of the whole system
@@ -1233,7 +1332,88 @@ mod tests {
         (inc.stats().vars_touched - touched) as usize
     }
 
+    /// Solves `fast` (trivial islands solved directly), `packed` (every
+    /// island packed and filled) and `full` (the reference solve), then
+    /// checks that the two incremental solves emit the same `changed`
+    /// list in the same order and count the same, and that all three
+    /// agree on every rate bit for bit.
+    fn solve_three(fast: &mut System, packed: &mut System, full: &mut System, vars: &[VarId]) {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        fast.solve_dirty(&mut a);
+        packed.solve_dirty_with(&mut b, false);
+        full.solve();
+        assert_eq!(a, b, "changed list, in emitted order");
+        assert_eq!(fast.stats(), packed.stats());
+        for &v in vars {
+            let bits = fast.rate(v).to_bits();
+            assert_eq!(bits, packed.rate(v).to_bits(), "variable {}", v.0);
+            assert_eq!(bits, full.rate(v).to_bits(), "variable {}", v.0);
+        }
+    }
+
     proptest::proptest! {
+        /// Solving trivial islands directly matches the packed fill bit
+        /// for bit, in the `changed` order and in every counter, on
+        /// systems of mostly small islands: routes of zero to two of up
+        /// to sixteen constraints give free variables, lone variables,
+        /// pairs sharing a NIC and, after removals, constraints no
+        /// variable crosses. Adds, removes (whose slab ids are reused)
+        /// and bound changes come in batches, each ended by a solve.
+        #[test]
+        fn trivial_islands_match_the_packed_fill(
+            caps in proptest::collection::vec(0..TIE_CAPS.len(), 4..17),
+            ops in proptest::collection::vec(
+                (
+                    0u8..6,
+                    proptest::bool::ANY,
+                    proptest::collection::vec(0usize..16, 0..3),
+                    0..TIE_BOUNDS.len(),
+                    0usize..64,
+                ),
+                20..120,
+            ),
+        ) {
+            let mut twins = [System::new(), System::new(), System::new()];
+            let mut cnsts = Vec::new();
+            for &k in &caps {
+                let ids = twins.each_mut().map(|s| s.new_constraint(TIE_CAPS[k]));
+                assert!(ids.iter().all(|&c| c == ids[0]));
+                cnsts.push(ids[0]);
+            }
+            let mut vars: Vec<VarId> = Vec::new();
+            for (op, solve, route, bound, pick) in ops {
+                let live = vars.len();
+                if live > 0 && (live >= 8 || op < 2) {
+                    let v = vars.swap_remove(pick % live);
+                    for s in &mut twins {
+                        s.remove_variable(v);
+                    }
+                } else if live > 0 && op < 4 {
+                    let v = vars[pick % live];
+                    for s in &mut twins {
+                        s.set_bound(v, TIE_BOUNDS[bound]);
+                    }
+                } else {
+                    let mut cs: Vec<CnstId> = Vec::new();
+                    for r in route {
+                        let c = cnsts[r % cnsts.len()];
+                        if !cs.contains(&c) {
+                            cs.push(c);
+                        }
+                    }
+                    let ids = twins.each_mut().map(|s| s.new_variable(TIE_BOUNDS[bound], &cs));
+                    assert!(ids.iter().all(|&v| v == ids[0]));
+                    vars.push(ids[0]);
+                }
+                if solve {
+                    let [fast, packed, full] = &mut twins;
+                    solve_three(fast, packed, full, &vars);
+                }
+            }
+            let [fast, packed, full] = &mut twins;
+            solve_three(fast, packed, full, &vars);
+        }
+
         /// Incremental solves match the full solve bit for bit on big
         /// islands with exact ties: 20–60 live variables over at most
         /// ten constraints, routes of up to seven constraints (longer
