@@ -422,12 +422,13 @@ fn main() {
         }
         if let Some(peak) = tit_core::rss::peak_rss_bytes() {
             metrics.set_value("mem.peak_rss", peak as f64);
+            // The segment figures are exact bytes, as in `--metrics`:
+            // a small budget would round to nothing in MiB.
             match mem_budget {
                 Some(cap) => println!(
-                    "peak rss:         {:.1} MiB (segment budget {:.1} MiB, segment peak {:.1} MiB)",
+                    "peak rss:         {:.1} MiB (segment budget {cap} bytes, segment peak {} bytes)",
                     peak as f64 / (1 << 20) as f64,
-                    cap as f64 / (1 << 20) as f64,
-                    budget.peak() as f64 / (1 << 20) as f64,
+                    budget.peak(),
                 ),
                 None => println!("peak rss:         {:.1} MiB", peak as f64 / (1 << 20) as f64),
             }

@@ -721,8 +721,8 @@ fn stats_loads_exactly_np_ranks() {
 }
 
 /// `tit-diff` reads each side as the replayer does: a line moved into
-/// another rank's file is a damaged set (exit 1, naming the rank), not
-/// an identical one.
+/// another rank's file is a damaged set (exit 1, naming the rank and
+/// the line), not an identical one.
 #[test]
 fn diff_refuses_a_line_filed_under_another_rank() {
     let a = write_traces("diffa", &["p0 compute 1\np0 compute 5\n", "p1 compute 2\n"]);
@@ -733,7 +733,7 @@ fn diff_refuses_a_line_filed_under_another_rank() {
     let (code, stderr) = run_code(bin, &["--a", a.to_str().unwrap(), "--b", b.to_str().unwrap()]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("rank 1"), "the damaged rank is named: {stderr}");
-    assert!(stderr.contains("trace line for p0 in p1's file"), "{stderr}");
+    assert!(stderr.contains("line 2: trace line for p0 in p1's file"), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     let empty = write_traces("diffnone", &[]);
     let (code, stderr) =
@@ -943,11 +943,13 @@ fn checkpoint_from_an_earlier_build_still_resumes() {
 /// A paused store replay writes the same `TICK1` bytes as the build
 /// before trivial islands were solved directly, the completion heap
 /// popped by moving a hole and the segment cache indexed by touch. The
-/// pause finds many activities in flight, islands of a lone variable and
-/// islands whose variables share a constraint, and a budget that has
-/// already evicted, so the bytes pin the completion heap's layout and
-/// the order in which solves write rates back. The fixture was written,
-/// with that earlier build, by
+/// pause finds many activities in flight, flows in their latency phase
+/// (queued timed events), islands of a lone variable and islands whose
+/// variables share a constraint, and a budget that has already
+/// evicted, so the bytes pin the completion heap's layout, the event
+/// export order and the order in which solves write rates back; the
+/// run resumed from the fixture ends at the uninterrupted run's
+/// simulated time. The fixture was written, with that earlier build, by
 ///
 /// ```text
 /// tit-gen --tib2 lu16.tib2 --np 16 --pattern lu --class S --iters 2 --seg-actions 32
@@ -961,6 +963,11 @@ fn store_checkpoint_bytes_match_an_earlier_build() {
     let ck = tit_replay::ReplayCheckpoint::load(&fixture).unwrap();
     let e = &ck.engine;
     assert!(e.completions.len() >= 8, "{} activities in flight", e.completions.len());
+    let latency = |ev: &simkern::engine::Event| {
+        matches!(ev.kind, simkern::engine::EventKind::LatencyDone { .. })
+    };
+    assert_eq!(e.events.len(), 64, "{:?}", e.events);
+    assert!(e.events.iter().all(latency), "{:?}", e.events);
     let crossing = |c: usize| e.lmm.cnsts[c].as_ref().map_or(0, |c| c.vars.len());
     let vars = e.lmm.vars.iter().flatten().filter(|v| !v.cnsts.is_empty());
     let lone = vars.filter(|v| v.cnsts.iter().all(|&c| crossing(c) == 1)).count();
@@ -984,6 +991,55 @@ fn store_checkpoint_bytes_match_an_earlier_build() {
     assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
     let same = std::fs::read(tick).unwrap() == std::fs::read(&fixture).unwrap();
     assert!(same, "checkpoint bytes differ from the fixture's");
+
+    let simulated_time_bits = |extra: &[&str], metrics: &str| {
+        let metrics = dir.join(metrics);
+        let out = Command::new(env!("CARGO_BIN_EXE_tit-replay"))
+            .args(["--store", store, "--mem-budget", "16K", "--metrics"])
+            .arg(&metrics)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = tit_core::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let time = doc.get("values").and_then(|v| v.get("replay.simulated_time")).unwrap();
+        time.as_f64().unwrap().to_bits()
+    };
+    let uninterrupted = simulated_time_bits(&[], "full.json");
+    let resumed = simulated_time_bits(&["--resume", fixture.to_str().unwrap()], "resumed.json");
+    assert_eq!(resumed, uninterrupted);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The store summary gives the segment budget and the governor's peak
+/// in exact bytes, the unit of `--metrics`, so a 16 KiB budget that
+/// filled does not read as nothing.
+#[test]
+fn store_summary_reports_the_segment_budget_and_peak_in_bytes() {
+    let dir = std::env::temp_dir().join(format!("titr-clisummary-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, metrics) = (dir.join("lu16.tib2"), dir.join("metrics.json"));
+    let (store, metrics) = (store.to_str().unwrap(), metrics.to_str().unwrap());
+    let gen = ["--tib2", store, "--np", "16", "--pattern", "lu", "--class", "S", "--iters", "2"];
+    let gen = [&gen[..], &["--seg-actions", "32"]].concat();
+    let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-gen"), &gen);
+    assert!(ok, "{msg}");
+    let replay = ["--store", store, "--mem-budget", "16K", "--metrics", metrics];
+    let (ok, stdout) = run(env!("CARGO_BIN_EXE_tit-replay"), &replay);
+    assert!(ok, "{stdout}");
+    let summary = stdout.lines().find(|l| l.starts_with("peak rss:")).expect(&stdout);
+    assert!(summary.contains("segment budget 16384 bytes"), "{summary}");
+    let peak: u64 = summary
+        .split("segment peak ")
+        .nth(1)
+        .and_then(|rest| rest.strip_suffix(" bytes)"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no segment peak in bytes: {summary}"));
+    let doc = tit_core::json::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+    let want = doc.get("values").and_then(|v| v.get("mem.segment_peak")).unwrap().as_f64();
+    assert_eq!(Some(peak as f64), want, "{summary}");
+    assert!(peak > 0, "{summary}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -165,9 +165,11 @@ fn read_rank_exact<T>(
     let mut lines = ByteLines::new(BufReader::with_capacity(1 << 16, file));
     while let Some((pid, a)) = lines.next_action().map_err(|e| fail(invalid(e)))? {
         if pid != rank {
-            return Err(fail(invalid(format!("trace line for p{pid} in p{rank}'s file"))));
+            let line = lines.line();
+            let misfiled = format!("line {line}: trace line for p{pid} in p{rank}'s file");
+            return Err(fail(invalid(misfiled)));
         }
-        keep(&mut out, &a).map_err(|e| fail(invalid(e)))?;
+        keep(&mut out, &a).map_err(|e| fail(invalid(format!("line {}: {e}", lines.line()))))?;
     }
     Ok(out)
 }

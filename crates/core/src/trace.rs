@@ -242,6 +242,11 @@ impl<R: BufRead> ByteLines<R> {
         }
     }
 
+    /// The 1-based number of the line the last action came from.
+    pub(crate) fn line(&self) -> usize {
+        self.line_no
+    }
+
     /// [`ByteLines::read_action`] for whole-stream loads, which report a
     /// read failure as the parse error of the line it hit.
     pub(crate) fn next_action(&mut self) -> Result<Option<(Pid, Action)>, ParseError> {
@@ -295,7 +300,7 @@ impl ProcessTraceReader {
 
     /// The 1-based number of the line the last action came from.
     pub fn line(&self) -> usize {
-        self.lines.line_no
+        self.lines.line()
     }
 }
 

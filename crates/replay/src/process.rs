@@ -68,7 +68,10 @@ impl TextFile {
                 Ok(None) => return Some(Next::Nothing),
                 Err(e) => return failed(e.to_string()),
                 Ok(Some((pid, _))) if pid != self.rank => {
-                    return failed(format!("trace line for p{pid} in p{}'s file", self.rank));
+                    let (line, rank) = (self.reader.line(), self.rank);
+                    return failed(format!(
+                        "line {line}: trace line for p{pid} in p{rank}'s file"
+                    ));
                 }
                 Ok(Some((_, a))) => {
                     if let Err(e) = chunk.push(&a) {
@@ -473,7 +476,7 @@ mod tests {
         let mut c = Cursor::text(&path, 0).unwrap();
         assert_eq!(c.next_action().unwrap(), Some(Action::Wait));
         let err = c.next_action().unwrap_err();
-        assert!(err.ends_with("trace line for p1 in p0's file"), "{err}");
+        assert!(err.ends_with(": line 2: trace line for p1 in p0's file"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

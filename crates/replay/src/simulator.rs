@@ -1043,7 +1043,9 @@ mod tests {
             ),
             (
                 "p2 wait",
-                format!("rank 1: trace read failed: {shown}: trace line for p2 in p1's file"),
+                format!(
+                    "rank 1: trace read failed: {shown}: line 5001: trace line for p2 in p1's file"
+                ),
             ),
         ] {
             assert_eq!(edit(&[(5001, bad)]).to_string(), want);

@@ -28,11 +28,11 @@
 //! post time (buffered mode); larger sends complete when the transfer does
 //! (synchronous mode).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::actor::{Actor, Step, Wake};
 use crate::error::{OpKind, SimError, WaitFor};
-use crate::evqueue::EventQueue;
 use crate::fxhash::FxHashMap;
 use crate::lmm;
 use crate::netmodel::NetworkConfig;
@@ -47,14 +47,16 @@ use crate::snapshot::{ActorSnap, EngineSnapshot, MailboxSnap, SlabSnap};
 /// times, observer timelines and final states; `Reference` exists so
 /// the fast path can be differentially tested against a kernel simple
 /// enough to be obviously correct (tests/kernel_oracle.rs in the
-/// replay crate pins the pair on every workload family).
+/// replay crate pins the pair on every workload family). The modes
+/// differ only in how rates and completion predictions are kept
+/// current; both queue timed events in the same binary heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Oracle path: full LMM re-solve on every change, eager
-    /// completion re-keying, binary event heap. O(platform) per event.
+    /// completion re-keying. O(platform) per event.
     Reference,
     /// Production path: incremental island solves, lazy completion
-    /// re-keying, arena pairing heap. O(island) per event.
+    /// re-keying. O(island) per event.
     #[default]
     Incremental,
 }
@@ -280,7 +282,9 @@ pub struct Engine {
     mode: KernelMode,
     clock: f64,
     seq: u64,
-    events: EventQueue<Event>,
+    /// Timed events, a min-heap on the total `(time, seq)` order
+    /// (docs/KERNEL.md §4).
+    events: BinaryHeap<Reverse<Event>>,
     /// Predicted completion time per running activity (indexed heap:
     /// predictions are updated in place when rates change — or, in
     /// [`KernelMode::Incremental`], lazily marked stale when the true
@@ -358,7 +362,7 @@ impl Engine {
             mode: KernelMode::Incremental,
             clock: 0.0,
             seq: 0,
-            events: EventQueue::pairing(),
+            events: BinaryHeap::new(),
             completions: crate::idxheap::IndexedHeap::new(),
             lmm,
             cpu_cnst,
@@ -392,24 +396,7 @@ impl Engine {
     /// simulate bit-identically — see [`KernelMode`].
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
         assert!(!self.started, "kernel mode switched mid-run");
-        if mode != self.mode {
-            self.mode = mode;
-            debug_assert!(self.events.is_empty());
-            self.events = match mode {
-                KernelMode::Reference => EventQueue::binary(),
-                KernelMode::Incremental => EventQueue::pairing(),
-            };
-        }
-    }
-
-    /// The active kernel implementation.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// The active network configuration.
-    pub fn network_config(&self) -> &NetworkConfig {
-        &self.net
+        self.mode = mode;
     }
 
     /// Installs an observer receiving one record per completed operation.
@@ -525,7 +512,7 @@ impl Engine {
             // Next event: the earlier of the timed-event queue and the
             // earliest predicted activity completion (ties: timed events
             // first — they can only start new work, never unfinish it).
-            let t_ev = self.events.peek().map(|e| e.time);
+            let t_ev = self.events.peek().map(|Reverse(e)| e.time);
             let t_act = self.completions.peek().map(|(t, _)| t);
             if t_ev.is_none() && t_act.is_none() {
                 break;
@@ -550,7 +537,7 @@ impl Engine {
                     // (and thus every simulated bit) is unchanged.
                     loop {
                         // panics: kernel invariant; violation means simulator state corruption
-                        let ev = self.events.pop().unwrap();
+                        let Reverse(ev) = self.events.pop().unwrap();
                         debug_assert!(ev.time >= self.clock - 1e-9);
                         self.clock = self.clock.max(ev.time);
                         if let Some(kp) = self.kprof.as_mut() {
@@ -570,7 +557,7 @@ impl Engine {
                         }
                         self.resolve_if_dirty();
                         match self.events.peek() {
-                            Some(e2) if e2.time == te => {}
+                            Some(Reverse(e2)) if e2.time == te => {}
                             _ => break,
                         }
                     }
@@ -607,7 +594,7 @@ impl Engine {
                                     && !self
                                         .events
                                         .peek()
-                                        .is_some_and(|e| e.time <= t2) => {}
+                                        .is_some_and(|Reverse(e)| e.time <= t2) => {}
                             _ => break,
                         }
                     }
@@ -644,21 +631,6 @@ impl Engine {
         }
     }
 
-    /// Runs until completion or until at least `max_ops` more
-    /// operations have completed, pausing at the next safe point — the
-    /// cooperative-preemption slice used by the serving layer. A slice
-    /// boundary is a full safe point: [`Engine::export_state`] is legal
-    /// there, so a long simulation can be snapshotted, requeued behind
-    /// newer work and later resumed bit-identically. `max_ops == 0`
-    /// runs to completion.
-    pub fn run_ops(&mut self, max_ops: u64) -> Result<RunStatus, SimError> {
-        if max_ops == 0 {
-            return self.run_until(&mut |_| false);
-        }
-        let target = self.ops_completed.saturating_add(max_ops);
-        self.run_until(&mut |e| e.ops_completed() >= target)
-    }
-
     /// Records the first failure of the run (later ones are byproducts of
     /// the aborted state and would only obscure the root cause).
     fn fail(&mut self, e: SimError) {
@@ -672,7 +644,7 @@ impl Engine {
 
     fn push_event(&mut self, time: f64, kind: EventKind) {
         self.seq += 1;
-        self.events.push(Event { time, seq: self.seq, kind });
+        self.events.push(Reverse(Event { time, seq: self.seq, kind }));
         if let Some(kp) = self.kprof.as_mut() {
             kp.heap_pushes += 1;
             kp.heap_peak = kp.heap_peak.max(self.events.len() as u64);
@@ -1249,9 +1221,9 @@ impl Engine {
         }
         let lmm = self.lmm.export_snapshot()?;
 
-        let mut events: Vec<Event> = self.events.iter().collect();
+        let mut events: Vec<Event> = self.events.iter().map(|Reverse(e)| *e).collect();
         // (time, seq) is a total order — seq is unique — so sorting
-        // gives deterministic bytes and an order-independent rebuild.
+        // gives deterministic bytes whatever the heap's layout.
         events.sort();
 
         // Mailbox iteration order is nondeterministic (hash map); sort
@@ -1402,17 +1374,11 @@ impl Engine {
             );
         }
 
-        // Rebuild the event queue for the engine's own kernel mode
-        // (the queue implementation is configuration, not state: both
-        // pop the same total (time, seq) order, so the snapshot is
-        // mode-portable).
-        let mut events = match self.mode {
-            KernelMode::Reference => EventQueue::binary(),
-            KernelMode::Incremental => EventQueue::pairing(),
-        };
-        for e in queued {
-            events.push(e);
-        }
+        // Heapify the sorted events. The heap's layout is not state:
+        // (time, seq) is a total order, so any heap of these events
+        // pops the sequence the exporting engine would have popped,
+        // under either kernel mode.
+        let events: BinaryHeap<Reverse<Event>> = queued.into_iter().map(Reverse).collect();
 
         // Re-import the per-actor state before committing any engine
         // field, so a failed import leaves a recognizably broken engine
@@ -1481,11 +1447,6 @@ impl Ctx<'_> {
     pub fn host_speed(&self) -> f64 {
         let h = self.eng.actors[self.actor].host;
         self.eng.platform.hosts[h.0 as usize].speed
-    }
-
-    /// Total number of spawned actors.
-    pub fn num_actors(&self) -> usize {
-        self.eng.actors.len()
     }
 
     /// Scratch integer for simple state machines (see crate docs example).
@@ -1679,10 +1640,10 @@ mod tests {
     }
 
     #[test]
-    fn run_ops_slices_pause_at_safe_points_and_finish_identically() {
+    fn op_count_slices_pause_at_safe_points_and_finish_identically() {
         // A chain of short computes: run_checked's result must equal a
-        // sliced run that pauses every operation, and each pause must be
-        // a legal snapshot point.
+        // sliced run that pauses after every completed operation, and
+        // each pause must be a legal snapshot point.
         fn chatty(n: usize) -> Box<dyn Actor> {
             let mut left = n;
             Box::new(FnActor(move |ctx: &mut Ctx, _wake| {
@@ -1703,21 +1664,17 @@ mod tests {
         eng.spawn(chatty(10), hs2[0]);
         let mut pauses = 0;
         let t = loop {
-            match eng.run_ops(1).unwrap() {
+            let target = eng.ops_completed() + 1;
+            match eng.run_until(&mut |e| e.ops_completed() >= target).unwrap() {
                 RunStatus::Completed(t) => break t,
-                RunStatus::Paused(_) => pauses += 1,
+                RunStatus::Paused(_) => {
+                    pauses += 1;
+                    assert!(eng.ops_completed() >= target);
+                }
             }
         };
         assert_eq!(t.to_bits(), expect.to_bits(), "sliced run diverged");
         assert!(pauses >= 9, "one-op slices must pause repeatedly, got {pauses}");
-        // max_ops == 0 runs to completion in one call.
-        let (p3, hs3) = simple_platform(1);
-        let mut eng0 = Engine::new(p3);
-        eng0.spawn(chatty(10), hs3[0]);
-        match eng0.run_ops(0).unwrap() {
-            RunStatus::Completed(t0) => assert_eq!(t0.to_bits(), expect.to_bits()),
-            RunStatus::Paused(_) => panic!("run_ops(0) must not pause"),
-        }
     }
 
     #[test]
@@ -2256,6 +2213,92 @@ mod tests {
                 "resume from ops={pause_at} diverged: {t_res} vs {t_ref}"
             );
             assert_eq!(resumed.ops_completed(), ops_ref);
+        }
+    }
+
+    /// The instant every final sleep of a [`TieSleeper`] comes due.
+    const TIE_AT: f64 = 2.0;
+    /// Each rank's prelude, in quarter seconds: the ranks post their
+    /// final sleeps in neither rank nor op-slot order, two pairs of
+    /// them at one instant.
+    const TIE_PRE: [u32; 6] = [3, 1, 5, 3, 6, 1];
+
+    /// Sleeps its prelude, then posts two sleeps due at [`TIE_AT`]: a
+    /// fire-and-forget one tagged `100 + 2 * rank`, then a waited one
+    /// tagged one higher. Its state lives in the engine-side phase
+    /// counter, so it checkpoints with an empty state.
+    struct TieSleeper {
+        rank: usize,
+    }
+    impl Actor for TieSleeper {
+        fn step(&mut self, ctx: &mut Ctx<'_>, _wake: Wake) -> Step {
+            let k = ctx.phase();
+            ctx.set_phase(k + 1);
+            let tag = 100 + 2 * self.rank as u32;
+            match k {
+                0 => Step::Wait(ctx.sleep(f64::from(TIE_PRE[self.rank]) * 0.25)),
+                1 => {
+                    // Dyadic instants: `now + dt` is exactly TIE_AT.
+                    let dt = TIE_AT - ctx.now();
+                    ctx.sleep_tagged(dt, tag);
+                    Step::Wait(ctx.sleep_tagged(dt, tag + 1))
+                }
+                _ => Step::Done,
+            }
+        }
+        fn export_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+        fn import_state(&mut self, _state: &[u8]) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    fn tie_engine(mode: KernelMode) -> (Engine, crate::observer::Collector) {
+        let (p, hs) = simple_platform(1);
+        let mut eng = Engine::new(p);
+        eng.set_kernel_mode(mode);
+        let records = crate::observer::Collector::new();
+        eng.set_observer(records.sink());
+        for rank in 0..TIE_PRE.len() {
+            eng.spawn(Box::new(TieSleeper { rank }), hs[0]);
+        }
+        (eng, records)
+    }
+
+    #[test]
+    fn same_instant_events_dispatch_in_post_order() {
+        // Post order: by prelude, ties in rank order (the preludes were
+        // posted in rank order at t = 0), and within a rank the
+        // fire-and-forget sleep first.
+        let mut ranks: Vec<usize> = (0..TIE_PRE.len()).collect();
+        ranks.sort_by_key(|&r| TIE_PRE[r]);
+        let want: Vec<u32> =
+            ranks.iter().flat_map(|&r| [100 + 2 * r as u32, 101 + 2 * r as u32]).collect();
+        let due = |records: &crate::observer::Collector| -> Vec<u32> {
+            records.take().iter().filter(|r| r.end == TIE_AT).map(|r| r.tag).collect()
+        };
+        let modes = [KernelMode::Reference, KernelMode::Incremental];
+        for mode in modes {
+            let (mut eng, records) = tie_engine(mode);
+            assert_eq!(eng.run_checked().unwrap(), TIE_AT);
+            assert_eq!(due(&records), want, "{mode:?}");
+
+            // Pause once every prelude is done: all twelve sleeps are
+            // queued, due at one instant.
+            let (mut eng, _) = tie_engine(mode);
+            let preludes = TIE_PRE.len() as u64;
+            let status = eng.run_until(&mut |e| e.ops_completed() >= preludes).unwrap();
+            assert!(matches!(status, RunStatus::Paused(_)), "{status:?}");
+            let snap = eng.export_state().unwrap();
+            assert_eq!(snap.events.len(), want.len());
+            assert!(snap.events.iter().all(|e| e.time == TIE_AT));
+            for resume in modes {
+                let (mut resumed, records) = tie_engine(resume);
+                resumed.restore_state(snap.clone()).unwrap();
+                assert_eq!(resumed.run_checked().unwrap(), TIE_AT);
+                assert_eq!(due(&records), want, "paused under {mode:?}, resumed under {resume:?}");
+            }
         }
     }
 

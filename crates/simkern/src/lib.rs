@@ -83,7 +83,6 @@ pub mod actor;
 pub mod idxheap;
 pub mod engine;
 pub mod error;
-pub mod evqueue;
 pub mod fxhash;
 pub mod kprof;
 pub mod lmm;

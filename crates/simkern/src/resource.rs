@@ -278,11 +278,6 @@ impl PlatformBuilder {
         self.table.add(src, dst, links);
     }
 
-    /// Overrides the loopback characteristics.
-    pub fn set_loopback(&mut self, loopback: Loopback) {
-        self.loopback = loopback;
-    }
-
     /// Finalizes with the explicit route table.
     pub fn build(self) -> Platform {
         Platform {

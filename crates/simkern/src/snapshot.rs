@@ -98,11 +98,11 @@ pub struct EngineSnapshot {
     /// Operations completed so far.
     pub ops_completed: u64,
     /// Queued timed events, sorted by `(time, seq)` (a total order —
-    /// `seq` is unique — so rebuilding the binary heap by pushing them
-    /// cannot permute ties).
+    /// `seq` is unique — so the heap a restore builds from them pops
+    /// them in this order).
     pub events: Vec<Event>,
     /// Raw completion-heap array: `(predicted time, activity key)` in
-    /// internal layout order (equal-time pops are layout-dependent).
+    /// internal layout order (pops follow the total `(time, key)` order).
     pub completions: Vec<(f64, usize)>,
     /// Raw solver layout.
     pub lmm: LmmSnapshot,

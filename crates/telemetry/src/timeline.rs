@@ -149,13 +149,6 @@ impl<W: Write + 'static> Timeline<W> {
         self.nranks
     }
 
-    /// Operation events written so far.
-    #[must_use]
-    pub fn events_written(&self) -> u64 {
-        // panics: mutex poisoned only if another thread already panicked
-        self.inner.lock().unwrap().events
-    }
-
     /// Writes the format trailer, flushes, and returns what the writer
     /// saw. The first I/O error hit while streaming (record calls cannot
     /// report errors) is returned here. Idempotent trailer: calling

@@ -549,15 +549,17 @@ fn oracle_load(dir: &std::path::Path, n: usize, compact: bool) -> Result<TiTrace
         let fail = |msg: String| format!("rank {rank}: cannot load {}: {msg}", path.display());
         let bytes = std::fs::read(&path).map_err(|e| fail(e.to_string()))?;
         let mut probe = CompactTrace::new();
-        for parsed in oracle_lines(&bytes) {
+        for (i, parsed) in oracle_lines(&bytes).enumerate() {
+            let line = i + 1;
             match parsed.map_err(|e| fail(e.to_string()))? {
                 None => {}
                 Some((pid, _)) if pid != rank => {
-                    return Err(fail(format!("trace line for p{pid} in p{rank}'s file")));
+                    let misfiled = format!("line {line}: trace line for p{pid} in p{rank}'s file");
+                    return Err(fail(misfiled));
                 }
                 Some((_, a)) => {
                     if compact {
-                        probe.push(&a).map_err(|e| fail(e.to_string()))?;
+                        probe.push(&a).map_err(|e| fail(format!("line {line}: {e}")))?;
                     }
                     t.push(rank, a);
                 }

@@ -3,18 +3,21 @@
 //!
 //! The engine ships two kernel implementations behind
 //! [`titr::simkern::KernelMode`]: the `Reference` kernel (full LMM
-//! solve after every state change, eager completion re-keying, binary
-//! event heap) and the `Incremental` kernel (dirty-island partial
-//! solves, lazy completion re-keying, pairing-heap event queue). The
+//! solve after every state change, eager completion re-keying) and the
+//! `Incremental` kernel (dirty-island partial solves, lazy completion
+//! re-keying); both queue timed events in the same binary heap. The
 //! incremental kernel's entire claim is that it produces the **same
 //! simulation, bit for bit** — not "close enough": simulated times and
 //! the full completion-ordered timeline must be identical down to the
 //! last float bit on every workload. These tests enforce that claim on
 //! the paper's LU benchmark plus the repo's other generators (ring,
 //! stencil, allreduce-heavy CG) under all three network models, and on
-//! randomized balanced traces via proptest.
+//! randomized balanced traces via proptest. A checkpoint taken under
+//! one kernel resumes under the other to the same bits
+//! (`checkpoints_resume_across_kernels`).
 
 use proptest::prelude::*;
+use std::sync::atomic::AtomicBool;
 use titr::npb::ring::RingConfig;
 use titr::npb::stencil::StencilConfig;
 use titr::npb::{CgConfig, Class, LuConfig};
@@ -53,13 +56,18 @@ fn replay_fingerprint(trace: &TiTrace, cfg: &ReplayConfig) -> (Fingerprint, Solv
     let fingerprint = Fingerprint {
         simulated_time_bits: out.simulated_time.to_bits(),
         actions_replayed: out.actions_replayed,
-        timeline: records
-            .take()
-            .iter()
-            .map(|r| (r.actor, r.tag, r.start.to_bits(), r.end.to_bits(), r.volume.to_bits()))
-            .collect(),
+        timeline: timeline(&records),
     };
     (fingerprint, out.kernel_profile.expect("kernel_profile was set").solver)
+}
+
+/// The records collected so far as exactly-comparable rows.
+fn timeline(records: &Collector) -> Vec<(usize, u32, u64, u64, u64)> {
+    records
+        .take()
+        .iter()
+        .map(|r| (r.actor, r.tag, r.start.to_bits(), r.end.to_bits(), r.volume.to_bits()))
+        .collect()
 }
 
 /// Replays `trace` under both kernels and asserts the fingerprints are
@@ -123,6 +131,49 @@ fn lu_agrees_across_kernels() {
         assert!(t > 0.0);
         let per_solve = solver.constraints_touched as f64 / solver.solves as f64;
         assert!(per_solve >= min_island, "x{nproc}: {per_solve:.2} constraints per solve");
+    }
+}
+
+/// A checkpoint is kernel-agnostic (docs/KERNEL.md §1): LU paused
+/// under one kernel, with flows in their latency phase queued as timed
+/// events, and resumed under the other kernel reaches the
+/// uninterrupted run's simulated-time bits, action count and timeline.
+#[test]
+fn checkpoints_resume_across_kernels() {
+    let nproc = 16;
+    let lu = LuConfig::new(Class::S, nproc).with_itmax(2);
+    let trace = titr::npb::program_trace(&lu.program(), nproc);
+    let desc = PlatformDesc::single(presets::bordereau_one_core(nproc));
+    let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
+    let cfg = |kernel| ReplayConfig { kernel, ..ReplayConfig::default() };
+    let profiled = ReplayConfig { kernel_profile: true, ..cfg(KernelMode::Incremental) };
+    let (whole, _) = replay_fingerprint(&trace, &profiled);
+    let always = AtomicBool::new(true);
+    let kernels = [KernelMode::Reference, KernelMode::Incremental].map(cfg);
+    for (paused_under, resumed_under) in [(&kernels[0], &kernels[1]), (&kernels[1], &kernels[0])] {
+        for every in [500, 1500, 2500] {
+            let records = Collector::new();
+            let paused = Replay::new(Input::memory(&trace), desc.build(), &hosts, paused_under)
+                .observer(Some(records.sink()))
+                .pause_every(every)
+                .preempt(Some(&always))
+                .run()
+                .expect("paused replay");
+            let state = paused.paused.expect("preempted at the first pause");
+            let context = format!("paused under {:?} after {every} actions", paused_under.kernel);
+            assert!(!state.engine.events.is_empty(), "{context}: no timed event queued");
+            let out = Replay::new(Input::memory(&trace), desc.build(), &hosts, resumed_under)
+                .observer(Some(records.sink()))
+                .resume(Some(state))
+                .run()
+                .expect("resumed replay");
+            let resumed = Fingerprint {
+                simulated_time_bits: out.simulated_time.to_bits(),
+                actions_replayed: out.actions_replayed,
+                timeline: timeline(&records),
+            };
+            assert_eq!(resumed, whole, "{context}, resumed under {:?}", resumed_under.kernel);
+        }
     }
 }
 
