@@ -40,8 +40,9 @@ use tit_core::TiTrace;
 use tit_replay::collectives::CollectiveAlgo;
 use tit_replay::tags;
 
-/// Analysis parameters; defaults mirror [`tit_replay::ReplayConfig`]
-/// (contention-aware MPI model, binomial collectives).
+/// Analysis parameters; the network model and collectives default to
+/// [`tit_replay::ReplayConfig::default`]'s (contention-aware MPI model,
+/// binomial collectives).
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
     /// Network cost model.
@@ -56,11 +57,8 @@ pub struct AnalyzeConfig {
 
 impl Default for AnalyzeConfig {
     fn default() -> Self {
-        AnalyzeConfig {
-            network: NetworkConfig::default(),
-            algo: CollectiveAlgo::default(),
-            jobs: 1,
-        }
+        let replay = tit_replay::ReplayConfig::default();
+        AnalyzeConfig { network: replay.network, algo: replay.algo, jobs: 1 }
     }
 }
 
@@ -411,6 +409,21 @@ mod tests {
         assert_eq!(a.wait_underflows, 1);
         // The eager unmatched send still launches a (buffered) flow.
         assert_eq!(a.flows, 1);
+    }
+
+    #[test]
+    fn default_config_analyses_the_default_replay_model() {
+        // A 1e8-byte send on bordereau: the MPI model's piecewise
+        // factors move both bounds ~2.5 % away from the flow model's.
+        let mut t = TiTrace::new(2);
+        t.push(0, Action::Send { dst: 1, bytes: 1e8 });
+        t.push(1, Action::Recv { src: 0, bytes: None });
+        let platform = PlatformDesc::single(tit_platform::presets::bordereau(2)).build();
+        let mpi = AnalyzeConfig { network: NetworkConfig::mpi_cluster(), ..plain_cfg() };
+        let got = bounds(&t, &platform, &host_ids(2), &AnalyzeConfig::default()).unwrap();
+        let want = bounds(&t, &platform, &host_ids(2), &mpi).unwrap();
+        assert_eq!(got, want);
+        assert_ne!(want, bounds(&t, &platform, &host_ids(2), &plain_cfg()).unwrap());
     }
 
     #[test]

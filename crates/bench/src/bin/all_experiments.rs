@@ -1,6 +1,7 @@
 //! Runs every experiment in sequence (Tables 2-3, Figures 7-9, §6.5,
-//! ablations) at their default scales, printing each section.
+//! ablations) at their default scales, printing each section; takes no flags.
 fn main() {
+    tit_bench::Flags::from_env(&[]);
     let t0 = std::time::Instant::now();
     for (name, f, scale) in [
         ("Table 2", tit_bench::experiments::table2::run as fn(f64) -> String, 0.1),

@@ -1,6 +1,7 @@
 fn main() {
-    let scale = tit_bench::scale_from_args(0.1);
-    let max_ranks = tit_bench::max_ranks_from_args(1024);
+    let flags = tit_bench::Flags::from_env(&["--scale", "--max-ranks"]);
+    let scale = flags.scale.unwrap_or(0.1);
+    let max_ranks = flags.max_ranks.unwrap_or(1024);
     let (report, points) = tit_bench::experiments::fig9::sweep(scale, max_ranks);
     print!("{report}");
     // The observer-overhead guard rides along: same workload family,
@@ -19,8 +20,6 @@ fn main() {
         })
         .collect();
     let path = std::path::Path::new("BENCH_replay.json");
-    match tit_bench::write_replay_bench_json(path, "replay", &records, Some(&overhead)) {
-        Ok(()) => println!("\nperf record: {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    let written = tit_bench::write_replay_bench_json(path, "replay", &records, Some(&overhead));
+    tit_bench::record_written(path, written);
 }

@@ -2,14 +2,12 @@
 //! rescales itmax, `--max-ranks N` truncates the sweep (CI smoke runs
 //! cap at 128); writes `KPROF_replay.json` next to the text report.
 fn main() {
-    let scale = tit_bench::scale_from_args(0.1);
-    let max_ranks = tit_bench::max_ranks_from_args(1024);
+    let flags = tit_bench::Flags::from_env(&["--scale", "--max-ranks"]);
+    let scale = flags.scale.unwrap_or(0.1);
+    let max_ranks = flags.max_ranks.unwrap_or(1024);
     let (report, points) = tit_bench::experiments::kprof::sweep(scale, max_ranks);
     print!("{report}");
     let json = tit_bench::experiments::kprof::sweep_json(&points);
     let path = std::path::Path::new("KPROF_replay.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("\nkernel profile record: {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    tit_bench::record_written(path, std::fs::write(path, json));
 }

@@ -1,12 +1,9 @@
 //! Regenerates the memory-governance scale exhibit. `--scale S`
 //! rescales the store lengths (1.0 ≈ a 1 GiB largest store).
 fn main() {
-    let scale = tit_bench::scale_from_args(0.03);
+    let scale = tit_bench::Flags::from_env(&["--scale"]).scale.unwrap_or(0.03);
     let (report, records) = tit_bench::experiments::scale::sweep(scale);
     print!("{report}");
     let path = std::path::Path::new("BENCH_scale.json");
-    match tit_bench::write_scale_json(path, "scale", &records) {
-        Ok(()) => println!("\nperf record: {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    tit_bench::record_written(path, tit_bench::write_scale_json(path, "scale", &records));
 }

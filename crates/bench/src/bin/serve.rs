@@ -1,10 +1,7 @@
 fn main() {
-    let scale = tit_bench::scale_from_args(0.25);
+    let scale = tit_bench::Flags::from_env(&["--scale"]).scale.unwrap_or(0.25);
     let (report, records) = tit_bench::experiments::serve::sweep(scale);
     print!("{report}");
     let path = std::path::Path::new("BENCH_serve.json");
-    match tit_bench::write_serve_json(path, "serve", &records) {
-        Ok(()) => println!("\nperf record: {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    tit_bench::record_written(path, tit_bench::write_serve_json(path, "serve", &records));
 }

@@ -29,8 +29,8 @@ pub mod perf;
 pub mod table;
 
 pub use perf::{
-    write_ingest_json, write_replay_bench_json, write_scale_json, write_serve_json,
-    IngestRecord, ObserverOverhead, PerfRecord,
+    record_written, write_ingest_json, write_replay_bench_json, write_scale_json,
+    write_serve_json, IngestRecord, ObserverOverhead, PerfRecord,
 };
 pub use table::Table;
 
@@ -135,35 +135,53 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Reads `--scale` (default `default`) from raw program args.
-pub fn scale_from_args(default: f64) -> f64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(v) = args.next() {
-                // panics: a bad CLI value aborts the bench run
-                return v.parse().expect("bad --scale value");
-            }
-        }
-    }
-    default
+/// The flags a tit-bench binary was given (`None`: not given).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Flags {
+    /// `--scale S`, in `(0, 1]`.
+    pub scale: Option<f64>,
+    /// `--max-ranks N`: sweeps skip rows with more ranks. CI smoke runs
+    /// cap the sweeps at ×128 (one beyond-paper row) so a pull-request
+    /// run stays minutes, while baseline regeneration sweeps ×1024.
+    pub max_ranks: Option<usize>,
 }
 
-/// Reads `--max-ranks` (default `default`) from raw program args. CI
-/// smoke runs cap the sweeps at ×128 (one beyond-paper row) so a
-/// pull-request run stays minutes, while baseline regeneration sweeps
-/// the full ×1024.
-pub fn max_ranks_from_args(default: usize) -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--max-ranks" {
-            if let Some(v) = args.next() {
-                // panics: a bad CLI value aborts the bench run
-                return v.parse().expect("bad --max-ranks value");
+impl Flags {
+    /// Parses raw arguments (without the program name) for the flags in
+    /// `accepted` (`--scale`, `--max-ranks`). An error names the refused
+    /// token: a word `accepted` does not hold, a flag with no value, or
+    /// a malformed or out-of-range value.
+    pub fn parse(raw: Vec<String>, accepted: &[&str]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut raw = raw.into_iter();
+        while let Some(flag) = raw.next() {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(format!("unexpected argument {flag:?}"));
+            }
+            let value = raw.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let min = experiments::fig9::SWEEP_RANKS_B[0];
+            match flag.as_str() {
+                "--scale" => match value.parse() {
+                    Ok(s) if s > 0.0 && s <= 1.0 => flags.scale = Some(s),
+                    _ => return Err(format!("--scale wants a number in (0, 1], got {value:?}")),
+                },
+                _ => match value.parse() {
+                    Ok(n) if n >= min => flags.max_ranks = Some(n),
+                    _ => return Err(format!("{flag} wants an integer >= {min}, got {value:?}")),
+                },
             }
         }
+        Ok(flags)
     }
-    default
+
+    /// The process's flags, parsed against `accepted`; a refused token
+    /// exits 2 with a message naming it and the accepted flags.
+    pub fn from_env(accepted: &[&str]) -> Flags {
+        Self::parse(std::env::args().skip(1).collect(), accepted).unwrap_or_else(|msg| {
+            eprintln!("{msg}\naccepted flags: [{}]", accepted.join(", "));
+            std::process::exit(2)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -207,5 +225,28 @@ mod tests {
     #[should_panic(expected = "even rank count")]
     fn odd_pairs_rejected() {
         pairs_trace(7, 2);
+    }
+
+    #[test]
+    fn flags_refuse_what_the_binary_does_not_take() {
+        let both = ["--scale", "--max-ranks"];
+        let parse = |words: &str, accepted: &[&str]| {
+            Flags::parse(words.split_whitespace().map(str::to_string).collect(), accepted)
+        };
+        assert_eq!(parse("", &[]), Ok(Flags::default()));
+        let given = Flags { scale: Some(0.02), max_ranks: Some(128) };
+        assert_eq!(parse("--scale 0.02 --max-ranks 128", &both), Ok(given));
+        for (words, accepted, refusal) in [
+            ("--max-rank 128", &both[..], r#"unexpected argument "--max-rank""#),
+            ("--max-ranks 128", &both[..1], r#"unexpected argument "--max-ranks""#),
+            ("0.1", &both, r#"unexpected argument "0.1""#),
+            ("--scale", &both, "--scale needs a value"),
+            ("--scale abc", &both, r#"--scale wants a number in (0, 1], got "abc""#),
+            ("--scale 2", &both, r#"--scale wants a number in (0, 1], got "2""#),
+            ("--max-ranks 4", &both, r#"--max-ranks wants an integer >= 8, got "4""#),
+            ("--max-ranks -8", &both, r#"--max-ranks wants an integer >= 8, got "-8""#),
+        ] {
+            assert_eq!(parse(words, accepted), Err(refusal.to_string()), "{words}");
+        }
     }
 }

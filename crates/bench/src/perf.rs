@@ -10,6 +10,17 @@ use std::path::Path;
 use tit_core::json::{obj, Json};
 use tit_core::json_obj;
 
+/// Ends a bench binary's run on its record's write: prints the
+/// record's path, or says the write failed and exits 1, so a run that
+/// left no fresh record cannot pass for one that did.
+pub fn record_written(path: &Path, written: std::io::Result<()>) {
+    if let Err(e) = written {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!("\nperf record: {}", path.display());
+}
+
 /// One benchmark measurement.
 #[derive(Debug, Clone)]
 pub struct PerfRecord {

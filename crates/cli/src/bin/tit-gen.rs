@@ -6,7 +6,7 @@
 //!         [--iters K] [--flops F] [--bytes B] [--class S|W|A|B|C|D]
 //! ```
 //!
-//! Writes a per-process trace set (`trace_rank_N.txt` files) into
+//! Writes a per-process trace set (`SG_process<N>.trace` files) into
 //! `--out DIR` for quick experiments with `tit-replay`, `tit-lint`,
 //! and `tit-analyze` when no acquired trace is at hand. Patterns:
 //!
@@ -26,101 +26,116 @@
 //! Defaults: `--iters 1`, `--flops 1e6` per compute, `--bytes 1e4` per
 //! message. Exit codes: `0` success, `1` I/O failure, `2` usage error.
 //!
-//! # Streaming store output (`--tib2`)
+//! # Streaming output
 //!
-//! `--tib2 FILE` writes a checksummed `TIB2` segmented store
-//! (docs/FORMATS.md) instead of (or in addition to) the text trace
-//! set. The `lu` pattern **streams**: each rank's `LuStream` feeds the
-//! segmented writer op by op, so peak memory is O(one segment) however
-//! large the class — a class-D store can exceed memory by orders of
-//! magnitude and still generate in constant space. The store replays
-//! with `tit-replay --store FILE [--mem-budget BYTES]`, giving an
-//! arbitrarily large differential-test substrate with no trace-file
-//! intermediary. `--seg-actions N` sets the segment size (default
-//! 4096).
+//! Every pattern streams: each rank's actions go, one at a time, to
+//! its text file and/or to the store writer, and are never
+//! materialized, so peak memory is O(one segment) however large the
+//! class — a class-D store can exceed memory by orders of magnitude
+//! and still generate in constant space. `--tib2 FILE` writes a
+//! checksummed `TIB2` segmented store (docs/FORMATS.md) instead of (or
+//! in addition to) the text trace set; it replays with `tit-replay
+//! --store FILE [--mem-budget BYTES]`, giving an arbitrarily large
+//! differential-test substrate with no trace-file intermediary.
+//! `--seg-actions N` sets the segment size (default 4096).
 
-use std::io::BufWriter;
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use tit_cli::{or_exit, Args};
+use tit_cli::Args;
 use tit_core::tib2::Tib2Summary;
-use tit_core::{Action, AtomicFile, CompactTrace, TiTrace, Tib2Writer};
+use tit_core::{Action, AtomicFile, ProcessTraceWriter, Tib2Writer};
 
 const USAGE: &str = "tit-gen (--out DIR | --tib2 FILE [--seg-actions N]) --np N --pattern ring|stencil|allreduce|lu [--iters K] [--flops F] [--bytes B] [--class S|W|A|B|C|D]";
 
-fn ring(np: usize, iters: usize, flops: f64, bytes: f64) -> TiTrace {
-    let mut t = TiTrace::new(np);
-    for _ in 0..iters {
-        for rank in 0..np {
-            let next = (rank + 1) % np;
-            let prev = (rank + np - 1) % np;
-            if rank == 0 {
-                t.push(rank, Action::Compute { flops });
-                t.push(rank, Action::Send { dst: next, bytes });
-                t.push(rank, Action::Recv { src: prev, bytes: None });
-            } else {
-                t.push(rank, Action::Recv { src: prev, bytes: None });
-                t.push(rank, Action::Compute { flops });
-                t.push(rank, Action::Send { dst: next, bytes });
-            }
-        }
-    }
-    t
+/// What the ranks run: a synthetic pattern's iteration, or the NPB LU
+/// skeleton.
+enum Program {
+    Synthetic(fn(usize, usize, f64, f64) -> Vec<Action>),
+    Lu(npb::LuConfig),
 }
 
-fn stencil(np: usize, iters: usize, flops: f64, bytes: f64) -> TiTrace {
-    let mut t = TiTrace::new(np);
-    for _ in 0..iters {
-        for rank in 0..np {
-            let left = (rank + np - 1) % np;
-            let right = (rank + 1) % np;
-            t.push(rank, Action::Irecv { src: left, bytes: None });
-            t.push(rank, Action::Irecv { src: right, bytes: None });
-            t.push(rank, Action::Send { dst: right, bytes });
-            t.push(rank, Action::Send { dst: left, bytes });
-            t.push(rank, Action::Wait);
-            t.push(rank, Action::Wait);
-            t.push(rank, Action::Compute { flops });
-        }
+/// Rank `rank`'s actions in one ring iteration.
+fn ring(rank: usize, np: usize, flops: f64, bytes: f64) -> Vec<Action> {
+    let compute = Action::Compute { flops };
+    let send = Action::Send { dst: (rank + 1) % np, bytes };
+    let recv = Action::Recv { src: (rank + np - 1) % np, bytes: None };
+    if rank == 0 {
+        vec![compute, send, recv]
+    } else {
+        vec![recv, compute, send]
     }
-    t
 }
 
-fn allreduce(np: usize, iters: usize, flops: f64, bytes: f64) -> TiTrace {
-    let mut t = TiTrace::new(np);
-    for _ in 0..iters {
-        for rank in 0..np {
-            t.push(rank, Action::Compute { flops });
-            t.push(rank, Action::AllReduce { vcomm: bytes, vcomp: bytes });
-        }
-    }
-    t
+/// Rank `rank`'s actions in one stencil iteration.
+fn stencil(rank: usize, np: usize, flops: f64, bytes: f64) -> Vec<Action> {
+    let left = (rank + np - 1) % np;
+    let right = (rank + 1) % np;
+    vec![
+        Action::Irecv { src: left, bytes: None },
+        Action::Irecv { src: right, bytes: None },
+        Action::Send { dst: right, bytes },
+        Action::Send { dst: left, bytes },
+        Action::Wait,
+        Action::Wait,
+        Action::Compute { flops },
+    ]
 }
 
-/// Streams one rank program after another straight into a segmented
-/// writer — nothing is ever materialized, so a class-D LU store
-/// generates in O(one segment) memory.
-fn stream_tib2(
-    dest: &Path,
+/// Rank `rank`'s actions in one allreduce iteration.
+fn allreduce(_rank: usize, _np: usize, flops: f64, bytes: f64) -> Vec<Action> {
+    vec![Action::Compute { flops }, Action::AllReduce { vcomm: bytes, vcomp: bytes }]
+}
+
+/// The one-line diagnostic of a failed write to `path`.
+fn failed(path: &Path) -> impl Fn(io::Error) -> String + '_ {
+    move |e| format!("cannot write {}: {e}", path.display())
+}
+
+/// Streams every rank's actions (`ranks(rank)`), rank after rank, to
+/// its text file under `out` and to a store at `tib2`. The store is
+/// committed only once complete. An error is the one-line diagnostic.
+fn generate<I: Iterator<Item = Action>>(
     np: usize,
+    out: Option<&Path>,
+    tib2: Option<&Path>,
     seg_actions: usize,
-    program: &dyn Fn(usize, usize) -> Box<dyn mpi_emul::ops::OpStream>,
-) -> std::io::Result<Tib2Summary> {
-    let af = AtomicFile::create(dest)?;
-    let mut w = Tib2Writer::new(BufWriter::with_capacity(1 << 16, af), seg_actions)?;
+    ranks: impl Fn(usize) -> I,
+) -> Result<(u64, Option<Tib2Summary>), String> {
+    let mut store = match tib2 {
+        Some(dest) => {
+            let af = AtomicFile::create(dest).map_err(failed(dest))?;
+            let w = Tib2Writer::new(BufWriter::with_capacity(1 << 16, af), seg_actions);
+            Some((dest, w.map_err(failed(dest))?))
+        }
+        None => None,
+    };
+    let mut actions = 0;
     for rank in 0..np {
-        w.begin_rank()?;
-        let mut s = program(rank, np);
-        while let Some(op) = s.next_op() {
-            let mut a = npb::op_to_action(&op);
-            if let Action::CommSize { nproc } = &mut a {
-                *nproc = np;
+        let mut text = match out {
+            Some(dir) => Some((dir, ProcessTraceWriter::create(dir, rank).map_err(failed(dir))?)),
+            None => None,
+        };
+        if let Some((dest, w)) = &mut store {
+            w.begin_rank().map_err(failed(dest))?;
+        }
+        for a in ranks(rank) {
+            if let Some((dir, w)) = &mut text {
+                w.write(&a).map_err(failed(dir))?;
             }
-            w.push(&a)?;
+            if let Some((dest, w)) = &mut store {
+                w.push(&a).map_err(failed(dest))?;
+            }
+            actions += 1;
+        }
+        if let Some((dir, w)) = text {
+            w.finish().map_err(failed(dir))?;
         }
     }
-    let (out, summary) = w.finish()?;
-    out.into_inner().map_err(|e| std::io::Error::other(e.to_string()))?.commit()?;
-    Ok(summary)
+    let Some((dest, w)) = store else { return Ok((actions, None)) };
+    let (buf, summary) = w.finish().map_err(failed(dest))?;
+    let af = buf.into_inner().map_err(|e| failed(dest)(e.into_error()))?;
+    af.commit().map_err(failed(dest))?;
+    Ok((actions, Some(summary)))
 }
 
 fn main() {
@@ -146,80 +161,55 @@ fn main() {
     }
 
     let pattern = args.require("pattern");
-    let lu_cfg = if pattern == "lu" {
-        if np < 2 || !np.is_power_of_two() {
-            args.usage_error("--pattern lu needs a power-of-two --np >= 2");
+    let program = match pattern.as_str() {
+        "ring" if np < 2 => args.usage_error("--pattern ring needs --np >= 2"),
+        "ring" => Program::Synthetic(ring),
+        "stencil" if np < 3 => args.usage_error("--pattern stencil needs --np >= 3"),
+        "stencil" => Program::Synthetic(stencil),
+        "allreduce" => Program::Synthetic(allreduce),
+        "lu" => {
+            if np < 2 || !np.is_power_of_two() {
+                args.usage_error("--pattern lu needs a power-of-two --np >= 2");
+            }
+            let class: npb::Class = match args.get_or("class", "S".to_string()).parse() {
+                Ok(c) => c,
+                Err(e) => args.usage_error(&e),
+            };
+            let mut cfg = npb::LuConfig::new(class, np);
+            if args.get("iters").is_some() {
+                cfg = cfg.with_itmax(iters);
+            }
+            Program::Lu(cfg)
         }
-        let class: npb::Class = match args.get_or("class", "S".to_string()).parse() {
-            Ok(c) => c,
-            Err(e) => args.usage_error(&e),
-        };
-        let mut cfg = npb::LuConfig::new(class, np);
-        if args.get("iters").is_some() {
-            cfg = cfg.with_itmax(iters);
-        }
-        Some(cfg)
-    } else {
-        None
+        other => args.usage_error(&format!("unknown pattern {other:?}")),
     };
 
-    // LU streams straight into the store; everything else (and any
-    // text output) materializes first — those patterns are small.
-    let trace = if out.is_some() || (tib2.is_some() && lu_cfg.is_none()) {
-        let mut trace = match pattern.as_str() {
-            "ring" => {
-                if np < 2 {
-                    args.usage_error("--pattern ring needs --np >= 2");
-                }
-                ring(np, iters, flops, bytes)
-            }
-            "stencil" => {
-                if np < 3 {
-                    args.usage_error("--pattern stencil needs --np >= 3");
-                }
-                stencil(np, iters, flops, bytes)
-            }
-            "allreduce" => allreduce(np, iters, flops, bytes),
-            "lu" => {
-                // panics: lu_cfg was just built for the lu pattern
-                npb::program_trace(&lu_cfg.unwrap().program(), np)
-            }
-            other => args.usage_error(&format!("unknown pattern {other:?}")),
-        };
-        // Collectives (and tit-replay/tit-analyze) need the
-        // communicator size declared before anything else; the LU
-        // stream declares its own.
-        if pattern != "lu" {
-            for rank in (0..np).rev() {
-                trace.actions[rank].insert(0, Action::CommSize { nproc: np });
-            }
+    let (dir, store) = (out.as_deref(), tib2.as_deref());
+    let written = match program {
+        // Collectives (and tit-replay/tit-analyze) need the communicator
+        // size declared before anything else; the LU program declares
+        // its own.
+        Program::Synthetic(iteration) => generate(np, dir, store, seg_actions, |rank| {
+            let body = iteration(rank, np, flops, bytes);
+            std::iter::once(Action::CommSize { nproc: np })
+                .chain(std::iter::repeat_n(body, iters).flatten())
+        }),
+        Program::Lu(cfg) => {
+            let program = cfg.program();
+            generate(np, dir, store, seg_actions, |rank| {
+                let mut ops = program(rank, np);
+                std::iter::from_fn(move || ops.next_op()).map(|op| match npb::op_to_action(&op) {
+                    Action::CommSize { .. } => Action::CommSize { nproc: np },
+                    a => a,
+                })
+            })
         }
-        Some(trace)
-    } else {
-        if !["ring", "stencil", "allreduce", "lu"].contains(&pattern.as_str()) {
-            args.usage_error(&format!("unknown pattern {pattern:?}"));
-        }
-        if pattern == "ring" && np < 2 {
-            args.usage_error("--pattern ring needs --np >= 2");
-        }
-        if pattern == "stencil" && np < 3 {
-            args.usage_error("--pattern stencil needs --np >= 3");
-        }
-        None
     };
-
-    if let Some(dest) = &tib2 {
-        let result = match (&lu_cfg, &trace) {
-            // The streaming path: LuStream → Tib2Writer, op by op.
-            (Some(cfg), _) => stream_tib2(dest, np, seg_actions, &cfg.program()),
-            (None, Some(t)) => {
-                let ct = or_exit(CompactTrace::from_trace(t), "cannot pack trace");
-                tit_core::tib2::write_compact_atomic(dest, &ct, seg_actions)
-            }
-            // panics: non-lu with --tib2 always materializes above
-            (None, None) => unreachable!("non-lu --tib2 without a trace"),
-        };
-        let s = or_exit(result, format_args!("cannot write store {}", dest.display()));
+    let (actions, store) = written.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(1)
+    });
+    if let (Some(dest), Some(s)) = (&tib2, store) {
         println!(
             "tib2 store:       {} ({} ranks, {} actions, {} segments, {} bytes, fingerprint {:#018x})",
             dest.display(),
@@ -230,17 +220,7 @@ fn main() {
             s.fingerprint
         );
     }
-
     if let Some(out) = &out {
-        // panics: --out always materializes the trace above
-        let trace = trace.as_ref().unwrap();
-        or_exit(std::fs::create_dir_all(out), format_args!("cannot create {}", out.display()));
-        let files = or_exit(trace.save_per_process(out), "cannot write trace set");
-        println!(
-            "wrote {} ({} files, {} actions, pattern {pattern})",
-            out.display(),
-            files.len(),
-            trace.num_actions()
-        );
+        println!("wrote {} ({np} files, {actions} actions, pattern {pattern})", out.display());
     }
 }

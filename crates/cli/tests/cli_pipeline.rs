@@ -1189,3 +1189,38 @@ fn every_pair_of_replay_flags_runs_or_is_refused_naming_both() {
     assert_eq!(pairs, 25 * 24 / 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// tit-gen writes both outputs in one pass: for every pattern, one
+/// `--out D --tib2 S` run writes the text files an `--out`-only run
+/// writes, and the store bytes converting D to a store gives.
+#[test]
+fn gen_writes_the_same_text_and_store_in_one_pass() {
+    let dir = std::env::temp_dir().join(format!("titr-cligen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (pattern, np) in [("ring", 4), ("stencil", 5), ("allreduce", 3), ("lu", 4)] {
+        let (only, both) = (dir.join(format!("{pattern}-out")), dir.join(format!("{pattern}-both")));
+        let (store, converted) =
+            (dir.join(format!("{pattern}.tib2")), dir.join(format!("{pattern}-converted.tib2")));
+        let np_arg = np.to_string();
+        let common = ["--np", &np_arg, "--pattern", pattern, "--iters", "3", "--seg-actions", "8"];
+        let out_only = [&["--out", only.to_str().unwrap()][..], &common].concat();
+        let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-gen"), &out_only);
+        assert!(ok, "{pattern}: {msg}");
+        let out_and_store =
+            [&["--out", both.to_str().unwrap(), "--tib2", store.to_str().unwrap()][..], &common]
+                .concat();
+        let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-gen"), &out_and_store);
+        assert!(ok, "{pattern}: {msg}");
+        assert_eq!(std::fs::read_dir(&both).unwrap().count(), np, "{pattern}");
+        for rank in 0..np {
+            let file = format!("SG_process{rank}.trace");
+            let text = std::fs::read(only.join(&file)).unwrap();
+            assert!(!text.is_empty(), "{pattern}: {file} is empty");
+            assert_eq!(text, std::fs::read(both.join(&file)).unwrap(), "{pattern}: {file}");
+        }
+        tit_core::tib2::convert_dir_atomic(&both, np, &converted, 8, 1).unwrap();
+        let bytes = std::fs::read(&store).unwrap();
+        assert_eq!(bytes, std::fs::read(&converted).unwrap(), "{pattern}: store bytes");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

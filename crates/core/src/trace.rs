@@ -113,17 +113,12 @@ impl TiTrace {
         std::fs::create_dir_all(dir)?;
         let mut paths = Vec::with_capacity(self.actions.len());
         for (rank, actions) in self.actions.iter().enumerate() {
-            let path = dir.join(process_trace_filename(rank));
-            let mut w = BufWriter::with_capacity(1 << 20, File::create(&path)?);
-            let mut buf = String::with_capacity(64);
+            let mut w = ProcessTraceWriter::create(dir, rank)?;
             for a in actions {
-                buf.clear();
-                format_action_into(&mut buf, rank, a);
-                buf.push('\n');
-                w.write_all(buf.as_bytes())?;
+                w.write(a)?;
             }
-            w.flush()?;
-            paths.push(path);
+            w.finish()?;
+            paths.push(dir.join(process_trace_filename(rank)));
         }
         Ok(paths)
     }
