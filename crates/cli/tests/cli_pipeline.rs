@@ -940,15 +940,17 @@ fn checkpoint_from_an_earlier_build_still_resumes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A paused store replay writes the same `TICK1` bytes as the build
-/// before trivial islands were solved directly, the completion heap
-/// popped by moving a hole and the segment cache indexed by touch. The
-/// pause finds many activities in flight, flows in their latency phase
-/// (queued timed events), islands of a lone variable and islands whose
-/// variables share a constraint, and a budget that has already
-/// evicted, so the bytes pin the completion heap's layout, the event
-/// export order and the order in which solves write rates back; the
-/// run resumed from the fixture ends at the uninterrupted run's
+/// A paused store replay writes the `TICK1` bytes of the build before
+/// trivial islands were solved directly, the completion heap popped by
+/// moving a hole and the segment cache indexed by touch, except that
+/// the completion list, which that build stored in the heap's array
+/// order, is now sorted by (time, activity). The pause finds many
+/// activities in flight, flows in their latency phase (queued timed
+/// events), islands of a lone variable and islands whose variables
+/// share a constraint, and a budget that has already evicted, so the
+/// bytes pin the completion predictions, the event export order and
+/// the order in which solves write rates back; the run resumed from
+/// the fixture, unsorted as it is, ends at the uninterrupted run's
 /// simulated time. The fixture was written, with that earlier build, by
 ///
 /// ```text
@@ -989,8 +991,13 @@ fn store_checkpoint_bytes_match_an_earlier_build() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
-    let same = std::fs::read(tick).unwrap() == std::fs::read(&fixture).unwrap();
-    assert!(same, "checkpoint bytes differ from the fixture's");
+    let mut sorted = ck.clone();
+    sorted.engine.completions.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    assert_ne!(sorted, ck, "the fixture's completion list is in heap order");
+    let sorted_path = dir.join("sorted.tick");
+    sorted.save(&sorted_path).unwrap();
+    let same = std::fs::read(tick).unwrap() == std::fs::read(&sorted_path).unwrap();
+    assert!(same, "checkpoint bytes differ from the fixture's with its completions sorted");
 
     let simulated_time_bits = |extra: &[&str], metrics: &str| {
         let metrics = dir.join(metrics);
@@ -1008,6 +1015,23 @@ fn store_checkpoint_bytes_match_an_earlier_build() {
     let uninterrupted = simulated_time_bits(&[], "full.json");
     let resumed = simulated_time_bits(&["--resume", fixture.to_str().unwrap()], "resumed.json");
     assert_eq!(resumed, uninterrupted);
+
+    // Rewired to claim an op that is not its own, under a recomputed
+    // checksum, the early receive of mailbox 3->7 is refused: exit 1
+    // naming the mailbox, not a kernel panic.
+    let mut crafted = ck.clone();
+    assert_eq!(crafted.engine.mailboxes[3].recvs, [(31, 7)]);
+    crafted.engine.mailboxes[3].recvs[0].0 = 1;
+    let crafted_path = dir.join("crafted.tick");
+    crafted.save(&crafted_path).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tit-replay"))
+        .args(["--store", store, "--mem-budget", "16K", "--resume"])
+        .arg(&crafted_path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("mailbox 3->7 chan 0"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -16,12 +16,18 @@
 //!   (the paper's "lookup techniques");
 //! * recovers collective volumes from the message-size trigger and their
 //!   compute volumes from the counter delta across the call.
+//!
+//! The tracer pairs every send/receive state with its message record,
+//! every `MPI_Comm_size` with its size trigger and every receive inside
+//! an `MPI_Wait` with an open `MPI_Irecv`. The files are input, though:
+//! the first record that breaks that pairing fails the rank's
+//! extraction with `InvalidData`, naming the record.
 
+use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tau_sim::edf::EventRegistry;
 use tau_sim::reader::{read_trace_file, TraceCallbacks};
-use tit_core::trace::ProcessTraceWriter;
+use tit_core::trace::{process_trace_filename, ProcessTraceWriter};
 use tit_core::Action;
 
 /// Extraction statistics (inputs of the Figure 7 cost model).
@@ -88,6 +94,10 @@ struct Extractor<'a> {
     /// Indices (into `actions`) of Irecv placeholders not yet resolved.
     open_irecvs: std::collections::VecDeque<usize>,
     actions: Vec<Action>,
+    /// Records dispatched so far.
+    records: u64,
+    /// The first record that broke the tracer's pairing.
+    unpaired: Option<String>,
 }
 
 impl<'a> Extractor<'a> {
@@ -107,6 +117,16 @@ impl<'a> Extractor<'a> {
             pending_commsize: None,
             open_irecvs: std::collections::VecDeque::new(),
             actions: Vec::new(),
+            records: 0,
+            unpaired: None,
+        }
+    }
+
+    /// Notes that the current record breaks the tracer's pairing; only
+    /// the first such record is reported.
+    fn note_unpaired(&mut self, what: &str) {
+        if self.unpaired.is_none() {
+            self.unpaired = Some(format!("record {}: {what}", self.records));
         }
     }
 
@@ -121,30 +141,18 @@ impl<'a> Extractor<'a> {
     fn finish_state(&mut self, state: MpiState, leave_value: i64) {
         let vcomp = (leave_value - self.enter_value).max(0) as f64;
         match state {
-            MpiState::Send => {
-                let (dst, bytes) = self
-                    .pending_send
-                    .take()
-                    // panics: record pairing is guaranteed by the acquisition tracer
-                    .expect("MPI_Send state without SendMessage record");
-                self.actions.push(Action::Send { dst, bytes });
-            }
-            MpiState::Isend => {
-                let (dst, bytes) = self
-                    .pending_send
-                    .take()
-                    // panics: record pairing is guaranteed by the acquisition tracer
-                    .expect("MPI_Isend state without SendMessage record");
-                self.actions.push(Action::Isend { dst, bytes });
-            }
-            MpiState::Recv => {
-                let (src, _) = self
-                    .pending_recv
-                    .take()
-                    // panics: record pairing is guaranteed by the acquisition tracer
-                    .expect("MPI_Recv state without RecvMessage record");
-                self.actions.push(Action::Recv { src, bytes: None });
-            }
+            MpiState::Send => match self.pending_send.take() {
+                Some((dst, bytes)) => self.actions.push(Action::Send { dst, bytes }),
+                None => self.note_unpaired("MPI_Send state without a SendMessage record"),
+            },
+            MpiState::Isend => match self.pending_send.take() {
+                Some((dst, bytes)) => self.actions.push(Action::Isend { dst, bytes }),
+                None => self.note_unpaired("MPI_Isend state without a SendMessage record"),
+            },
+            MpiState::Recv => match self.pending_recv.take() {
+                Some((src, _)) => self.actions.push(Action::Recv { src, bytes: None }),
+                None => self.note_unpaired("MPI_Recv state without a RecvMessage record"),
+            },
             MpiState::Irecv => {
                 // Source unknown here: placeholder, resolved by the
                 // RecvMessage inside the matching MPI_Wait.
@@ -153,12 +161,12 @@ impl<'a> Extractor<'a> {
             }
             MpiState::Wait => {
                 if let Some((src, _)) = self.pending_recv.take() {
-                    let idx = self
-                        .open_irecvs
-                        .pop_front()
-                        // panics: record pairing is guaranteed by the acquisition tracer
-                        .expect("RecvMessage in MPI_Wait with no pending MPI_Irecv");
-                    self.actions[idx] = Action::Irecv { src, bytes: None };
+                    match self.open_irecvs.pop_front() {
+                        Some(idx) => self.actions[idx] = Action::Irecv { src, bytes: None },
+                        None => {
+                            self.note_unpaired("RecvMessage in MPI_Wait with no pending MPI_Irecv");
+                        }
+                    }
                 }
                 self.actions.push(Action::Wait);
             }
@@ -175,14 +183,10 @@ impl<'a> Extractor<'a> {
                 self.actions.push(Action::AllReduce { vcomm, vcomp });
             }
             MpiState::Barrier => self.actions.push(Action::Barrier),
-            MpiState::CommSize => {
-                let nproc = self
-                    .pending_commsize
-                    .take()
-                    // panics: record pairing is guaranteed by the acquisition tracer
-                    .expect("MPI_Comm_size state without size trigger");
-                self.actions.push(Action::CommSize { nproc });
-            }
+            MpiState::CommSize => match self.pending_commsize.take() {
+                Some(nproc) => self.actions.push(Action::CommSize { nproc }),
+                None => self.note_unpaired("MPI_Comm_size state without a size trigger"),
+            },
             MpiState::Other => {}
         }
     }
@@ -190,6 +194,7 @@ impl<'a> Extractor<'a> {
 
 impl TraceCallbacks for Extractor<'_> {
     fn enter_state(&mut self, _t: f64, _nid: u16, _tid: u16, ev: i32) {
+        self.records += 1;
         let name = self.registry.def(ev).map(|d| d.name.as_str()).unwrap_or("");
         self.state = Some(classify(name));
         self.fp_triggers_in_state = 0;
@@ -200,6 +205,7 @@ impl TraceCallbacks for Extractor<'_> {
     }
 
     fn leave_state(&mut self, _t: f64, _nid: u16, _tid: u16, _ev: i32) {
+        self.records += 1;
         if let Some(state) = self.state.take() {
             // The last fp trigger before leave is the new burst base; if
             // the writer produced none (untracked function), keep base.
@@ -208,6 +214,7 @@ impl TraceCallbacks for Extractor<'_> {
     }
 
     fn event_trigger(&mut self, _t: f64, _nid: u16, _tid: u16, ev: i32, value: i64) {
+        self.records += 1;
         if Some(ev) == self.fp_ev {
             if self.state.is_some() {
                 self.fp_triggers_in_state += 1;
@@ -240,6 +247,7 @@ impl TraceCallbacks for Extractor<'_> {
         _tag: u8,
         _comm: u8,
     ) {
+        self.records += 1;
         self.pending_send = Some((dst_nid as usize, size as f64));
     }
 
@@ -254,85 +262,77 @@ impl TraceCallbacks for Extractor<'_> {
         _tag: u8,
         _comm: u8,
     ) {
+        self.records += 1;
         self.pending_recv = Some((src_nid as usize, size as f64));
+    }
+
+    fn end_trace(&mut self, _nid: u16, _tid: u16) {
+        self.records += 1;
     }
 }
 
-/// Extracts one rank's actions from its TAU trace/edf pair.
-pub fn extract_process(trc: &Path, edf: &Path) -> std::io::Result<(Vec<Action>, u64)> {
-    let registry = EventRegistry::load(edf)?;
+/// Extracts one rank's actions from its TAU trace/edf pair. Errors
+/// name the file they come from.
+pub fn extract_process(trc: &Path, edf: &Path) -> io::Result<(Vec<Action>, u64)> {
+    let registry = EventRegistry::load(edf).map_err(in_file(edf))?;
     let mut ex = Extractor::new(&registry);
-    let records = read_trace_file(trc, &registry, &mut ex)?;
-    if !ex.open_irecvs.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{} MPI_Irecv without a resolving MPI_Wait", ex.open_irecvs.len()),
-        ));
+    let records = read_trace_file(trc, &registry, &mut ex).map_err(in_file(trc))?;
+    let open = ex.open_irecvs.len();
+    let unpaired = ex.unpaired.or_else(|| {
+        (open > 0).then(|| format!("{open} MPI_Irecv without a resolving MPI_Wait"))
+    });
+    match unpaired {
+        Some(what) => Err(in_file(trc)(io::Error::new(io::ErrorKind::InvalidData, what))),
+        None => Ok((ex.actions, records)),
     }
-    Ok((ex.actions, records))
+}
+
+/// Prefixes an error with the file it concerns, keeping its kind.
+fn in_file(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Extracts rank `rank` of `tau_dir` into `out_dir`.
+fn extract_rank(tau_dir: &Path, out_dir: &Path, rank: usize) -> io::Result<ExtractStats> {
+    let trc = tau_dir.join(tau_sim::trace_filename(rank));
+    let edf = tau_dir.join(tau_sim::edf_filename(rank));
+    let (actions, records_read) = extract_process(&trc, &edf)?;
+    let out = out_dir.join(process_trace_filename(rank));
+    let write = || -> io::Result<ExtractStats> {
+        let mut w = ProcessTraceWriter::create(out_dir, rank)?;
+        for a in &actions {
+            w.write(a)?;
+        }
+        let actions_written = w.actions_written();
+        w.finish()?;
+        let ti_bytes = std::fs::metadata(&out)?.len();
+        Ok(ExtractStats { records_read, actions_written, ti_bytes })
+    };
+    write().map_err(in_file(&out))
 }
 
 /// Extracts all ranks from `tau_dir`, writing `SG_process<N>.trace` files
 /// into `out_dir`. Runs `threads` extraction workers (the paper's
-/// `tau2simgrid` is itself a parallel MPI program).
+/// `tau2simgrid` is itself a parallel MPI program) on the rank pool
+/// [`tit_core::ingest::for_each_rank`]: a failure returns the lowest
+/// failing rank's error, prefixed with the rank and naming the file,
+/// whatever the worker count.
 pub fn tau2ti(
     tau_dir: &Path,
     nproc: usize,
     out_dir: &Path,
     threads: usize,
-) -> std::io::Result<ExtractStats> {
+) -> io::Result<ExtractStats> {
     std::fs::create_dir_all(out_dir)?;
-    let records = AtomicU64::new(0);
-    let actions = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let next = AtomicU64::new(0);
-    let threads = threads.clamp(1, nproc.max(1));
-    let errors: std::sync::Mutex<Vec<std::io::Error>> = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let rank = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if rank >= nproc {
-                    return;
-                }
-                let work = (|| -> std::io::Result<()> {
-                    let trc = tau_dir.join(tau_sim::trace_filename(rank));
-                    let edf = tau_dir.join(tau_sim::edf_filename(rank));
-                    let (acts, recs) = extract_process(&trc, &edf)?;
-                    let mut w = ProcessTraceWriter::create(out_dir, rank)?;
-                    for a in &acts {
-                        w.write(a)?;
-                    }
-                    let written = w.actions_written();
-                    w.finish()?;
-                    let sz = std::fs::metadata(
-                        out_dir.join(tit_core::trace::process_trace_filename(rank)),
-                    )?
-                    .len();
-                    records.fetch_add(recs, Ordering::Relaxed);
-                    actions.fetch_add(written, Ordering::Relaxed);
-                    bytes.fetch_add(sz, Ordering::Relaxed);
-                    Ok(())
-                })();
-                if let Err(e) = work {
-                    // panics: mutex poisoned only if another thread already panicked
-                    errors.lock().unwrap().push(e);
-                    return;
-                }
-            });
-        }
-    });
-
-    // panics: record pairing is guaranteed by the acquisition tracer
-    if let Some(e) = errors.into_inner().unwrap().into_iter().next() {
-        return Err(e);
-    }
-    Ok(ExtractStats {
-        records_read: records.into_inner(),
-        actions_written: actions.into_inner(),
-        ti_bytes: bytes.into_inner(),
-    })
+    let ranks = tit_core::ingest::for_each_rank(nproc, threads.max(1), |rank| {
+        extract_rank(tau_dir, out_dir, rank)
+            .map_err(|e| io::Error::new(e.kind(), format!("rank {rank}: {e}")))
+    })?;
+    Ok(ranks.into_iter().fold(ExtractStats::default(), |sum, r| ExtractStats {
+        records_read: sum.records_read + r.records_read,
+        actions_written: sum.actions_written + r.actions_written,
+        ti_bytes: sum.ti_bytes + r.ti_bytes,
+    }))
 }
 
 #[cfg(test)]

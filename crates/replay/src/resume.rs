@@ -9,8 +9,12 @@
 //! preempted request; a later run restores the snapshot, seeks each
 //! rank's trace cursor to its saved position and continues to the
 //! **bit-identical** final simulated time the uninterrupted run would
-//! have produced (the snapshot captures raw solver/heap/slab layouts
-//! verbatim; see [`simkern::snapshot`]).
+//! have produced (the snapshot captures raw solver and slab layouts
+//! verbatim and stores the timed events and completion predictions
+//! sorted, since both heaps pop by a total order; see
+//! [`simkern::snapshot`]). Decoding validates the snapshot, the
+//! completion list against the activities included, so a crafted
+//! payload under a recomputed checksum fails closed.
 //!
 //! The checkpoint is keyed by a [`fingerprint`] of the platform,
 //! network model, collective algorithm, process count and the input's

@@ -179,6 +179,15 @@ pub struct Activity {
     pub owner: Owner,
 }
 
+impl Activity {
+    /// Predicted completion time under the current rate, `None` while
+    /// the rate is zero. `remaining` is integrated to `t_last`, so this
+    /// is the prediction made when the rate was assigned, bit for bit.
+    pub fn predicted_completion(&self) -> Option<f64> {
+        (self.rate > 0.0).then(|| self.t_last + self.remaining / self.rate)
+    }
+}
+
 /// Rendezvous progress of a communication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommState {
@@ -518,11 +527,6 @@ impl Engine {
                 break;
             }
             if pause(self) {
-                // A checkpoint captures the completion heap verbatim,
-                // so lazy lower bounds must become true predictions
-                // first (docs/KERNEL.md §3). Order-neutral: refreshing
-                // never changes what pops next.
-                self.flush_stale_completions();
                 return Ok(RunStatus::Paused(self.clock));
             }
             match (t_ev, t_act) {
@@ -695,11 +699,9 @@ impl Engine {
             self.integrate(act);
             let a = &mut self.activities[act];
             a.rate = new_rate;
-            if new_rate > 0.0 {
-                let t = self.clock + a.remaining / new_rate;
-                self.completions.set(act, t);
-            } else {
-                self.completions.remove(act);
+            match a.predicted_completion() {
+                Some(t) => self.completions.set(act, t),
+                None => self.completions.remove(act),
             }
         }
         if let Some(kp) = self.kprof.as_mut() {
@@ -731,13 +733,10 @@ impl Engine {
                 continue; // variable id reused after removal in this batch
             }
             self.integrate(act);
-            let new_rate = self.lmm.rate(*v);
             let a = &mut self.activities[act];
-            a.rate = new_rate;
-            let remaining = a.remaining;
-            if new_rate > 0.0 {
-                let t = self.clock + remaining / new_rate;
-                match self.completions.priority(act) {
+            a.rate = self.lmm.rate(*v);
+            match a.predicted_completion() {
+                Some(t) => match self.completions.priority(act) {
                     Some(cur) if t > cur => {
                         // Later than the stored key: defer. The key
                         // stays a valid lower bound on `t`.
@@ -748,13 +747,14 @@ impl Engine {
                         self.completions.set(act, t);
                         updates += 1;
                     }
-                }
-            } else {
+                },
                 // Rate zero: completion at infinity — every stored key
                 // is a lower bound. Defer; the top refresh removes the
                 // entry if the rate is still zero when it surfaces.
-                if self.completions.mark_stale(act) {
-                    lazy += 1;
+                None => {
+                    if self.completions.mark_stale(act) {
+                        lazy += 1;
+                    }
                 }
             }
         }
@@ -763,14 +763,6 @@ impl Engine {
             kp.lazy_rekeys += lazy;
         }
         self.changed_vars = changed;
-    }
-
-    /// True completion time of a live activity under its current rate
-    /// (`remaining` is integrated to `t_last`; the rate has not changed
-    /// since, so this reproduces the eager prediction bit-for-bit).
-    fn true_completion(&self, act: usize) -> Option<f64> {
-        let a = &self.activities[act];
-        (a.rate > 0.0).then(|| a.t_last + a.remaining / a.rate)
     }
 
     /// Re-keys stale entries that surfaced at the top of the completion
@@ -783,7 +775,7 @@ impl Engine {
             if !self.completions.is_stale(act) {
                 break;
             }
-            match self.true_completion(act) {
+            match self.activities[act].predicted_completion() {
                 Some(t) => self.completions.set(act, t),
                 None => self.completions.remove(act),
             }
@@ -792,22 +784,6 @@ impl Engine {
         if refreshed > 0 {
             if let Some(kp) = self.kprof.as_mut() {
                 kp.stale_pops += refreshed;
-            }
-        }
-    }
-
-    /// Replaces every stale lower bound with the true prediction (and
-    /// drops rate-zero entries), so the heap's raw array is pure
-    /// simulation state again — required before a checkpoint capture.
-    fn flush_stale_completions(&mut self) {
-        if self.completions.stale_count() == 0 {
-            return;
-        }
-        let stale: Vec<usize> = self.completions.stale_keys().collect();
-        for act in stale {
-            match self.true_completion(act) {
-                Some(t) => self.completions.set(act, t),
-                None => self.completions.remove(act),
             }
         }
     }
@@ -1198,11 +1174,11 @@ impl Engine {
     // Checkpoint support
 
     /// Captures the engine's full raw state at a safe point: the
-    /// sorted events and a verbatim copy of each slab (see
-    /// [`crate::snapshot`] for why layouts are captured verbatim).
-    /// Fails when the engine is mid-step (pending run queue, pending
-    /// failure, stale rates, never started) or when an alive actor does
-    /// not support checkpointing.
+    /// sorted events, each running activity's predicted completion and
+    /// a verbatim copy of each slab (see [`crate::snapshot`] for why
+    /// layouts are captured verbatim). Fails when the engine is
+    /// mid-step (pending run queue, pending failure, never started) or
+    /// when an alive actor does not support checkpointing.
     pub fn export_state(&self) -> Result<EngineSnapshot, String> {
         if !self.started {
             return Err("engine snapshot requested before the run started".into());
@@ -1212,12 +1188,6 @@ impl Engine {
         }
         if self.failure.is_some() {
             return Err("engine snapshot requested with a pending failure".into());
-        }
-        if self.completions.stale_count() > 0 {
-            // Lazy lower bounds are evaluation state, not simulation
-            // state; `run_until` flushes them at every pause, so this
-            // only trips on captures outside a safe point.
-            return Err("engine snapshot requested with stale completion predictions".into());
         }
         let lmm = self.lmm.export_snapshot()?;
 
@@ -1263,14 +1233,17 @@ impl Engine {
             });
         }
 
+        // The predictions, not the heap: its stale lower bounds and its
+        // layout are evaluation state (docs/KERNEL.md §3).
+        let activities = SlabSnap::of(&self.activities);
         Ok(EngineSnapshot {
             clock: self.clock,
             seq: self.seq,
             ops_completed: self.ops_completed,
             events,
-            completions: self.completions.raw().to_vec(),
+            completions: activities.predicted_completions(),
             lmm,
-            activities: SlabSnap::of(&self.activities),
+            activities,
             ops: SlabSnap::of(&self.ops),
             comms: SlabSnap::of(&self.comms),
             mailboxes,
@@ -1344,7 +1317,13 @@ impl Engine {
             }
         }
         let comms = Slab::from_raw(comms.slots, comms.free)?;
-        let completions = crate::idxheap::IndexedHeap::from_raw(completions)?;
+        // `validate` proved the list equal to the activities'
+        // predictions; the heap pops them by the total (time, activity)
+        // order whatever its layout.
+        let mut heap = crate::idxheap::IndexedHeap::new();
+        for (t, act) in completions {
+            heap.set(act, t);
+        }
 
         let mut var_act = Vec::new();
         for (act, a) in activities.iter() {
@@ -1404,7 +1383,7 @@ impl Engine {
         self.seq = seq;
         self.ops_completed = ops_completed;
         self.events = events;
-        self.completions = completions;
+        self.completions = heap;
         self.lmm = lmm;
         self.activities = activities;
         self.ops = ops;

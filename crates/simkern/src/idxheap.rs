@@ -45,10 +45,8 @@ pub struct IndexedHeap {
     /// `pos[key]` = index in `heap`, or `usize::MAX` when absent.
     pos: Vec<usize>,
     /// `stale[key]`: the stored priority is a lower bound, not the
-    /// truth. Only meaningful for present keys.
+    /// truth. Always false for absent keys.
     stale: Vec<bool>,
-    /// Number of present keys currently marked stale.
-    nstale: usize,
 }
 
 const ABSENT: usize = usize::MAX;
@@ -101,10 +99,7 @@ impl IndexedHeap {
             self.pos.resize(key + 1, ABSENT);
             self.stale.resize(key + 1, false);
         }
-        if self.stale[key] {
-            self.stale[key] = false;
-            self.nstale -= 1;
-        }
+        self.stale[key] = false;
         let item = (priority, key);
         let p = self.pos[key];
         if p == ABSENT {
@@ -127,25 +122,12 @@ impl IndexedHeap {
             return false;
         }
         self.stale[key] = true;
-        self.nstale += 1;
         true
     }
 
     /// True when `key` is present and marked stale.
     pub fn is_stale(&self, key: usize) -> bool {
-        self.stale.get(key).copied().unwrap_or(false) && self.contains(key)
-    }
-
-    /// Number of present keys currently marked stale.
-    pub fn stale_count(&self) -> usize {
-        self.nstale
-    }
-
-    /// Keys currently marked stale, in unspecified order. Used to
-    /// flush lazy entries before a checkpoint (O(n) scan — pausing is
-    /// rare, popping is not).
-    pub fn stale_keys(&self) -> impl Iterator<Item = usize> + '_ {
-        self.heap.iter().map(|&(_, k)| k).filter(|&k| self.stale[k])
+        self.stale.get(key) == Some(&true)
     }
 
     /// Removes `key` if present.
@@ -174,9 +156,6 @@ impl IndexedHeap {
     ///
     /// The hole at the root moves down the smaller-child path to a leaf,
     /// one comparison per level, and the last entry sifts up from there.
-    /// Keys are unique, so the children along that path increase and the
-    /// last entry stops where a sift down from the root would stop it:
-    /// the array is the one the classic pop leaves.
     pub fn pop(&mut self) -> Option<(f64, usize)> {
         let top = *self.heap.first()?;
         debug_assert!(!self.stale[top.1], "popping a stale heap entry");
@@ -196,47 +175,8 @@ impl IndexedHeap {
 
     /// Marks a present `key` absent and clears its stale mark.
     fn unlist(&mut self, key: usize) {
-        if self.stale[key] {
-            self.stale[key] = false;
-            self.nstale -= 1;
-        }
+        self.stale[key] = false;
         self.pos[key] = ABSENT;
-    }
-
-    /// The raw heap array in its internal order.
-    ///
-    /// Checkpoint support: snapshots capture the array verbatim and
-    /// restore with [`from_raw`](Self::from_raw) so the layout — part
-    /// of the engine's raw state — survives bit-identically. All
-    /// entries must be fresh (stale flags are lazy-evaluation state,
-    /// not simulation state; the engine flushes them before pausing).
-    pub fn raw(&self) -> &[(f64, usize)] {
-        debug_assert_eq!(self.nstale, 0, "raw capture with stale entries");
-        &self.heap
-    }
-
-    /// Rebuilds a heap from a raw array captured by [`raw`](Self::raw).
-    /// Validates the (priority, key) min-heap invariant and key
-    /// uniqueness. All restored entries are fresh.
-    pub fn from_raw(heap: Vec<(f64, usize)>) -> Result<Self, String> {
-        let mut pos = Vec::new();
-        for (i, &(p, key)) in heap.iter().enumerate() {
-            if p.is_nan() {
-                return Err(format!("heap restore: NaN priority for key {key}"));
-            }
-            if i > 0 && lt((p, key), heap[(i - 1) / 2]) {
-                return Err(format!("heap restore: order violated at index {i}"));
-            }
-            if key >= pos.len() {
-                pos.resize(key + 1, ABSENT);
-            }
-            if pos[key] != ABSENT {
-                return Err(format!("heap restore: duplicate key {key}"));
-            }
-            pos[key] = i;
-        }
-        let stale = vec![false; pos.len()];
-        Ok(IndexedHeap { heap, pos, stale, nstale: 0 })
     }
 
     /// Writes `item` at index `i` and records its position.
@@ -362,33 +302,30 @@ mod tests {
         assert!(h.mark_stale(0));
         assert!(!h.mark_stale(0), "already stale");
         assert!(!h.mark_stale(42), "absent");
-        assert_eq!(h.stale_count(), 1);
-        assert!(h.is_stale(0));
+        assert!(h.is_stale(0) && !h.is_stale(1));
         assert_eq!(h.peek(), Some((1.0, 0)), "stale entry keeps its lower bound");
         // Refresh: the true priority moved up past key 1.
         h.set(0, 3.0);
         assert!(!h.is_stale(0));
-        assert_eq!(h.stale_count(), 0);
         assert_eq!(h.pop(), Some((2.0, 1)));
         assert_eq!(h.pop(), Some((3.0, 0)));
     }
 
     #[test]
-    fn stale_cleared_on_remove_and_listed_for_flush() {
+    fn stale_cleared_on_remove_and_set() {
         let mut h = IndexedHeap::new();
         for k in 0..4usize {
             h.set(k, k as f64);
         }
         h.mark_stale(1);
         h.mark_stale(3);
-        let mut stale: Vec<usize> = h.stale_keys().collect();
-        stale.sort_unstable();
-        assert_eq!(stale, vec![1, 3]);
         h.remove(1);
-        assert_eq!(h.stale_count(), 1);
         assert!(!h.is_stale(1));
+        h.set(1, 1.0);
+        assert!(!h.is_stale(1), "a re-inserted key starts fresh");
+        assert!(h.is_stale(3));
         h.set(3, 10.0);
-        assert_eq!(h.stale_count(), 0);
+        assert!(!h.is_stale(3));
     }
 
     #[test]
@@ -431,137 +368,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn raw_round_trip_preserves_tie_order() {
-        let mut h = IndexedHeap::new();
-        for (k, p) in [(3, 5.0), (1, 5.0), (7, 5.0), (2, 5.0), (9, 1.0)] {
-            h.set(k, p);
-        }
-        h.remove(9); // force a layout shaped by removal history
-        let mut r = IndexedHeap::from_raw(h.raw().to_vec()).unwrap();
-        // Equal-priority pops must come out in the same order.
-        while let Some(a) = h.pop() {
-            assert_eq!(r.pop(), Some(a));
-        }
-        assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn raw_restore_rejects_bad_arrays() {
-        assert!(IndexedHeap::from_raw(vec![(2.0, 0), (1.0, 1)]).is_err());
-        assert!(IndexedHeap::from_raw(vec![(1.0, 0), (2.0, 0)]).is_err());
-        assert!(IndexedHeap::from_raw(vec![(f64::NAN, 0)]).is_err());
-        // Equal priorities with descending keys violate the total order.
-        assert!(IndexedHeap::from_raw(vec![(1.0, 5), (1.0, 2)]).is_err());
-    }
-
-    /// The swap-based binary heap [`IndexedHeap`] sifted with before it
-    /// moved holes: the layout oracle.
-    #[derive(Default)]
-    struct SwapHeap {
-        heap: Vec<(f64, usize)>,
-        pos: Vec<usize>,
-    }
-
-    impl SwapHeap {
-        fn set(&mut self, key: usize, priority: f64) {
-            if key >= self.pos.len() {
-                self.pos.resize(key + 1, ABSENT);
-            }
-            let p = self.pos[key];
-            if p == ABSENT {
-                self.heap.push((priority, key));
-                self.pos[key] = self.heap.len() - 1;
-                self.sift_up(self.heap.len() - 1);
-            } else {
-                let old = self.heap[p].0;
-                self.heap[p].0 = priority;
-                if lt((priority, key), (old, key)) {
-                    self.sift_up(p);
-                } else {
-                    self.sift_down(p);
-                }
-            }
-        }
-
-        fn remove(&mut self, key: usize) {
-            let Some(&p) = self.pos.get(key) else { return };
-            if p == ABSENT {
-                return;
-            }
-            let last = self.heap.len() - 1;
-            self.heap.swap(p, last);
-            self.pos[self.heap[p].1] = p;
-            self.heap.pop();
-            self.pos[key] = ABSENT;
-            if p < self.heap.len() {
-                let moved = self.heap[p].1;
-                self.sift_up(p);
-                self.sift_down(self.pos[moved]);
-            }
-        }
-
-        fn pop(&mut self) -> Option<(f64, usize)> {
-            let top = *self.heap.first()?;
-            self.remove(top.1);
-            Some(top)
-        }
-
-        fn sift_up(&mut self, mut i: usize) {
-            while i > 0 {
-                let parent = (i - 1) / 2;
-                if !lt(self.heap[i], self.heap[parent]) {
-                    break;
-                }
-                self.heap.swap(i, parent);
-                self.pos[self.heap[i].1] = i;
-                self.pos[self.heap[parent].1] = parent;
-                i = parent;
-            }
-        }
-
-        fn sift_down(&mut self, mut i: usize) {
-            loop {
-                let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut smallest = i;
-                if l < self.heap.len() && lt(self.heap[l], self.heap[smallest]) {
-                    smallest = l;
-                }
-                if r < self.heap.len() && lt(self.heap[r], self.heap[smallest]) {
-                    smallest = r;
-                }
-                if smallest == i {
-                    break;
-                }
-                self.heap.swap(i, smallest);
-                self.pos[self.heap[i].1] = i;
-                self.pos[self.heap[smallest].1] = smallest;
-                i = smallest;
-            }
-        }
-    }
-
     proptest::proptest! {
-        /// Moving holes leaves the array, and every key's position, where
-        /// the swap-based sifts leave them, under random `set`, `remove`,
-        /// `pop` and `mark_stale` sequences. Priorities come from a small
-        /// set, so many entries tie and order by key; stale tops are
-        /// refreshed before a pop, as the engine does.
+        /// Random `set`, `remove`, `pop` and `mark_stale` sequences
+        /// against a sorted list of the same entries: every pop is the
+        /// list's head, and every key's `pos` names its array slot.
+        /// Priorities come from a small set, so many entries tie and
+        /// order by key; stale tops are refreshed before a pop, as the
+        /// engine does.
         #[test]
-        fn hole_moves_keep_the_swap_heaps_layout(
+        fn tie_heavy_ops_match_a_sorted_reference(
             ops in proptest::collection::vec((0u8..8, 0usize..48, 0u8..12), 1..400),
         ) {
-            let (mut h, mut r) = (IndexedHeap::new(), SwapHeap::default());
+            let mut h = IndexedHeap::new();
+            let mut sorted: Vec<(f64, usize)> = Vec::new();
+            let put = |sorted: &mut Vec<(f64, usize)>, key: usize, prio: Option<f64>| {
+                sorted.retain(|&(_, k)| k != key);
+                if let Some(p) = prio {
+                    let at = sorted.partition_point(|&e| lt(e, (p, key)));
+                    sorted.insert(at, (p, key));
+                }
+            };
             for (op, key, prio) in ops {
                 let prio = f64::from(prio) * 0.5;
                 match op {
                     0..=3 => {
                         h.set(key, prio);
-                        r.set(key, prio);
+                        put(&mut sorted, key, Some(prio));
                     }
                     4 => {
                         h.remove(key);
-                        r.remove(key);
+                        put(&mut sorted, key, None);
                     }
                     5 => {
                         h.mark_stale(key);
@@ -569,14 +405,19 @@ mod tests {
                     _ => {
                         while let Some((p, k)) = h.peek().filter(|&(_, k)| h.is_stale(k)) {
                             h.set(k, p + prio);
-                            r.set(k, p + prio);
+                            put(&mut sorted, k, Some(p + prio));
                         }
-                        proptest::prop_assert_eq!(h.pop(), r.pop());
+                        let want = (!sorted.is_empty()).then(|| sorted.remove(0));
+                        proptest::prop_assert_eq!(h.pop(), want);
                     }
                 }
-                proptest::prop_assert_eq!(&h.heap, &r.heap);
-                for (i, &(_, k)) in h.heap.iter().enumerate() {
-                    proptest::prop_assert_eq!(h.pos[k], i);
+                proptest::prop_assert_eq!(h.len(), sorted.len());
+                for (k, &p) in h.pos.iter().enumerate() {
+                    let listed = sorted.iter().any(|&(_, s)| s == k);
+                    proptest::prop_assert!((p != ABSENT) == listed, "key {} at {}", k, p);
+                    if p != ABSENT {
+                        proptest::prop_assert_eq!(h.heap[p].1, k);
+                    }
                 }
             }
         }

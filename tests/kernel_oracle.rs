@@ -12,9 +12,9 @@
 //! last float bit on every workload. These tests enforce that claim on
 //! the paper's LU benchmark plus the repo's other generators (ring,
 //! stencil, allreduce-heavy CG) under all three network models, and on
-//! randomized balanced traces via proptest. A checkpoint taken under
-//! one kernel resumes under the other to the same bits
-//! (`checkpoints_resume_across_kernels`).
+//! randomized balanced traces via proptest. Both kernels pause to the
+//! same checkpoint bytes, and a checkpoint taken under one resumes
+//! under the other to the same bits (`checkpoints_resume_across_kernels`).
 
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
@@ -29,7 +29,7 @@ use titr::simkern::lmm::SolverStats;
 use titr::simkern::netmodel::NetworkConfig;
 use titr::simkern::observer::Collector;
 use titr::simkern::resource::HostId;
-use titr::simkern::KernelMode;
+use titr::simkern::{KernelMode, WallPhases};
 use titr::trace::{Action, TiTrace};
 
 /// A replay outcome reduced to exactly-comparable integers: the
@@ -134,9 +134,10 @@ fn lu_agrees_across_kernels() {
     }
 }
 
-/// A checkpoint is kernel-agnostic (docs/KERNEL.md §1): LU paused
-/// under one kernel, with flows in their latency phase queued as timed
-/// events, and resumed under the other kernel reaches the
+/// A checkpoint is kernel-agnostic (docs/KERNEL.md §1): LU paused at
+/// one action count encodes to the same bytes under either kernel, and
+/// paused under one kernel, with flows in their latency phase queued
+/// as timed events, and resumed under the other it reaches the
 /// uninterrupted run's simulated-time bits, action count and timeline.
 #[test]
 fn checkpoints_resume_across_kernels() {
@@ -150,8 +151,10 @@ fn checkpoints_resume_across_kernels() {
     let (whole, _) = replay_fingerprint(&trace, &profiled);
     let always = AtomicBool::new(true);
     let kernels = [KernelMode::Reference, KernelMode::Incremental].map(cfg);
-    for (paused_under, resumed_under) in [(&kernels[0], &kernels[1]), (&kernels[1], &kernels[0])] {
-        for every in [500, 1500, 2500] {
+    let pairs = [(&kernels[0], &kernels[1]), (&kernels[1], &kernels[0])];
+    for every in [500, 1500, 2500] {
+        let mut bytes = Vec::new();
+        for (paused_under, resumed_under) in pairs {
             let records = Collector::new();
             let paused = Replay::new(Input::memory(&trace), desc.build(), &hosts, paused_under)
                 .observer(Some(records.sink()))
@@ -162,6 +165,7 @@ fn checkpoints_resume_across_kernels() {
             let state = paused.paused.expect("preempted at the first pause");
             let context = format!("paused under {:?} after {every} actions", paused_under.kernel);
             assert!(!state.engine.events.is_empty(), "{context}: no timed event queued");
+            bytes.push(state.encode());
             let out = Replay::new(Input::memory(&trace), desc.build(), &hosts, resumed_under)
                 .observer(Some(records.sink()))
                 .resume(Some(state))
@@ -174,6 +178,37 @@ fn checkpoints_resume_across_kernels() {
             };
             assert_eq!(resumed, whole, "{context}, resumed under {:?}", resumed_under.kernel);
         }
+        let differ = bytes[0].iter().zip(&bytes[1]).filter(|(a, b)| a != b).count();
+        let sizes = (bytes[0].len(), bytes[1].len());
+        assert!(bytes[0] == bytes[1], "after {every} actions: {differ} bytes differ, {sizes:?}");
+    }
+}
+
+/// Pausing is invisible to the kernel profile: under either kernel, LU
+/// paused every 500 actions and continued in place counts the same
+/// solves, heap operations and completion updates, lazy re-keys and
+/// stale pops included, as the run that never pauses.
+#[test]
+fn pausing_leaves_the_kernel_profile_unchanged() {
+    let nproc = 16;
+    let lu = LuConfig::new(Class::S, nproc).with_itmax(2);
+    let trace = titr::npb::program_trace(&lu.program(), nproc);
+    let desc = PlatformDesc::single(presets::bordereau_one_core(nproc));
+    let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
+    for kernel in [KernelMode::Reference, KernelMode::Incremental] {
+        let cfg = ReplayConfig { kernel, kernel_profile: true, ..ReplayConfig::default() };
+        let counters = |every: u64| {
+            let out = Replay::new(Input::memory(&trace), desc.build(), &hosts, &cfg)
+                .pause_every(every)
+                .run()
+                .expect("replay");
+            let mut kp = out.kernel_profile.expect("kernel profile");
+            kp.wall = WallPhases::default();
+            kp
+        };
+        let plain = counters(0);
+        assert!(plain.lazy_rekeys > 0 || kernel == KernelMode::Reference, "{plain:?}");
+        assert_eq!(counters(500), plain, "{kernel:?}");
     }
 }
 

@@ -8,12 +8,18 @@
 //! traces and random checkpoint intervals.
 
 use proptest::prelude::*;
+use std::sync::atomic::AtomicBool;
+use titr::npb::{Class, LuConfig};
 use titr::obs::{Profile, SharedBuf, Timeline, TimelineFormat};
 use titr::platform::desc::PlatformDesc;
 use titr::platform::presets;
-use titr::replay::{tags, Input, Replay, ReplayCheckpoint, ReplayConfig, Status};
+use titr::replay::{
+    tags, Input, Replay, ReplayCheckpoint, ReplayConfig, ReplayError, ReplayOutcome, Status,
+};
+use titr::simkern::engine::{Comm, EventKind, Owner};
 use titr::simkern::observer::{Fanout, Observer};
 use titr::simkern::resource::HostId;
+use titr::simkern::{EngineSnapshot, OpId};
 use titr::trace::{Action, TiTrace};
 
 /// Generates a random *balanced* trace (every send matched by a posted
@@ -169,4 +175,157 @@ fn degraded_ratio_is_exact_on_intact_and_below_one_on_truncated() {
     assert!(cut.is_partial());
     assert_eq!(cut.ranks.len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// LU S ×16 with two iterations: at 500 and 1,500 actions its pauses
+/// hold queued latency events, transfers and computations in flight,
+/// unmatched sends and early receives.
+fn lu16() -> TiTrace {
+    titr::npb::program_trace(&LuConfig::new(Class::S, 16).with_itmax(2).program(), 16)
+}
+
+/// The state of `trace` paused after `every` actions.
+fn paused_after(trace: &TiTrace, every: u64) -> ReplayCheckpoint {
+    let always = AtomicBool::new(true);
+    let (platform, hosts) = platform_hosts(trace.num_processes());
+    let out = Replay::new(Input::memory(trace), platform, &hosts, &ReplayConfig::default())
+        .pause_every(every)
+        .preempt(Some(&always))
+        .run()
+        .expect("paused replay");
+    out.paused.expect("preempted at the first pause")
+}
+
+fn resume(trace: &TiTrace, ck: ReplayCheckpoint) -> Result<ReplayOutcome, ReplayError> {
+    let (platform, hosts) = platform_hosts(trace.num_processes());
+    Replay::new(Input::memory(trace), platform, &hosts, &ReplayConfig::default())
+        .resume(Some(ck))
+        .run()
+}
+
+/// A checkpoint whose latest completion prediction was raised is
+/// refused, in memory and from its encoded bytes, naming the activity:
+/// the predictions are checked against the activities they belong to.
+#[test]
+fn raised_completion_time_is_refused_naming_the_activity() {
+    let trace = lu16();
+    let mut ck = paused_after(&trace, 1500);
+    let latest = ck.engine.completions.iter_mut().max_by(|a, b| a.0.total_cmp(&b.0));
+    let latest = latest.expect("activities in flight");
+    latest.0 += 1e-3;
+    let activity = format!("activity {} at", latest.1);
+    let decoded = ReplayCheckpoint::decode(&ck.encode()).expect_err("decoded a raised prediction");
+    assert!(decoded.contains(&activity), "{decoded}");
+    let err = resume(&trace, ck).expect_err("resumed a raised prediction");
+    assert!(matches!(err, ReplayError::Checkpoint { .. }), "{err}");
+    assert!(err.to_string().contains(&activity), "{err}");
+}
+
+fn occupied<T>(slots: &[Option<T>]) -> Vec<usize> {
+    (0..slots.len()).filter(|&k| slots[k].is_some()).collect()
+}
+
+fn owner(s: &mut EngineSnapshot, k: usize) -> &mut Owner {
+    &mut s.activities.slots[k].as_mut().expect("occupied activity").owner
+}
+
+fn comm(s: &mut EngineSnapshot, k: usize) -> &mut Comm {
+    s.comms.slots[k].as_mut().expect("occupied comm")
+}
+
+/// Every crafted copy of `state` the sweep resumes: each event's id,
+/// activity owner, comm `send_op` and `recv_op`, mailbox entry (comm,
+/// early receive op and its actor) and actor `waiting` set to 0, 1, 2
+/// and 7, and each event's and activity owner's kind swapped.
+fn crafted(state: &ReplayCheckpoint) -> Vec<ReplayCheckpoint> {
+    const IDS: [usize; 4] = [0, 1, 2, 7];
+    let mut out = Vec::new();
+    let mut craft = |f: &dyn Fn(&mut EngineSnapshot)| {
+        let mut ck = state.clone();
+        f(&mut ck.engine);
+        out.push(ck);
+    };
+    let e = &state.engine;
+    for i in 0..e.events.len() {
+        for v in IDS {
+            craft(&|s| {
+                s.events[i].kind = match s.events[i].kind {
+                    EventKind::LatencyDone { .. } => EventKind::LatencyDone { comm: v },
+                    EventKind::SleepDone { .. } => EventKind::SleepDone { op: OpId::from_raw(v) },
+                }
+            });
+        }
+        craft(&|s| {
+            s.events[i].kind = match s.events[i].kind {
+                EventKind::LatencyDone { comm } => {
+                    EventKind::SleepDone { op: OpId::from_raw(comm) }
+                }
+                EventKind::SleepDone { op } => EventKind::LatencyDone { comm: op.to_raw() },
+            }
+        });
+    }
+    for k in occupied(&e.activities.slots) {
+        for v in IDS {
+            craft(&|s| {
+                let o = owner(s, k);
+                *o = match *o {
+                    Owner::Exec { .. } => Owner::Exec { op: OpId::from_raw(v) },
+                    Owner::Comm { .. } => Owner::Comm { comm: v },
+                }
+            });
+        }
+        craft(&|s| {
+            let o = owner(s, k);
+            *o = match *o {
+                Owner::Exec { op } => Owner::Comm { comm: op.to_raw() },
+                Owner::Comm { comm } => Owner::Exec { op: OpId::from_raw(comm) },
+            }
+        });
+    }
+    for k in occupied(&e.comms.slots) {
+        for v in IDS {
+            craft(&|s| comm(s, k).send_op = OpId::from_raw(v));
+            craft(&|s| comm(s, k).recv_op = Some(OpId::from_raw(v)));
+        }
+    }
+    for (m, mailbox) in e.mailboxes.iter().enumerate() {
+        for j in 0..mailbox.comms.len() {
+            for v in IDS {
+                craft(&|s| s.mailboxes[m].comms[j] = v);
+            }
+        }
+        for j in 0..mailbox.recvs.len() {
+            for v in IDS {
+                craft(&|s| s.mailboxes[m].recvs[j].0 = v);
+                craft(&|s| s.mailboxes[m].recvs[j].1 = v);
+            }
+        }
+    }
+    for a in 0..e.actors.len() {
+        for v in IDS {
+            craft(&|s| s.actors[a].waiting = Some(v));
+        }
+    }
+    out
+}
+
+/// A checkpoint whose references were rewired — an op or comm claimed
+/// twice or under the wrong kind, an early receive of another actor,
+/// a wait on someone else's op — resumes or is refused as a checkpoint
+/// error; it never panics the kernel.
+#[test]
+fn crafted_references_resume_or_are_refused() {
+    let trace = lu16();
+    let (mut resumed, mut refused) = (0, 0);
+    for every in [500, 1500] {
+        let state = paused_after(&trace, every);
+        for ck in crafted(&state) {
+            match resume(&trace, ck) {
+                Ok(_) => resumed += 1,
+                Err(ReplayError::Checkpoint { .. }) => refused += 1,
+                Err(e) => panic!("paused after {every} actions: a crafted resume failed: {e}"),
+            }
+        }
+    }
+    assert!(resumed > 0 && refused > 0, "{resumed} resumed, {refused} refused");
 }

@@ -55,6 +55,51 @@ fn truncated_tau_trace_fails_extraction_cleanly() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An edf that does not belong to its trace breaks the tracer's
+/// record pairing: with rank 0's event table, rank 1's trace maps an
+/// `MPI_Send` state to `MPI_Recv` and back. Extraction fails naming
+/// rank 1's trace and the record, at every worker count.
+#[test]
+fn unpaired_tau_records_fail_extraction_naming_the_rank() {
+    let dir = work("tauswap");
+    let tau = dir.join("tau");
+    let ring = RingConfig { nproc: 4, iters: 4, ..Default::default() };
+    acquire(&ring.program(), 4, AcquisitionMode::Regular, &EmulConfig::default(), &tau)
+        .unwrap();
+    let edf = |rank| tau.join(titr::tau::edf_filename(rank));
+    std::fs::copy(edf(0), edf(1)).unwrap();
+    for jobs in [1, 2] {
+        let err = tau2ti(&tau, 4, &dir.join("ti"), jobs).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        let trc = titr::tau::trace_filename(1);
+        assert!(msg.starts_with("rank 1: ") && msg.contains(&trc), "{msg}");
+        assert!(msg.contains("record"), "{msg}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With two damaged ranks, the error is the lowest one's, whatever the
+/// worker count, and names its file.
+#[test]
+fn extraction_reports_the_lowest_failing_rank_at_every_worker_count() {
+    let dir = work("taulow");
+    let tau = dir.join("tau");
+    let ring = RingConfig { nproc: 4, iters: 4, ..Default::default() };
+    acquire(&ring.program(), 4, AcquisitionMode::Regular, &EmulConfig::default(), &tau)
+        .unwrap();
+    let trc = tau.join(titr::tau::trace_filename(1));
+    let bytes = std::fs::read(&trc).unwrap();
+    std::fs::write(&trc, &bytes[..bytes.len() - 10]).unwrap();
+    std::fs::remove_file(tau.join(titr::tau::edf_filename(3))).unwrap();
+    for jobs in [1, 2, 4] {
+        let msg = tau2ti(&tau, 4, &dir.join("ti"), jobs).unwrap_err().to_string();
+        let want = format!("rank 1: {}: truncated record", trc.display());
+        assert!(msg.starts_with(&want), "--jobs {jobs}: {msg}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn bitflipped_tau_trace_is_detected_or_extracted_without_panic() {
     let dir = work("tauflip");
