@@ -1,8 +1,11 @@
-//! The platform cost model, mirrored from the simulation kernel.
+//! The platform cost model, built on the simulation kernel's rules.
 //!
 //! The static bounds are only sound if every per-operation cost here
-//! relates provably to what the engine charges. The invariants, per
-//! operation:
+//! relates provably to what the engine charges, so the rules they share
+//! are the kernel's own: a flow's rate bound is
+//! [`NetworkConfig::flow_bound`] and the eager test
+//! [`NetworkConfig::is_eager`], the functions `start_transfer` and
+//! `post_send` call. The invariants, per operation:
 //!
 //! * **compute** — the engine executes `flops` at a rate bounded by the
 //!   host's per-core speed, so the true duration is `≥ flops / speed`
@@ -10,10 +13,9 @@
 //! * **flow** — the engine charges a latency phase of
 //!   `route.latency × lat_factor(size)` followed by a transfer of
 //!   `amount = size / bw_factor(size)` bytes at a rate that never
-//!   exceeds [`FlowCost::rate_cap`] (the fat-pipe/TCP-window bound and
-//!   the narrowest shared-link capacity, exactly as `start_transfer`
-//!   assembles them). [`FlowCost::lower`] is therefore a true lower
-//!   bound on any flow's duration.
+//!   exceeds [`FlowCost::rate_cap`] (the flow's own bound and the
+//!   narrowest shared-link capacity). [`FlowCost::lower`] is therefore
+//!   a true lower bound on any flow's duration.
 //! * **serialized upper** — [`FlowCost::serial`] is the flow's total
 //!   budget in the charging argument behind the upper bound: at every
 //!   instant before completion either some flow sits in a latency
@@ -46,10 +48,8 @@ pub(crate) fn clamp(v: f64) -> f64 {
 struct RouteCost {
     /// Physical route latency (before model factors).
     latency: f64,
-    /// The per-flow rate bound the LMM solver sees: fat-pipe caps,
-    /// the TCP window cap `gamma / (2·latency)`, and — mirroring the
-    /// engine's special cases — `min_bw` when the flow would otherwise
-    /// be entirely unconstrained.
+    /// The per-flow rate bound the LMM solver sees
+    /// ([`NetworkConfig::flow_bound`]).
     bound: f64,
     /// `bound` further capped by the narrowest shared link: no rate
     /// the solver can ever assign exceeds this.
@@ -132,7 +132,7 @@ impl<'a> CostModel<'a> {
     /// Whether the engine treats a send of `bytes` as eager (sender
     /// released at post time) rather than rendezvous.
     pub fn is_eager(&self, bytes: f64) -> bool {
-        bytes <= self.net.eager_threshold
+        self.net.is_eager(bytes)
     }
 
     /// The cost of one flow of `bytes` from `src` to `dst` (ranks).
@@ -159,12 +159,7 @@ impl<'a> CostModel<'a> {
 
     fn route_cost(&self, src: HostId, dst: HostId) -> RouteCost {
         let route = self.platform.resolve_route(src, dst);
-        let mut bound = route.bound;
-        if let Some(gamma) = self.net.tcp_gamma {
-            if route.latency > 0.0 {
-                bound = bound.min(gamma / (2.0 * route.latency));
-            }
-        }
+        let bound = self.net.flow_bound(&route);
         let mut inv_cap_sum = 0.0;
         let mut min_cap = f64::INFINITY;
         if self.net.contention {
@@ -173,13 +168,6 @@ impl<'a> CostModel<'a> {
                 inv_cap_sum += cap.recip();
                 min_cap = min_cap.min(cap);
             }
-            // The engine falls back to the narrowest physical link when
-            // a flow ends up with no constraint and no finite bound.
-            if route.shared.is_empty() && bound.is_infinite() {
-                bound = route.min_bw;
-            }
-        } else {
-            bound = bound.min(route.min_bw);
         }
         RouteCost { latency: route.latency, bound, rate_cap: bound.min(min_cap), inv_cap_sum }
     }

@@ -22,7 +22,9 @@
 //! pre-filter before expensive replay sweeps.
 //!
 //! Entry points: [`analyze`] for the full report, [`bounds`] when only
-//! the sandwich is needed.
+//! the sandwich is needed. Both read the replay's own model, a
+//! [`ReplayConfig`] (network model and collective shape; the kernel
+//! choice does not change the simulated time they bound).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,34 +35,10 @@ pub mod report;
 
 pub use report::{Analysis, CriticalPath, Dominator, Pattern, RankSummary, Structure};
 
-use simkern::netmodel::NetworkConfig;
 use simkern::resource::HostId;
 use simkern::Platform;
 use tit_core::TiTrace;
-use tit_replay::collectives::CollectiveAlgo;
-use tit_replay::tags;
-
-/// Analysis parameters; the network model and collectives default to
-/// [`tit_replay::ReplayConfig::default`]'s (contention-aware MPI model,
-/// binomial collectives).
-#[derive(Debug, Clone)]
-pub struct AnalyzeConfig {
-    /// Network cost model.
-    pub network: NetworkConfig,
-    /// Collective decomposition shape (must match the replay under
-    /// test for the bounds to apply).
-    pub algo: CollectiveAlgo,
-    /// Worker threads for the per-rank graph-construction pass
-    /// (`0` = one per CPU). The result is identical for every value.
-    pub jobs: usize,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        let replay = tit_replay::ReplayConfig::default();
-        AnalyzeConfig { network: replay.network, algo: replay.algo, jobs: 1 }
-    }
-}
+use tit_replay::{tags, ReplayConfig};
 
 /// Why a trace could not be analysed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,18 +99,21 @@ impl std::error::Error for AnalyzeError {}
 const MAX_DOMINATORS: usize = 12;
 
 /// Runs the full static analysis of `trace` deployed as `hosts` on
-/// `platform`.
+/// `platform` under the replay model `cfg`. `jobs` worker threads
+/// build the per-rank graph (`0` = one per CPU); the result is
+/// identical for every value.
 pub fn analyze(
     trace: &TiTrace,
     platform: &Platform,
     hosts: &[HostId],
-    cfg: &AnalyzeConfig,
+    cfg: &ReplayConfig,
+    jobs: usize,
 ) -> Result<Analysis, AnalyzeError> {
     let np = trace.num_processes();
     if hosts.len() != np {
         return Err(AnalyzeError::Deployment { procs: np, hosts: hosts.len() });
     }
-    let hb = hb::build(trace, platform, &cfg.network, hosts, cfg.algo, cfg.jobs)?;
+    let hb = hb::build(trace, platform, &cfg.network, hosts, cfg.algo, jobs)?;
 
     let earliest = hb.dag.earliest();
     let lower = hb.dag.longest_path(&earliest.times);
@@ -219,19 +200,20 @@ pub fn analyze(
     })
 }
 
-/// Computes only the `(lower, upper)` makespan bounds — the
-/// differential-oracle entry point for engine tests.
+/// Computes only the `(lower, upper)` makespan bounds of [`analyze`] —
+/// the differential-oracle entry point for engine tests.
 pub fn bounds(
     trace: &TiTrace,
     platform: &Platform,
     hosts: &[HostId],
-    cfg: &AnalyzeConfig,
+    cfg: &ReplayConfig,
+    jobs: usize,
 ) -> Result<(f64, f64), AnalyzeError> {
     let np = trace.num_processes();
     if hosts.len() != np {
         return Err(AnalyzeError::Deployment { procs: np, hosts: hosts.len() });
     }
-    let hb = hb::build(trace, platform, &cfg.network, hosts, cfg.algo, cfg.jobs)?;
+    let hb = hb::build(trace, platform, &cfg.network, hosts, cfg.algo, jobs)?;
     let lower = hb.dag.longest_path(&hb.dag.earliest().times);
     Ok((lower, hb.upper.max(lower)))
 }
@@ -239,9 +221,10 @@ pub fn bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkern::netmodel::NetworkConfig;
     use tit_core::Action;
     use tit_platform::desc::{ClusterSpec, ClusterTopology, PlatformDesc};
-    use tit_replay::{replay_memory, ReplayConfig};
+    use tit_replay::replay_memory;
 
     fn mycluster(n: u32) -> Platform {
         // The Figure 5 platform, scaled to n nodes.
@@ -280,21 +263,15 @@ mod tests {
         t
     }
 
-    fn plain_cfg() -> AnalyzeConfig {
-        AnalyzeConfig { network: NetworkConfig::default(), ..Default::default() }
+    fn plain_cfg() -> ReplayConfig {
+        ReplayConfig { network: NetworkConfig::default(), ..Default::default() }
     }
 
     #[test]
     fn ring_bounds_sandwich_the_replay() {
         let t = ring_trace(4, 1e6, 1e6);
-        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
-        let out = replay_memory(
-            &t,
-            mycluster(4),
-            &host_ids(4),
-            &ReplayConfig { network: NetworkConfig::default(), ..Default::default() },
-        )
-        .unwrap();
+        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg(), 1).unwrap();
+        let out = replay_memory(&t, mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
         assert!(
             a.lower_bound <= out.simulated_time * (1.0 + 1e-9),
             "lower {} > simulated {}",
@@ -318,7 +295,7 @@ mod tests {
         let mut t = TiTrace::new(2);
         t.push(0, Action::Compute { flops: 2.34e9 });
         t.push(1, Action::Compute { flops: 1.17e9 });
-        let a = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg()).unwrap();
+        let a = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg(), 1).unwrap();
         // 2.34e9 flops at 1.17e9 flop/s = 2 s on the slow rank.
         assert!((a.lower_bound - 2.0).abs() < 1e-12);
         assert_eq!(a.structure.pattern, Pattern::ComputeOnly);
@@ -336,7 +313,7 @@ mod tests {
         t.push(0, Action::Send { dst: 1, bytes: 8.0 });
         t.push(1, Action::Recv { src: 0, bytes: None });
         t.push(1, Action::Send { dst: 0, bytes: 8.0 });
-        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg()).unwrap_err();
+        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg(), 1).unwrap_err();
         let AnalyzeError::Deadlock { nodes } = &err else {
             panic!("expected deadlock, got {err}");
         };
@@ -355,7 +332,7 @@ mod tests {
             t.push(r, Action::Wait);
             t.push(r, Action::Compute { flops: 1e6 });
         }
-        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
+        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg(), 1).unwrap();
         assert!(a.lower_bound > 0.0);
         assert_eq!(a.wait_underflows, 0);
         assert_eq!(a.unmatched_recvs, 0);
@@ -371,16 +348,10 @@ mod tests {
             t.push(r, Action::AllReduce { vcomm: 1e5, vcomp: 1e4 });
             t.push(r, Action::Barrier);
         }
-        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
+        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg(), 1).unwrap();
         assert_eq!(a.unmatched_sends, 0, "collective trees must self-match");
         assert_eq!(a.unmatched_recvs, 0);
-        let out = replay_memory(
-            &t,
-            mycluster(4),
-            &host_ids(4),
-            &ReplayConfig { network: NetworkConfig::default(), ..Default::default() },
-        )
-        .unwrap();
+        let out = replay_memory(&t, mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
         assert!(a.lower_bound <= out.simulated_time * (1.0 + 1e-9));
         assert!(out.simulated_time <= a.upper_bound * (1.0 + 1e-9));
     }
@@ -388,13 +359,13 @@ mod tests {
     #[test]
     fn deployment_mismatch_and_missing_comm_size_are_typed() {
         let t = ring_trace(4, 8.0, 1.0);
-        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg()).unwrap_err();
+        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg(), 1).unwrap_err();
         assert!(matches!(err, AnalyzeError::Deployment { procs: 4, hosts: 2 }));
 
         let mut t = TiTrace::new(2);
         t.push(0, Action::Bcast { bytes: 8.0 });
         t.push(1, Action::Bcast { bytes: 8.0 });
-        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg()).unwrap_err();
+        let err = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg(), 1).unwrap_err();
         assert!(matches!(err, AnalyzeError::Expand { rank: 0, index: 0, .. }));
     }
 
@@ -404,7 +375,7 @@ mod tests {
         t.push(0, Action::Send { dst: 1, bytes: 64.0 });
         t.push(0, Action::Wait);
         t.push(1, Action::Compute { flops: 1.0 });
-        let a = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg()).unwrap();
+        let a = analyze(&t, &mycluster(2), &host_ids(2), &plain_cfg(), 1).unwrap();
         assert_eq!(a.unmatched_sends, 1);
         assert_eq!(a.wait_underflows, 1);
         // The eager unmatched send still launches a (buffered) flow.
@@ -419,18 +390,18 @@ mod tests {
         t.push(0, Action::Send { dst: 1, bytes: 1e8 });
         t.push(1, Action::Recv { src: 0, bytes: None });
         let platform = PlatformDesc::single(tit_platform::presets::bordereau(2)).build();
-        let mpi = AnalyzeConfig { network: NetworkConfig::mpi_cluster(), ..plain_cfg() };
-        let got = bounds(&t, &platform, &host_ids(2), &AnalyzeConfig::default()).unwrap();
-        let want = bounds(&t, &platform, &host_ids(2), &mpi).unwrap();
+        let mpi = ReplayConfig { network: NetworkConfig::mpi_cluster(), ..plain_cfg() };
+        let got = bounds(&t, &platform, &host_ids(2), &ReplayConfig::default(), 1).unwrap();
+        let want = bounds(&t, &platform, &host_ids(2), &mpi, 1).unwrap();
         assert_eq!(got, want);
-        assert_ne!(want, bounds(&t, &platform, &host_ids(2), &plain_cfg()).unwrap());
+        assert_ne!(want, bounds(&t, &platform, &host_ids(2), &plain_cfg(), 1).unwrap());
     }
 
     #[test]
     fn bounds_agrees_with_analyze() {
         let t = ring_trace(4, 1e6, 1e6);
-        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
-        let (lo, hi) = bounds(&t, &mycluster(4), &host_ids(4), &plain_cfg()).unwrap();
+        let a = analyze(&t, &mycluster(4), &host_ids(4), &plain_cfg(), 1).unwrap();
+        let (lo, hi) = bounds(&t, &mycluster(4), &host_ids(4), &plain_cfg(), 1).unwrap();
         assert_eq!(lo, a.lower_bound);
         assert_eq!(hi, a.upper_bound);
     }

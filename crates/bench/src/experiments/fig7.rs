@@ -30,6 +30,8 @@ pub fn measure(class: Class, nproc: usize, scale: f64) -> PipelineCosts {
         &cfg,
         &ExtractCostModel::default(),
         &dir,
+        &titobs::Metrics::new(),
+        0,
     )
     // panics: experiment inputs are generated, so failure is a bench bug
     .expect("pipeline failed");

@@ -40,6 +40,8 @@ pub fn run(scale: f64) -> String {
         &EmulConfig::default(),
         &ExtractCostModel::default(),
         &dir,
+        &titobs::Metrics::new(),
+        0,
     )
     // panics: experiment inputs are generated, so failure is a bench bug
     .expect("pipeline failed");

@@ -31,7 +31,7 @@
 
 use std::path::PathBuf;
 use tit_cli::{or_exit, write_atomic_or_die, Args};
-use titanalyze::{analyze, AnalyzeConfig};
+use titanalyze::analyze;
 use titobs::Metrics;
 
 const USAGE: &str = "tit-analyze --trace-dir DIR --np N [--platform FILE] [--deploy FILE] [--nodes N] [--collectives binomial|flat] [--network mpi|flow|constant] [--json FILE] [--metrics FILE] [--jobs N]";
@@ -45,8 +45,7 @@ fn main() {
     }
     let jobs: usize = args.get_or("jobs", 1);
 
-    let (platform, hosts, replay) = tit_cli::build(&tit_cli::spec(&args), np);
-    let cfg = AnalyzeConfig { network: replay.network, algo: replay.algo, jobs };
+    let (platform, hosts, cfg) = tit_cli::build(&tit_cli::spec(&args), np);
 
     let metrics = Metrics::new();
     let t0 = std::time::Instant::now();
@@ -54,7 +53,7 @@ fn main() {
     let trace = or_exit(trace, "cannot load trace");
     let ingest_wall = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let analysis = metrics.time("wall.analyze", || analyze(&trace, &platform, &hosts, &cfg));
+    let analysis = metrics.time("wall.analyze", || analyze(&trace, &platform, &hosts, &cfg, jobs));
     let analysis = or_exit(analysis, "analysis failed");
     let analyze_wall = t1.elapsed();
 

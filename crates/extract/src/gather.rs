@@ -131,19 +131,10 @@ pub fn bundle(files: &[PathBuf], out: &Path) -> Result<u64, PipelineError> {
 /// [`bundle`] under a bounded retry-with-backoff: transient I/O
 /// failures (interrupted writes, the kind a congested gathering link
 /// produces) are retried up to `policy.attempts` times; corruption and
-/// missing inputs fail immediately.
+/// missing inputs fail immediately. Every attempt past the first bumps
+/// the `gather.retries` counter of `metrics`, so a flaky gathering link
+/// is visible in the pipeline's metrics output.
 pub fn bundle_with_retry(
-    files: &[PathBuf],
-    out: &Path,
-    policy: &RetryPolicy,
-) -> Result<u64, PipelineError> {
-    with_retry(policy, "gather bundle", |_attempt| bundle(files, out))
-}
-
-/// [`bundle_with_retry`] reporting into a metrics registry: every
-/// attempt past the first bumps the `gather.retries` counter, so a
-/// flaky gathering link is visible in the pipeline's metrics output.
-pub fn bundle_with_retry_metered(
     files: &[PathBuf],
     out: &Path,
     policy: &RetryPolicy,

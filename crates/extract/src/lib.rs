@@ -28,5 +28,5 @@ pub mod tau2ti;
 pub use error::{with_retry, PipelineError, RetryPolicy};
 pub use faultinject::{Fault, FaultSpec, Injector};
 pub use gather::{bundle, gather_plan, unbundle, unbundle_degraded, DegradedUnbundle, GatherPlan};
-pub use pipeline::{run_pipeline, run_pipeline_jobs, run_pipeline_metered, PipelineCosts, PipelineResult};
+pub use pipeline::{run_pipeline, PipelineCosts, PipelineResult};
 pub use tau2ti::{extract_process, tau2ti, ExtractStats};

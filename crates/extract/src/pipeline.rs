@@ -16,7 +16,7 @@
 //!   (grows slowly with the process count; always the smallest slice).
 
 use crate::error::{PipelineError, RetryPolicy};
-use crate::gather::{bundle_with_retry_metered, gather_plan, GatherPlan};
+use crate::gather::{bundle_with_retry, gather_plan, GatherPlan};
 use crate::tau2ti::{tau2ti, ExtractStats};
 use mpi_emul::acquisition::{acquire, run_uninstrumented, AcquisitionMode, AcquisitionResult};
 use mpi_emul::ops::OpStream;
@@ -96,49 +96,23 @@ pub struct PipelineResult {
 }
 
 /// Runs instrumentation → execution → extraction → gathering for
-/// `program` under `mode`, with work files below `work_dir`.
+/// `program` under `mode`, with work files below `work_dir`, reporting
+/// into `metrics`: per-stage counters (`acquire.ops`,
+/// `acquire.tau_bytes`, `extract.records_read`,
+/// `extract.actions_written`, `extract.ti_bytes`, `ingest.files`,
+/// `ingest.bytes`, `gather.transfers`, `gather.bytes`,
+/// `gather.retries`), gauges (`ingest.jobs` and the modelled
+/// `acquire.exec_time` and `gather.time`) and wall-clock timers for the
+/// real work (`wall.acquire`, `wall.extract`, `wall.gather`). The
+/// extraction step runs on `jobs` worker threads (`0` = one per CPU,
+/// `1` = the serial oracle); its output is the same for every value.
 ///
 /// Failures are typed: a rank whose trace never materialises is a
 /// [`PipelineError::MissingRank`], bundle corruption is
 /// [`PipelineError::Bundle`], and the gathering step retries transient
 /// I/O with the default bounded backoff before giving up.
-pub fn run_pipeline(
-    program: &dyn Fn(usize, usize) -> Box<dyn OpStream>,
-    nproc: usize,
-    mode: AcquisitionMode,
-    cfg: &EmulConfig,
-    cost: &ExtractCostModel,
-    work_dir: &Path,
-) -> Result<PipelineResult, PipelineError> {
-    run_pipeline_metered(program, nproc, mode, cfg, cost, work_dir, &titobs::Metrics::new())
-}
-
-/// [`run_pipeline`] reporting into a [`titobs::Metrics`] registry:
-/// per-stage counters (`acquire.ops`, `acquire.tau_bytes`,
-/// `extract.records_read`, `extract.actions_written`,
-/// `extract.ti_bytes`, `gather.transfers`, `gather.bytes`,
-/// `gather.retries`), modelled-time gauges (`acquire.exec_time`,
-/// `gather.time`) and wall-clock timers for the real work
-/// (`wall.acquire`, `wall.extract`, `wall.gather`).
-pub fn run_pipeline_metered(
-    program: &dyn Fn(usize, usize) -> Box<dyn OpStream>,
-    nproc: usize,
-    mode: AcquisitionMode,
-    cfg: &EmulConfig,
-    cost: &ExtractCostModel,
-    work_dir: &Path,
-    metrics: &titobs::Metrics,
-) -> Result<PipelineResult, PipelineError> {
-    run_pipeline_jobs(program, nproc, mode, cfg, cost, work_dir, metrics, 0)
-}
-
-/// [`run_pipeline_metered`] with an explicit worker-thread count for the
-/// extraction step (`0` = one per CPU, the metered default; `1` = the
-/// serial oracle). Adds the ingest-side counters to the registry:
-/// `ingest.files` (per-rank TI trace files written), `ingest.bytes`
-/// (their total size) and the `ingest.jobs` gauge.
 #[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_jobs(
+pub fn run_pipeline(
     program: &dyn Fn(usize, usize) -> Box<dyn OpStream>,
     nproc: usize,
     mode: AcquisitionMode,
@@ -181,7 +155,7 @@ pub fn run_pipeline_jobs(
         .collect();
     let bundle_path = work_dir.join("traces.bundle");
     let gathered_bytes = metrics.time("wall.gather", || {
-        bundle_with_retry_metered(&files, &bundle_path, &RetryPolicy::default(), metrics)
+        bundle_with_retry(&files, &bundle_path, &RetryPolicy::default(), metrics)
     })?;
     metrics.incr("gather.transfers", gather.transfers.len() as u64);
     metrics.incr("gather.bytes", gathered_bytes);
@@ -284,6 +258,8 @@ mod tests {
             &cfg,
             &ExtractCostModel::default(),
             &dir,
+            &titobs::Metrics::new(),
+            0,
         )
         .unwrap();
         assert!(res.costs.application > 0.0);
@@ -304,7 +280,7 @@ mod tests {
         let ring = RingConfig { nproc: 4, iters: 4, ..Default::default() };
         let cfg = EmulConfig::default();
         let metrics = titobs::Metrics::new();
-        let res = run_pipeline_metered(
+        let res = run_pipeline(
             &ring.program(),
             4,
             AcquisitionMode::Regular,
@@ -312,6 +288,7 @@ mod tests {
             &ExtractCostModel::default(),
             &dir,
             &metrics,
+            0,
         )
         .unwrap();
         // Counters mirror the result structs exactly.
@@ -353,6 +330,8 @@ mod tests {
                 &cfg,
                 &ExtractCostModel::default(),
                 &dir,
+                &titobs::Metrics::new(),
+                0,
             )
             .unwrap();
             traces.push(tit_core::load_exact(&res.ti_dir, 4, 1).unwrap());
@@ -386,6 +365,8 @@ mod tests {
                 &cfg,
                 &cost,
                 &dir,
+                &titobs::Metrics::new(),
+                0,
             )
             .unwrap();
             main_steps

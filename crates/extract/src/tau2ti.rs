@@ -26,6 +26,7 @@
 use std::io;
 use std::path::Path;
 use tau_sim::edf::EventRegistry;
+use tau_sim::mpi::{MpiCall, COMM_SIZE, FP_OPS, MSG_SIZE};
 use tau_sim::reader::{read_trace_file, TraceCallbacks};
 use tit_core::trace::{process_trace_filename, ProcessTraceWriter};
 use tit_core::Action;
@@ -41,38 +42,6 @@ pub struct ExtractStats {
     pub ti_bytes: u64,
 }
 
-/// What the current `EntryExit` state maps to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MpiState {
-    Send,
-    Isend,
-    Recv,
-    Irecv,
-    Wait,
-    Bcast,
-    Reduce,
-    Allreduce,
-    Barrier,
-    CommSize,
-    Other,
-}
-
-fn classify(name: &str) -> MpiState {
-    match name.trim() {
-        "MPI_Send()" => MpiState::Send,
-        "MPI_Isend()" => MpiState::Isend,
-        "MPI_Recv()" => MpiState::Recv,
-        "MPI_Irecv()" => MpiState::Irecv,
-        "MPI_Wait()" => MpiState::Wait,
-        "MPI_Bcast()" => MpiState::Bcast,
-        "MPI_Reduce()" => MpiState::Reduce,
-        "MPI_Allreduce()" => MpiState::Allreduce,
-        "MPI_Barrier()" => MpiState::Barrier,
-        "MPI_Comm_size()" => MpiState::CommSize,
-        _ => MpiState::Other,
-    }
-}
-
 struct Extractor<'a> {
     registry: &'a EventRegistry,
     fp_ev: Option<i32>,
@@ -82,7 +51,10 @@ struct Extractor<'a> {
     burst_base: i64,
     /// Counter value at entry of the current state.
     enter_value: i64,
-    state: Option<MpiState>,
+    /// Inside an `EntryExit` state.
+    in_state: bool,
+    /// The MPI call of the current state (`None`: no MPI call).
+    call: Option<MpiCall>,
     /// Triggers seen since entering the current state.
     fp_triggers_in_state: u32,
     /// Message-size trigger value inside the current state.
@@ -104,12 +76,13 @@ impl<'a> Extractor<'a> {
     fn new(registry: &'a EventRegistry) -> Self {
         Extractor {
             registry,
-            fp_ev: registry.id_of("PAPI_FP_OPS"),
-            msgsize_ev: registry.id_of("Message size sent to all nodes"),
-            commsize_ev: registry.id_of("MPI communicator size"),
+            fp_ev: registry.id_of(FP_OPS),
+            msgsize_ev: registry.id_of(MSG_SIZE),
+            commsize_ev: registry.id_of(COMM_SIZE),
             burst_base: 0,
             enter_value: 0,
-            state: None,
+            in_state: false,
+            call: None,
             fp_triggers_in_state: 0,
             pending_volume: None,
             pending_send: None,
@@ -138,28 +111,28 @@ impl<'a> Extractor<'a> {
         }
     }
 
-    fn finish_state(&mut self, state: MpiState, leave_value: i64) {
+    fn finish_state(&mut self, call: MpiCall, leave_value: i64) {
         let vcomp = (leave_value - self.enter_value).max(0) as f64;
-        match state {
-            MpiState::Send => match self.pending_send.take() {
+        match call {
+            MpiCall::Send => match self.pending_send.take() {
                 Some((dst, bytes)) => self.actions.push(Action::Send { dst, bytes }),
                 None => self.note_unpaired("MPI_Send state without a SendMessage record"),
             },
-            MpiState::Isend => match self.pending_send.take() {
+            MpiCall::Isend => match self.pending_send.take() {
                 Some((dst, bytes)) => self.actions.push(Action::Isend { dst, bytes }),
                 None => self.note_unpaired("MPI_Isend state without a SendMessage record"),
             },
-            MpiState::Recv => match self.pending_recv.take() {
+            MpiCall::Recv => match self.pending_recv.take() {
                 Some((src, _)) => self.actions.push(Action::Recv { src, bytes: None }),
                 None => self.note_unpaired("MPI_Recv state without a RecvMessage record"),
             },
-            MpiState::Irecv => {
+            MpiCall::Irecv => {
                 // Source unknown here: placeholder, resolved by the
                 // RecvMessage inside the matching MPI_Wait.
                 self.open_irecvs.push_back(self.actions.len());
                 self.actions.push(Action::Irecv { src: usize::MAX, bytes: None });
             }
-            MpiState::Wait => {
+            MpiCall::Wait => {
                 if let Some((src, _)) = self.pending_recv.take() {
                     match self.open_irecvs.pop_front() {
                         Some(idx) => self.actions[idx] = Action::Irecv { src, bytes: None },
@@ -170,24 +143,24 @@ impl<'a> Extractor<'a> {
                 }
                 self.actions.push(Action::Wait);
             }
-            MpiState::Bcast => {
+            MpiCall::Bcast => {
                 let bytes = self.pending_volume.take().unwrap_or(0) as f64;
                 self.actions.push(Action::Bcast { bytes });
             }
-            MpiState::Reduce => {
+            MpiCall::Reduce => {
                 let vcomm = self.pending_volume.take().unwrap_or(0) as f64;
                 self.actions.push(Action::Reduce { vcomm, vcomp });
             }
-            MpiState::Allreduce => {
+            MpiCall::Allreduce => {
                 let vcomm = self.pending_volume.take().unwrap_or(0) as f64;
                 self.actions.push(Action::AllReduce { vcomm, vcomp });
             }
-            MpiState::Barrier => self.actions.push(Action::Barrier),
-            MpiState::CommSize => match self.pending_commsize.take() {
+            MpiCall::Barrier => self.actions.push(Action::Barrier),
+            MpiCall::CommSize => match self.pending_commsize.take() {
                 Some(nproc) => self.actions.push(Action::CommSize { nproc }),
                 None => self.note_unpaired("MPI_Comm_size state without a size trigger"),
             },
-            MpiState::Other => {}
+            MpiCall::Init | MpiCall::Finalize => {}
         }
     }
 }
@@ -196,7 +169,8 @@ impl TraceCallbacks for Extractor<'_> {
     fn enter_state(&mut self, _t: f64, _nid: u16, _tid: u16, ev: i32) {
         self.records += 1;
         let name = self.registry.def(ev).map(|d| d.name.as_str()).unwrap_or("");
-        self.state = Some(classify(name));
+        self.in_state = true;
+        self.call = MpiCall::from_event_name(name);
         self.fp_triggers_in_state = 0;
         self.pending_volume = None;
         self.pending_send = None;
@@ -206,17 +180,18 @@ impl TraceCallbacks for Extractor<'_> {
 
     fn leave_state(&mut self, _t: f64, _nid: u16, _tid: u16, _ev: i32) {
         self.records += 1;
-        if let Some(state) = self.state.take() {
+        self.in_state = false;
+        if let Some(call) = self.call.take() {
             // The last fp trigger before leave is the new burst base; if
             // the writer produced none (untracked function), keep base.
-            self.finish_state(state, self.burst_base);
+            self.finish_state(call, self.burst_base);
         }
     }
 
     fn event_trigger(&mut self, _t: f64, _nid: u16, _tid: u16, ev: i32, value: i64) {
         self.records += 1;
         if Some(ev) == self.fp_ev {
-            if self.state.is_some() {
+            if self.in_state {
                 self.fp_triggers_in_state += 1;
                 if self.fp_triggers_in_state == 1 {
                     // Snapshot at call entry: closes the app burst.

@@ -7,44 +7,8 @@
 //! second counter snapshot (starting the next burst), and a `LeaveState`.
 
 use std::path::{Path, PathBuf};
-use tau_sim::TauWriter;
-
-/// The MPI functions the instrumentation knows about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MpiCall {
-    Init,
-    Finalize,
-    CommSize,
-    Send,
-    Isend,
-    Recv,
-    Irecv,
-    Wait,
-    Bcast,
-    Reduce,
-    Allreduce,
-    Barrier,
-}
-
-impl MpiCall {
-    /// The TAU event name (as it appears in the `.edf` file).
-    pub fn event_name(self) -> &'static str {
-        match self {
-            MpiCall::Init => "MPI_Init()",
-            MpiCall::Finalize => "MPI_Finalize()",
-            MpiCall::CommSize => "MPI_Comm_size()",
-            MpiCall::Send => "MPI_Send()",
-            MpiCall::Isend => "MPI_Isend()",
-            MpiCall::Recv => "MPI_Recv()",
-            MpiCall::Irecv => "MPI_Irecv()",
-            MpiCall::Wait => "MPI_Wait()",
-            MpiCall::Bcast => "MPI_Bcast()",
-            MpiCall::Reduce => "MPI_Reduce()",
-            MpiCall::Allreduce => "MPI_Allreduce()",
-            MpiCall::Barrier => "MPI_Barrier()",
-        }
-    }
-}
+use tau_sim::mpi::{COMM_SIZE, FP_OPS, MSG_SIZE};
+use tau_sim::{MpiCall, TauWriter};
 
 /// Per-process instrumentation state.
 pub struct Instrument {
@@ -73,10 +37,10 @@ impl Instrument {
     }
 
     fn from_writer(mut w: TauWriter) -> Self {
-        let fp_ev = w.counter_event("PAPI_FP_OPS");
+        let fp_ev = w.counter_event(FP_OPS);
         let cyc_ev = w.counter_event("PAPI_TOT_CYC");
-        let msgsize_ev = w.counter_event("Message size sent to all nodes");
-        let commsize_ev = w.counter_event("MPI communicator size");
+        let msgsize_ev = w.counter_event(MSG_SIZE);
+        let commsize_ev = w.counter_event(COMM_SIZE);
         Instrument { w, fp_ev, cyc_ev, msgsize_ev, commsize_ev }
     }
 
@@ -144,12 +108,6 @@ impl Instrument {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_names_are_mpi_spelled() {
-        assert_eq!(MpiCall::Send.event_name(), "MPI_Send()");
-        assert_eq!(MpiCall::Allreduce.event_name(), "MPI_Allreduce()");
-    }
 
     #[test]
     fn send_bracket_writes_six_records() {

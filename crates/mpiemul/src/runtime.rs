@@ -1,7 +1,7 @@
 //! The emulated MPI runtime: executes op streams on a simulated host
 //! platform, with instrumentation and MPI software-cost models.
 
-use crate::instrument::{Instrument, MpiCall};
+use crate::instrument::Instrument;
 use crate::ops::{MpiOp, OpStream};
 use crate::papi::PapiCounter;
 use simkern::engine::{Ctx, MailboxKey, OpId};
@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tau_sim::MpiCall;
 use tit_replay::collectives::{self, CollectiveAlgo};
 use tit_replay::handlers::MicroOp;
 

@@ -115,14 +115,15 @@ impl std::error::Error for ReplayError {
 }
 
 impl From<SimError> for ReplayError {
-    /// Actor failures fold into [`ReplayError::Trace`] (the failure
-    /// channel carries trace-shaped reasons); everything else stays a
-    /// kernel error.
+    /// An actor failure gives back the replay error it carries (a store
+    /// or budget refusal) or folds into [`ReplayError::Trace`];
+    /// everything else stays a kernel error.
     fn from(e: SimError) -> Self {
         match e {
-            SimError::ActorFailure { actor, reason, .. } => {
-                ReplayError::Trace { rank: actor, detail: reason }
-            }
+            SimError::ActorFailure { actor, reason, .. } => match reason.downcast() {
+                Ok(typed) => *typed,
+                Err(reason) => ReplayError::Trace { rank: actor, detail: reason.to_string() },
+            },
             other => ReplayError::Sim(other),
         }
     }
@@ -155,5 +156,14 @@ mod tests {
         .into();
         assert!(matches!(&e, ReplayError::Trace { rank: 2, .. }), "{e}");
         assert_eq!(e.rank(), Some(2));
+    }
+
+    #[test]
+    fn typed_actor_failures_come_back_unchanged() {
+        use tit_core::tib2::StoreError;
+        let typed = ReplayError::Store(StoreError::OutOfRange { rank: 1, segment: 2 });
+        let e: ReplayError =
+            SimError::ActorFailure { actor: 1, time: 0.5, reason: Box::new(typed) }.into();
+        assert!(matches!(e, ReplayError::Store(StoreError::OutOfRange { rank: 1, segment: 2 })));
     }
 }

@@ -17,11 +17,13 @@
 //! [`handlers::expand`]: crate::handlers::expand
 
 use crate::collectives::CollectiveAlgo;
+use crate::error::ReplayError;
 use crate::handlers::{expand, ExpandCtx, MicroOp};
 use crate::store::SegmentCache;
 use simkern::engine::{Ctx, MailboxKey, OpId};
 use simkern::{Actor, Step, Wake};
 use std::collections::VecDeque;
+use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,8 +119,9 @@ impl Cursor {
     }
 
     /// The next action; `Ok(None)` at the end of the rank, `Err` when
-    /// reading the next chunk failed or a defective line was reached.
-    pub(crate) fn next_action(&mut self) -> Result<Option<Action>, String> {
+    /// a defective line was reached or the segment cache refused the
+    /// next segment (its typed [`ReplayError`]).
+    pub(crate) fn next_action(&mut self) -> Result<Option<Action>, Box<dyn Error + Send + Sync>> {
         if self.pos == self.chunk.len() && !self.refill()? {
             return Ok(None);
         }
@@ -128,19 +131,19 @@ impl Cursor {
     }
 
     /// Moves on to the next non-empty chunk; `false` at the end.
-    fn refill(&mut self) -> Result<bool, String> {
+    fn refill(&mut self) -> Result<bool, Box<dyn Error + Send + Sync>> {
         loop {
             self.pos = 0;
             match &mut self.next {
                 Next::Nothing => return Ok(false),
-                Next::Failed(e) => return Err(e.clone()),
+                Next::Failed(e) => return Err(e.clone().into()),
                 Next::Store { cache, rank, seg, limit } => {
                     // Unpin the drained segment before faulting the next.
                     self.chunk = Arc::default();
                     if *seg == *limit {
                         return Ok(false);
                     }
-                    self.chunk = cache.segment(*rank, *seg).map_err(|f| cache.record_fault(f))?;
+                    self.chunk = cache.segment(*rank, *seg)?;
                     *seg += 1;
                 }
                 Next::Text(file) => {
@@ -366,7 +369,7 @@ impl Actor for ReplayActor {
                     // Failure channel: report instead of unwinding —
                     // the engine aborts the run with a typed error
                     // naming this rank.
-                    Err(reason) => return Step::Fail { reason },
+                    Err(reason) => return Step::Fail { reason: reason.into() },
                 }
             }
             self.micro.clear();
@@ -374,7 +377,9 @@ impl Actor for ReplayActor {
             let action = match self.src.next_action() {
                 Ok(Some(a)) => a,
                 Ok(None) => return Step::Done,
-                Err(e) => return Step::Fail { reason: format!("trace read failed: {e}") },
+                // A store or budget refusal goes to the driver typed.
+                Err(e) if e.is::<ReplayError>() => return Step::Fail { reason: e },
+                Err(e) => return Step::Fail { reason: format!("trace read failed: {e}").into() },
             };
             self.actions_replayed.fetch_add(1, Ordering::Relaxed);
             self.cursor += 1;
@@ -385,7 +390,7 @@ impl Actor for ReplayActor {
                 algo: self.algo,
             };
             if let Err(e) = expand(&ectx, &action, &mut self.micro) {
-                return Step::Fail { reason: e.to_string() };
+                return Step::Fail { reason: e.into() };
             }
         }
     }
@@ -446,7 +451,7 @@ impl Actor for ReplayActor {
 mod tests {
     use super::*;
 
-    fn drain(c: &mut Cursor) -> Result<Vec<Action>, String> {
+    fn drain(c: &mut Cursor) -> Result<Vec<Action>, Box<dyn Error + Send + Sync>> {
         let mut out = Vec::new();
         while let Some(a) = c.next_action()? {
             out.push(a);
@@ -475,7 +480,7 @@ mod tests {
         std::fs::write(&path, "p0 wait\np1 wait\n").unwrap();
         let mut c = Cursor::text(&path, 0).unwrap();
         assert_eq!(c.next_action().unwrap(), Some(Action::Wait));
-        let err = c.next_action().unwrap_err();
+        let err = c.next_action().unwrap_err().to_string();
         assert!(err.ends_with(": line 2: trace line for p1 in p0's file"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

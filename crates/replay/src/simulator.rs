@@ -16,11 +16,10 @@ use crate::degraded::RankDegradation;
 use crate::error::ReplayError;
 use crate::process::{Cursor, ReplayActor};
 use crate::resume::{fingerprint, ReplayCheckpoint};
-use crate::store::{Fault, SegmentCache};
 use simkern::netmodel::NetworkConfig;
 use simkern::observer::Observer;
 use simkern::resource::HostId;
-use simkern::{Engine, KernelMode, Platform, RunStatus};
+use simkern::{Engine, KernelMode, Platform, RunStatus, SimError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,16 +75,13 @@ pub struct Input {
     pub(crate) actions_expected: u64,
     /// Binds checkpoints to the trace content (`0` = no binding).
     pub(crate) salt: u64,
-    /// The segment cache store cursors read through: its recorded
-    /// fault turns a stringly actor failure back into a typed error.
-    pub(crate) cache: Option<Arc<SegmentCache>>,
     /// Per-rank salvage report of a damage scan.
     pub(crate) damage: Vec<RankDegradation>,
 }
 
 impl Input {
     pub(crate) fn new(cursors: Vec<Cursor>, actions_expected: u64, salt: u64) -> Self {
-        Input { cursors: Ok(cursors), actions_expected, salt, cache: None, damage: Vec::new() }
+        Input { cursors: Ok(cursors), actions_expected, salt, damage: Vec::new() }
     }
 
     /// An in-memory trace, interned rank by rank exactly as
@@ -340,7 +336,7 @@ impl<'a> Replay<'a> {
 
     /// Runs the replay to completion or to the first stop.
     pub fn run(self) -> Result<ReplayOutcome, ReplayError> {
-        let Input { cursors, actions_expected, salt, cache, damage } = self.input;
+        let Input { cursors, actions_expected, salt, damage } = self.input;
         let cursors = cursors?;
         if cursors.len() != self.hosts.len() {
             return Err(ReplayError::Deployment { procs: cursors.len(), hosts: self.hosts.len() });
@@ -375,9 +371,6 @@ impl<'a> Replay<'a> {
             engine.restore_state(ck.engine).map_err(ck_err)?;
             counter.store(ck.actions_replayed, Ordering::Relaxed);
         }
-        // A failure the segment cache recorded, as the typed error it
-        // stands for.
-        let fault = || cache.as_ref().and_then(|c| c.take_fault());
 
         let t0 = Instant::now();
         let every = self.pause_every;
@@ -396,13 +389,10 @@ impl<'a> Replay<'a> {
                     break (Status::Finished { simulated_time: t }, t, None, None)
                 }
                 Ok(RunStatus::Paused(t)) => t,
-                Err(e) if self.tolerate_damage => {
-                    if let Some(f) = fault().filter(Fault::is_memory) {
-                        return Err(f.into_error());
-                    }
+                Err(e) if self.tolerate_damage && !refused(&e) => {
                     break (Status::Stopped(Stop::Damaged), e.time(), None, Some(e.to_string()));
                 }
-                Err(e) => return Err(fault().map_or_else(|| e.into(), Fault::into_error)),
+                Err(e) => return Err(e.into()),
             };
             // A safe point: checkpoint if asked, then stop if a stop
             // condition holds, else continue to the next pause.
@@ -450,6 +440,13 @@ impl<'a> Replay<'a> {
             failure,
         })
     }
+}
+
+/// True when `e` is an actor's memory-budget refusal: the environment,
+/// not damage.
+fn refused(e: &SimError) -> bool {
+    let SimError::ActorFailure { reason, .. } = e else { return false };
+    matches!(reason.downcast_ref(), Some(ReplayError::Memory(_)))
 }
 
 /// Replays an in-memory trace: [`Replay`] over [`Input::memory`].
@@ -506,6 +503,7 @@ pub fn run_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::SegmentCache;
     use crate::testkit::{busy_trace, mycluster, plain_cfg, ring_trace, tmp_dir};
     use simkern::observer::Collector;
     use tit_core::membudget::MemBudget;

@@ -4,17 +4,20 @@
 //! [`SegmentCache`], faulting 40-byte footer entries into decoded
 //! segments on demand. Peak memory is O(ranks + resident segments)
 //! regardless of trace length: each rank pins at most its *current*
-//! segment, and everything else is cache that the [`MemBudget`]
-//! governor can evict and re-fault at will. Under `--mem-budget` the
-//! cap is *hard* — when the pinned working set alone exceeds it, replay
-//! stops with a typed [`ReplayError::Memory`], never an OOM kill.
+//! segment, and everything else is residency in the cache's [`Lru`],
+//! which the [`MemBudget`] governor can evict and re-fault at will.
+//! Under `--mem-budget` the cap is *hard* — when the pinned working
+//! set alone exceeds it, replay stops with a typed
+//! [`ReplayError::Memory`], never an OOM kill.
 //!
 //! Verification is fail-closed per read ([`tit_core::tib2::Tib2Store`]
 //! checks the FNV-1a checksum before decoding), so a strict replay
 //! that touches a damaged segment stops with a typed
-//! [`ReplayError::Store`] naming rank, segment and offset. The salvage
-//! scan ([`Input::salvage_store`]) runs the full verification sweep
-//! first and trims each damaged rank at its last verified segment
+//! [`ReplayError::Store`] naming rank, segment and offset. The cache
+//! returns these errors to the cursor, which hands them to the engine
+//! as its actor failure; the driver gets them back unchanged. The
+//! salvage scan ([`Input::salvage_store`]) runs the full verification
+//! sweep first and trims each damaged rank at its last verified segment
 //! boundary — the footer index knows exactly how many actions every
 //! trimmed segment held, so the completeness ratio is exact, not
 //! estimated.
@@ -30,90 +33,29 @@ use crate::process::Cursor;
 use crate::simulator::{Input, Replay, ReplayConfig, ReplayOutcome};
 use simkern::resource::HostId;
 use simkern::Platform;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tit_core::membudget::{MemBudget, MemoryExceeded};
+use tit_core::membudget::MemBudget;
 use tit_core::tib2::{SegmentColumns, StoreError, Tib2Store};
+use tit_core::Lru;
 
-/// Why a segment could not be served to a cursor — the typed fault the
-/// cache records so the replay driver can surface it instead of a
-/// stringly actor failure.
-#[derive(Debug)]
-pub(crate) enum Fault {
-    Store(StoreError),
-    Memory(MemoryExceeded),
-}
-
-impl Fault {
-    /// A budget refusal: the environment, not damage.
-    pub(crate) fn is_memory(&self) -> bool {
-        matches!(self, Fault::Memory(_))
-    }
-
-    /// The typed replay error this fault stands for.
-    pub(crate) fn into_error(self) -> ReplayError {
-        match self {
-            Fault::Store(e @ StoreError::SegmentDamaged { .. }) => ReplayError::Store(e),
-            Fault::Store(e) => ReplayError::Store(StoreError::FooterDamaged {
-                detail: e.to_string(),
-            }),
-            Fault::Memory(e) => ReplayError::Memory(e),
-        }
-    }
-}
-
-impl std::fmt::Display for Fault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Fault::Store(e) => write!(f, "{e}"),
-            Fault::Memory(e) => write!(f, "{e}"),
-        }
-    }
-}
-
+/// A resident segment and the bytes it is charged.
+#[derive(Clone)]
 struct Entry {
     seg: Arc<SegmentColumns>,
     bytes: u64,
-    touched: u64,
-}
-
-struct Inner {
-    map: HashMap<(usize, usize), Entry>,
-    /// One `(touched, key)` record per resident segment, in ascending
-    /// touch clock: the eviction order.
-    order: VecDeque<(u64, (usize, usize))>,
-    clock: u64,
-}
-
-impl Inner {
-    /// Ticks the clock and, on a hit, marks `key` touched now: its
-    /// record moves from its place (found by binary search, clocks
-    /// being sorted) to the back.
-    fn touch(&mut self, key: (usize, usize)) -> Option<Arc<SegmentColumns>> {
-        self.clock += 1;
-        let e = self.map.get_mut(&key)?;
-        if let Ok(i) = self.order.binary_search_by_key(&e.touched, |&(t, _)| t) {
-            self.order.remove(i);
-        }
-        e.touched = self.clock;
-        self.order.push_back((self.clock, key));
-        Some(Arc::clone(&e.seg))
-    }
 }
 
 /// Shared segment residency: one per replay, feeding every rank's store
-/// cursor. Decoded segments are interned as
-/// `Arc<SegmentColumns>`; a cursor holding its current segment pins it
-/// (Arc refcount > 1), everything else is evictable. Residency is
-/// charged against the [`MemBudget`] *before* each read, and eviction
-/// is least-recently-touched-first among unpinned segments, read off an
-/// index kept in touch order rather than found by scanning the cache.
+/// cursor. Decoded segments are interned as `Arc<SegmentColumns>` in an
+/// [`Lru`] keyed by `(rank, segment)`; a cursor holding its current
+/// segment pins it (Arc refcount > 1), everything else is evictable.
+/// Residency is charged against the [`MemBudget`] *before* each read,
+/// and eviction takes the least recently used segment nobody pins.
 pub struct SegmentCache {
     store: Arc<Tib2Store>,
     budget: Arc<MemBudget>,
-    inner: Mutex<Inner>,
-    fault: Mutex<Option<Fault>>,
+    lru: Mutex<Lru<(usize, usize), Entry>>,
     faults: AtomicU64,
     evictions: AtomicU64,
 }
@@ -124,8 +66,7 @@ impl SegmentCache {
         SegmentCache {
             store,
             budget,
-            inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new(), clock: 0 }),
-            fault: Mutex::new(None),
+            lru: Mutex::new(Lru::new(usize::MAX)),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
@@ -151,91 +92,57 @@ impl SegmentCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Takes the first typed fault recorded by a cursor, if any — the
-    /// replay driver uses this to upgrade a stringly actor failure back
-    /// into [`ReplayError::Store`] / [`ReplayError::Memory`].
-    pub(crate) fn take_fault(&self) -> Option<Fault> {
-        // panics: mutex poisoned only if another thread already panicked
-        self.fault.lock().unwrap().take()
-    }
-
-    /// Records `f` as the run's typed fault (the first one wins) and
-    /// returns its message for the failing cursor.
-    pub(crate) fn record_fault(&self, f: Fault) -> String {
-        let msg = f.to_string();
-        // panics: mutex poisoned only if another thread already panicked
-        let mut slot = self.fault.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(f);
-        }
-        msg
-    }
-
-    /// Evicts the least-recently-touched segment nobody holds: the first
-    /// unpinned record of the touch-ordered index (touch clocks are
-    /// unique, so it is the segment a scan of the whole cache for the
-    /// oldest unpinned one would pick). Returns false when everything
-    /// resident is pinned.
-    fn evict_one(&self) -> bool {
-        // panics: mutex poisoned only if another thread already panicked
-        let mut inner = self.inner.lock().unwrap();
-        let Inner { map, order, .. } = &mut *inner;
-        let unpinned = |k| map.get(k).is_some_and(|e: &Entry| Arc::strong_count(&e.seg) == 1);
-        let victim = order.iter().position(|(_, k)| unpinned(k));
-        match victim.and_then(|i| order.remove(i)).and_then(|(_, k)| map.remove(&k)) {
-            Some(e) => {
-                self.budget.release(e.bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Returns one decoded segment, faulting it in under the budget.
-    /// Fail-closed on damage; typed refusal when the budget cannot be
-    /// met even with every evictable segment dropped.
-    pub(crate) fn segment(&self, rank: usize, seg: usize) -> Result<Arc<SegmentColumns>, Fault> {
+    /// Fail-closed on damage ([`ReplayError::Store`]); a typed
+    /// [`ReplayError::Memory`] refusal when the budget cannot be met
+    /// even with every unpinned segment evicted.
+    pub(crate) fn segment(
+        &self,
+        rank: usize,
+        seg: usize,
+    ) -> Result<Arc<SegmentColumns>, ReplayError> {
+        let key = (rank, seg);
         // panics: mutex poisoned only if another thread already panicked
-        if let Some(hit) = self.inner.lock().unwrap().touch((rank, seg)) {
-            return Ok(hit);
+        if let Some(hit) = self.lru.lock().unwrap().get(&key) {
+            return Ok(hit.seg);
         }
-        let meta = *self
-            .store
-            .segment_meta(rank, seg)
-            .ok_or(Fault::Store(StoreError::OutOfRange { rank, segment: seg }))?;
-        let bytes = meta.decoded_bytes();
-        loop {
-            match self.budget.try_charge(bytes) {
-                Ok(()) => break,
-                Err(e) => {
-                    if !self.evict_one() {
-                        return Err(Fault::Memory(e));
-                    }
-                }
-            }
+        let out_of_range = || store_error(StoreError::OutOfRange { rank, segment: seg });
+        let bytes = self.store.segment_meta(rank, seg).ok_or_else(out_of_range)?.decoded_bytes();
+        while let Err(e) = self.budget.try_charge(bytes) {
+            // panics: mutex poisoned only if another thread already panicked
+            let victim = self.lru.lock().unwrap().pop_lru_where(|r| Arc::strong_count(&r.seg) == 1);
+            let Some((_, evicted)) = victim else { return Err(ReplayError::Memory(e)) };
+            self.budget.release(evicted.bytes);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let seg_cols = match self.store.read_segment(rank, seg) {
+        let cols = match self.store.read_segment(rank, seg) {
             Ok(c) => Arc::new(c),
             Err(e) => {
                 self.budget.release(bytes);
-                return Err(Fault::Store(e));
+                return Err(store_error(e));
             }
         };
         self.faults.fetch_add(1, Ordering::Relaxed);
         // panics: mutex poisoned only if another thread already panicked
-        let mut inner = self.inner.lock().unwrap();
+        let mut lru = self.lru.lock().unwrap();
         // Two cursors racing on the same uncached segment may both read
-        // it (same tradeoff as the serve trace cache: a wasted read,
-        // never a blocked one); the loser's charge is returned.
-        if let Some(hit) = inner.touch((rank, seg)) {
+        // it (same tradeoff as the serve cache: a wasted read, never a
+        // blocked one); the loser's charge is returned.
+        if let Some(hit) = lru.get(&key) {
             self.budget.release(bytes);
-            return Ok(hit);
+            return Ok(hit.seg);
         }
-        let touched = inner.clock;
-        inner.map.insert((rank, seg), Entry { seg: Arc::clone(&seg_cols), bytes, touched });
-        inner.order.push_back((touched, (rank, seg)));
-        Ok(seg_cols)
+        lru.insert(key, Entry { seg: Arc::clone(&cols), bytes });
+        Ok(cols)
+    }
+}
+
+/// A store read failure as the replay reports it: a damaged segment
+/// names itself; any other failure means the footer index lied.
+fn store_error(e: StoreError) -> ReplayError {
+    match e {
+        StoreError::SegmentDamaged { .. } => ReplayError::Store(e),
+        e => ReplayError::Store(StoreError::FooterDamaged { detail: e.to_string() }),
     }
 }
 
@@ -297,11 +204,7 @@ impl Input {
             .map(|(rank, limit)| Cursor::store(Arc::clone(cache), rank, limit))
             .collect();
         let store = cache.store();
-        Input {
-            cache: Some(Arc::clone(cache)),
-            damage,
-            ..Input::new(cursors, store.num_actions(), store.fingerprint())
-        }
+        Input { damage, ..Input::new(cursors, store.num_actions(), store.fingerprint()) }
     }
 }
 
@@ -460,32 +363,31 @@ mod tests {
                 let bytes = store.segment_meta(key.0, key.1).unwrap().decoded_bytes();
                 let pinned: Vec<(usize, usize)> = pins.iter().map(|p| p.0).collect();
                 let before: Vec<(usize, usize)> =
-                    cache.inner.lock().unwrap().order.iter().map(|r| r.1).collect();
+                    cache.lru.lock().unwrap().keys().copied().collect();
                 let evicted = oracle.evicted.len();
                 let fits = oracle.request(key, bytes, &pinned);
                 let got = cache.segment(key.0, key.1);
                 proptest::prop_assert_eq!(got.is_ok(), fits);
                 match (got, pin) {
                     (Ok(seg), 0) => pins.push((key, seg)),
-                    (Err(e), _) => proptest::prop_assert!(e.is_memory(), "{e}"),
+                    (Err(e), _) => {
+                        proptest::prop_assert!(matches!(e, ReplayError::Memory(_)), "{e}");
+                    }
                     _ => {}
                 }
                 if pin == 3 && !pins.is_empty() {
                     pins.remove(0);
                 }
-                let inner = cache.inner.lock().unwrap();
+                let lru = cache.lru.lock().unwrap();
                 let mut want = oracle.resident.clone();
                 want.sort_by_key(|e| e.2);
-                let order: Vec<(usize, usize)> = inner.order.iter().map(|r| r.1).collect();
+                let order: Vec<(usize, usize)> = lru.keys().copied().collect();
                 let want: Vec<(usize, usize)> = want.iter().map(|e| e.0).collect();
                 let gone: Vec<(usize, usize)> =
                     before.into_iter().filter(|k| !order.contains(k)).collect();
                 proptest::prop_assert_eq!(&gone[..], &oracle.evicted[evicted..]);
+                proptest::prop_assert_eq!(lru.len(), order.len());
                 proptest::prop_assert_eq!(order, want);
-                proptest::prop_assert_eq!(inner.map.len(), inner.order.len());
-                for &(t, k) in &inner.order {
-                    proptest::prop_assert_eq!(inner.map[&k].touched, t);
-                }
                 proptest::prop_assert_eq!(cache.fault_count(), oracle.faults);
                 proptest::prop_assert_eq!(cache.eviction_count(), oracle.evicted.len() as u64);
             }
@@ -504,6 +406,31 @@ mod tests {
             ReplayError::Memory(m) => assert_eq!(m.budget, 64),
             other => panic!("expected Memory, got {other}"),
         }
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// Damage tolerance does not make a budget refusal damage: over the
+    /// strict store input an impossible budget is still a typed
+    /// `Memory` error, while a damaged segment stops the run as damage
+    /// naming the segment.
+    #[test]
+    fn tolerant_store_replay_refuses_budgets_and_reports_damage() {
+        let (d, store) = tmp_store("tolerant", 40, 64);
+        let run = |store: &Arc<Tib2Store>, budget| {
+            let (p, h) = mycluster(4);
+            let input = Input::store(&cache(store, budget));
+            Replay::new(input, p, &h, &plain_cfg()).tolerate_damage(true).run()
+        };
+        match run(&store, MemBudget::new(64)) {
+            Err(ReplayError::Memory(m)) => assert_eq!(m.budget, 64),
+            other => panic!("expected Memory, got {other:?}"),
+        }
+        let (store, offset) = damage(&d, 2, 1, 20, 0x40);
+        let out = run(&store, MemBudget::unlimited()).unwrap();
+        assert_eq!(out.status, Status::Stopped(Stop::Damaged));
+        let detail = out.failure.unwrap();
+        let want = format!("TIB2 segment damaged: rank 2 segment 1 at offset {offset}: ");
+        assert!(detail.contains(&want), "{detail}");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -1,21 +1,32 @@
-//! Shared immutable trace state behind an LRU cache.
+//! The daemon's cache of loaded inputs: one generic [`Cache`] over a
+//! [`tit_core::Lru`], used twice.
 //!
-//! A thousand what-if requests against one trace bundle must parse it
-//! once: loaded traces are interned as `Arc<CompactTrace>` (immutable,
-//! struct-of-arrays — see PR 4) and cached in a [`tit_core::Lru`]
-//! keyed by the FNV-1a-64 trace reference key
-//! ([`crate::proto::ReplayRequest::trace_key`]). A hit is a refcount
-//! bump; an evicted trace stays alive for requests already replaying
-//! it.
+//! A thousand what-if requests against one trace bundle must load it
+//! once. Text traces are interned as `Arc<CompactTrace>` (immutable,
+//! struct-of-arrays) and `TIB2` stores kept as open
+//! `Arc<Tib2Store>` handles, each in a [`Cache`] keyed by the FNV-1a-64
+//! trace reference key ([`crate::proto::ReplayRequest::trace_key`]). A
+//! hit is a refcount bump; an evicted value stays alive for requests
+//! already replaying it.
+//!
+//! A hit may be checked for freshness before it is served. Stores are:
+//! opening one verifies head, trailer and footer, and the handle then
+//! serves any number of requests with segment reads verified lazily,
+//! so every hit is revalidated against the file's *content*
+//! fingerprint ([`Tib2Store::read_fingerprint`], a 24-byte trailer
+//! read). A store atomically replaced on disk is noticed and reopened,
+//! never served stale — the cache behaves as if keyed on the footer
+//! hash, without having to open the file to compute the key.
 //!
 //! Loads go through the extract pipeline's bounded
 //! [`retry policy`](tit_extract::error::RetryPolicy): transient I/O
 //! failures (EINTR, timeouts, reset mounts) are retried with
 //! deterministic exponential backoff, permanent ones (missing rank
-//! file, parse error) fail the request immediately.
+//! file, parse error, a store that fails verification) fail the
+//! request immediately.
 //!
 //! Two racing requests for the same uncached key may both load it
-//! (last insert wins); that wastes one parse but never blocks loads of
+//! (last insert wins); that wastes one load but never blocks loads of
 //! *other* keys behind a long parse, and both results are identical by
 //! construction.
 
@@ -24,20 +35,20 @@ use std::sync::{Arc, Mutex};
 use tit_core::{load_compact_exact, CompactTrace, Lru, Tib2Store};
 use tit_extract::error::{with_retry, PipelineError, RetryPolicy};
 
-/// The daemon's trace cache.
-pub struct TraceCache {
-    lru: Mutex<Lru<u64, Arc<CompactTrace>>>,
+/// An LRU of loaded values that loads under a retry policy.
+pub struct Cache<T> {
+    lru: Mutex<Lru<u64, Arc<T>>>,
     retry: RetryPolicy,
 }
 
-impl TraceCache {
-    /// A cache holding at most `cap` traces, loading under `retry`.
+impl<T> Cache<T> {
+    /// A cache holding at most `cap` values, loading under `retry`.
     #[must_use]
     pub fn new(cap: usize, retry: RetryPolicy) -> Self {
-        TraceCache { lru: Mutex::new(Lru::new(cap)), retry }
+        Cache { lru: Mutex::new(Lru::new(cap)), retry }
     }
 
-    /// Cached traces.
+    /// Cached values.
     #[must_use]
     pub fn len(&self) -> usize {
         // panics: mutex poisoned only if another thread already panicked
@@ -50,98 +61,73 @@ impl TraceCache {
         self.len() == 0
     }
 
-    /// Returns the trace for `key`, loading (with bounded retry) and
-    /// interning it on a miss. The boolean is `true` on a cache hit.
+    /// Returns the value cached under `key` if `fresh` accepts it (the
+    /// boolean is `true`: a hit), else loads it with `load` under the
+    /// retry policy (`what` names it in a retries-exhausted error) and
+    /// caches it. `fresh` runs outside the lock.
+    fn get_or_load_with(
+        &self,
+        key: u64,
+        fresh: impl FnOnce(&T) -> bool,
+        what: impl FnOnce() -> String,
+        mut load: impl FnMut() -> Result<T, PipelineError>,
+    ) -> Result<(Arc<T>, bool), PipelineError> {
+        // panics: mutex poisoned only if another thread already panicked
+        let cached = self.lru.lock().unwrap().get(&key);
+        if let Some(v) = cached.filter(|v| fresh(v)) {
+            return Ok((v, true));
+        }
+        let v = Arc::new(with_retry(&self.retry, &what(), |_attempt| load())?);
+        // panics: mutex poisoned only if another thread already panicked
+        self.lru.lock().unwrap().insert(key, Arc::clone(&v));
+        Ok((v, false))
+    }
+}
+
+impl Cache<CompactTrace> {
+    /// Returns the trace for `key`, loading the `np` per-rank text
+    /// traces in `dir` and interning them on a miss. The boolean is
+    /// `true` on a cache hit.
     pub fn get_or_load(
         &self,
         key: u64,
         dir: &Path,
         np: usize,
     ) -> Result<(Arc<CompactTrace>, bool), PipelineError> {
-        // panics: mutex poisoned only if another thread already panicked
-        if let Some(t) = self.lru.lock().unwrap().get(&key) {
-            return Ok((t, true));
-        }
-        let what = format!("load trace {} (np={np})", dir.display());
-        let trace = with_retry(&self.retry, &what, |_attempt| {
-            load_compact_exact(dir, np, 1)
-                .map_err(|e| PipelineError::io(e.path.clone(), e.source))
-        })?;
-        let trace = Arc::new(trace);
-        // panics: mutex poisoned only if another thread already panicked
-        self.lru.lock().unwrap().insert(key, Arc::clone(&trace));
-        Ok((trace, false))
+        self.get_or_load_with(
+            key,
+            |_| true,
+            || format!("load trace {} (np={np})", dir.display()),
+            || load_compact_exact(dir, np, 1).map_err(|e| PipelineError::io(&e.path, e.source)),
+        )
     }
 }
 
-/// The daemon's `TIB2` store-handle cache.
-///
-/// Opening a store verifies head, trailer and footer; the handle then
-/// serves any number of requests with segment reads verified lazily.
-/// The LRU is keyed by the request's trace reference key, but every
-/// hit is revalidated against the file's *content* fingerprint
-/// ([`Tib2Store::read_fingerprint`], a 24-byte trailer read): a store
-/// atomically replaced on disk is noticed and reopened, never served
-/// stale — the cache behaves as if keyed on the footer hash, without
-/// having to open the file to compute the key.
-pub struct StoreCache {
-    lru: Mutex<Lru<u64, Arc<Tib2Store>>>,
-    retry: RetryPolicy,
-}
-
-impl StoreCache {
-    /// A cache holding at most `cap` open stores, opening under
-    /// `retry`.
-    #[must_use]
-    pub fn new(cap: usize, retry: RetryPolicy) -> Self {
-        StoreCache { lru: Mutex::new(Lru::new(cap)), retry }
-    }
-
-    /// Cached store handles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        // panics: mutex poisoned only if another thread already panicked
-        self.lru.lock().unwrap().len()
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the open store for `key`, opening (with bounded retry)
-    /// and interning it on a miss or when the on-disk content changed.
-    /// The boolean is `true` on a revalidated cache hit.
+impl Cache<Tib2Store> {
+    /// Returns the open store for `key`, opening it on a miss or when
+    /// the file's content fingerprint no longer matches the cached
+    /// handle's. The boolean is `true` on a revalidated cache hit.
     pub fn get_or_open(
         &self,
         key: u64,
         path: &Path,
     ) -> Result<(Arc<Tib2Store>, bool), PipelineError> {
-        // panics: mutex poisoned only if another thread already panicked
-        let cached = self.lru.lock().unwrap().get(&key);
-        if let Some(s) = cached {
-            // Content revalidation outside the lock: one 24-byte read.
-            if Tib2Store::read_fingerprint(path).is_ok_and(|fp| fp == s.fingerprint()) {
-                return Ok((s, true));
-            }
-        }
-        let what = format!("open store {}", path.display());
-        let store = with_retry(&self.retry, &what, |_attempt| {
-            Tib2Store::open(path).map_err(|e| match e {
-                tit_core::StoreError::Io { path, source } => PipelineError::io(&path, source),
-                // Verification failures are permanent, not transient
-                // I/O: surface them as InvalidData, never retried.
-                other => PipelineError::io(
-                    path,
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
-                ),
-            })
-        })?;
-        let store = Arc::new(store);
-        // panics: mutex poisoned only if another thread already panicked
-        self.lru.lock().unwrap().insert(key, Arc::clone(&store));
-        Ok((store, false))
+        self.get_or_load_with(
+            key,
+            |s| Tib2Store::read_fingerprint(path).is_ok_and(|fp| fp == s.fingerprint()),
+            || format!("open store {}", path.display()),
+            || {
+                Tib2Store::open(path).map_err(|e| match e {
+                    tit_core::StoreError::Io { path, source } => PipelineError::io(&path, source),
+                    // Verification failures are permanent, not transient
+                    // I/O: surface them as InvalidData, never retried.
+                    other => PipelineError::io(
+                        path,
+                        std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+                    ),
+                })
+            },
+        )
     }
 }
 
@@ -173,7 +159,7 @@ mod tests {
     fn second_lookup_hits_and_shares_the_same_trace() {
         let d = tmp("hit");
         write_ring(&d, 3, 2);
-        let cache = TraceCache::new(4, RetryPolicy::default());
+        let cache: Cache<CompactTrace> = Cache::new(4, RetryPolicy::default());
         let (t1, hit1) = cache.get_or_load(42, &d, 3).unwrap();
         let (t2, hit2) = cache.get_or_load(42, &d, 3).unwrap();
         assert!(!hit1 && hit2);
@@ -184,7 +170,7 @@ mod tests {
 
     #[test]
     fn missing_trace_is_a_permanent_error() {
-        let cache = TraceCache::new(4, RetryPolicy::default());
+        let cache: Cache<CompactTrace> = Cache::new(4, RetryPolicy::default());
         let err = cache
             .get_or_load(7, Path::new("/nonexistent/trace/dir"), 2)
             .unwrap_err();
@@ -212,7 +198,7 @@ mod tests {
         std::fs::create_dir_all(&d).unwrap();
         let p = d.join("a.tib2");
         write_store(&p, 3, 4);
-        let cache = StoreCache::new(4, RetryPolicy::default());
+        let cache: Cache<Tib2Store> = Cache::new(4, RetryPolicy::default());
         let (s1, hit1) = cache.get_or_open(9, &p).unwrap();
         let (s2, hit2) = cache.get_or_open(9, &p).unwrap();
         assert!(!hit1 && hit2);
@@ -227,7 +213,7 @@ mod tests {
         std::fs::create_dir_all(&d).unwrap();
         let p = d.join("a.tib2");
         let fp1 = write_store(&p, 3, 4);
-        let cache = StoreCache::new(4, RetryPolicy::default());
+        let cache: Cache<Tib2Store> = Cache::new(4, RetryPolicy::default());
         let (s1, _) = cache.get_or_open(9, &p).unwrap();
         assert_eq!(s1.fingerprint(), fp1);
         // Same path, new content (atomic replace, like a re-extract).
@@ -249,7 +235,7 @@ mod tests {
         // into success.
         let len = std::fs::metadata(&p).unwrap().len();
         std::fs::OpenOptions::new().write(true).open(&p).unwrap().set_len(len - 4).unwrap();
-        let cache = StoreCache::new(4, RetryPolicy::default());
+        let cache: Cache<Tib2Store> = Cache::new(4, RetryPolicy::default());
         let err = cache.get_or_open(1, &p).unwrap_err();
         assert!(!err.is_transient());
         assert!(cache.is_empty());
@@ -260,7 +246,7 @@ mod tests {
     fn eviction_keeps_the_cache_bounded() {
         let d = tmp("evict");
         write_ring(&d, 2, 1);
-        let cache = TraceCache::new(2, RetryPolicy::default());
+        let cache: Cache<CompactTrace> = Cache::new(2, RetryPolicy::default());
         for key in 0..5u64 {
             cache.get_or_load(key, &d, 2).unwrap();
         }

@@ -27,17 +27,14 @@ use crate::accesslog::{AccessLog, Spans};
 use crate::json::{obj, Json};
 use crate::proto::ReplayRequest;
 use crate::queue::Admission;
-use crate::{
-    cache::{StoreCache, TraceCache},
-    ServerConfig,
-};
+use crate::{cache::Cache, ServerConfig};
 use simkern::resource::HostId;
 use simkern::Platform;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use tit_core::{Budget, Deadline};
+use tit_core::{Budget, CompactTrace, Deadline, Tib2Store};
 use tit_platform::desc::PlatformDesc;
 use tit_replay::{
     Input, Replay, ReplayCheckpoint, ReplayError, ReplayOutcome, SegmentCache, Status, Stop,
@@ -74,9 +71,9 @@ pub struct Shared {
     /// Server configuration (immutable after start).
     pub cfg: ServerConfig,
     /// The interned-trace cache.
-    pub cache: TraceCache,
+    pub cache: Cache<CompactTrace>,
     /// The open `TIB2` store-handle cache (content-revalidated hits).
-    pub stores: StoreCache,
+    pub stores: Cache<Tib2Store>,
     /// The admission queue.
     pub queue: Admission<Job>,
     /// serve.* counters and gauges.
@@ -357,8 +354,8 @@ mod tests {
     fn shared() -> Arc<Shared> {
         let cfg = ServerConfig::default();
         Arc::new(Shared {
-            cache: TraceCache::new(cfg.cache_cap, RetryPolicy::default()),
-            stores: StoreCache::new(cfg.cache_cap, RetryPolicy::default()),
+            cache: Cache::new(cfg.cache_cap, RetryPolicy::default()),
+            stores: Cache::new(cfg.cache_cap, RetryPolicy::default()),
             queue: Admission::new(cfg.queue_cap),
             metrics: Metrics::new(),
             pressure: AtomicBool::new(false),
@@ -465,18 +462,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
-    #[test]
-    fn damaged_store_fails_closed_naming_the_segment() {
-        let d = std::env::temp_dir().join(format!("tit-serve-exec-tib2-{}", std::process::id()));
+    /// A 3-rank ring store in a fresh directory named by `tag`, with one
+    /// bit flipped in segment `seg` of `rank`.
+    fn damaged_store(
+        tag: &str,
+        rank: usize,
+        seg: usize,
+    ) -> (std::path::PathBuf, std::path::PathBuf) {
+        let d = std::env::temp_dir().join(format!("tit-serve-exec-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         write_ring(&d, 3, 20);
         let store = d.join("ring.tib2");
         let trace = tit_core::load_compact_exact(&d, 3, 1).unwrap();
         tit_core::tib2::write_compact_atomic(&store, &trace, 8).unwrap();
-        let offset = tit_core::Tib2Store::open(&store).unwrap().segment_meta(1, 1).unwrap().offset;
+        let offset = Tib2Store::open(&store).unwrap().segment_meta(rank, seg).unwrap().offset;
         let mut bytes = std::fs::read(&store).unwrap();
         bytes[offset as usize + 20] ^= 0x40;
         std::fs::write(&store, &bytes).unwrap();
+        (d, store)
+    }
+
+    #[test]
+    fn damaged_store_fails_closed_naming_the_segment() {
+        let (d, store) = damaged_store("tib2", 1, 1);
         let sh = shared();
         let (out, buf) = sink();
         let line = format!(
@@ -491,6 +499,28 @@ mod tests {
         );
         // The typed store error, not the actor failure it surfaced as.
         assert!(text.contains("\"detail\":\"TIB2 segment damaged: rank 1 segment 1 "), "{text}");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A degraded-subset request tolerates damage: a damaged segment of
+    /// a kept rank stops it as `partial`/`damaged`, naming the segment.
+    #[test]
+    fn damaged_store_under_drop_ranks_is_partial_naming_the_segment() {
+        let (d, store) = damaged_store("tib2-drop", 1, 0);
+        let sh = shared();
+        let (out, buf) = sink();
+        let line = format!(
+            "{{\"op\":\"replay\",\"id\":\"t\",\"store\":{:?},\"np\":3,\"drop_ranks\":[2]}}",
+            store.display().to_string()
+        );
+        process_job(&sh, job_for(replay_req(&line), out));
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert!(
+            text.starts_with("{\"status\":\"partial\",\"code\":\"damaged\",\"id\":\"t\""),
+            "{text}"
+        );
+        assert!(text.contains("TIB2 segment damaged: rank 1 segment 0 at offset "), "{text}");
+        assert_eq!(sh.metrics.counter("serve.partial_damaged"), 1);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -535,8 +565,8 @@ mod tests {
         // the queue max_preemptions times and still answer the same.
         let cfg = ServerConfig { slice_actions: 3, ..ServerConfig::default() };
         let sh = Arc::new(Shared {
-            cache: TraceCache::new(cfg.cache_cap, RetryPolicy::default()),
-            stores: StoreCache::new(cfg.cache_cap, RetryPolicy::default()),
+            cache: Cache::new(cfg.cache_cap, RetryPolicy::default()),
+            stores: Cache::new(cfg.cache_cap, RetryPolicy::default()),
             queue: Admission::new(cfg.queue_cap),
             metrics: Metrics::new(),
             pressure: AtomicBool::new(true),

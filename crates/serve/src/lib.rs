@@ -6,7 +6,8 @@
 //! ([`proto`]), answering concurrent replay requests (platform
 //! variant plus trace reference, with optional rank remap or degraded
 //! subset) from shared immutable state — interned
-//! [`tit_core::CompactTrace`]s behind an LRU cache ([`cache`]).
+//! [`tit_core::CompactTrace`]s and open `TIB2` stores behind one LRU
+//! cache type ([`cache`]).
 //!
 //! The robustness contract, end to end:
 //!
@@ -43,7 +44,7 @@ pub mod server;
 /// workspace's one JSON module.
 pub use tit_core::json;
 pub use accesslog::{AccessLog, Spans};
-pub use cache::TraceCache;
+pub use cache::Cache;
 pub use exec::{Job, Shared, SharedWriter};
 pub use proto::{parse_request, ReplayRequest, Request};
 pub use queue::{Admission, Refusal};
@@ -62,7 +63,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission queue capacity: requests beyond it are shed.
     pub queue_cap: usize,
-    /// Interned traces kept in the LRU cache.
+    /// Entries each daemon cache keeps (interned traces; open stores).
     pub cache_cap: usize,
     /// Replay slice granularity in actions: deadline and preemption
     /// checks happen at these safe points. `0` disables slicing.

@@ -50,7 +50,7 @@ pub struct ReplayRequest {
     pub trace_dir: PathBuf,
     /// `TIB2` segmented store file, the alternative trace reference:
     /// the daemon keeps an LRU of open, footer-verified handles
-    /// ([`crate::cache::StoreCache`]) and streams segments on demand
+    /// ([`crate::cache::Cache`]) and streams segments on demand
     /// instead of interning the whole trace.
     pub store: Option<PathBuf>,
     /// Ranks the trace carries.

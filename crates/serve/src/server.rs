@@ -28,7 +28,7 @@ use crate::exec::{error_response, process_job, respond, Job, Shared, SharedWrite
 use crate::json::{obj, Json};
 use crate::proto::{parse_request, Request};
 use crate::queue::Refusal;
-use crate::{cache::TraceCache, Admission, ServerConfig};
+use crate::{cache::Cache, Admission, ServerConfig};
 use std::io::{BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,8 +82,8 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
-            cache: TraceCache::new(cfg.cache_cap, tit_extract::RetryPolicy::default()),
-            stores: crate::cache::StoreCache::new(cfg.cache_cap, tit_extract::RetryPolicy::default()),
+            cache: Cache::new(cfg.cache_cap, tit_extract::RetryPolicy::default()),
+            stores: Cache::new(cfg.cache_cap, tit_extract::RetryPolicy::default()),
             queue: Admission::new(cfg.queue_cap),
             metrics: Metrics::new(),
             pressure: AtomicBool::new(cfg.force_preempt),

@@ -26,7 +26,7 @@ pub enum Wake {
 }
 
 /// What the actor does next.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum Step {
     /// Block until `OpId` completes (wake immediately if it already has).
     Wait(OpId),
@@ -36,11 +36,13 @@ pub enum Step {
     ///
     /// This is the failure channel: instead of unwinding through the
     /// engine, the failure is reported to it, which aborts the run with
-    /// [`crate::error::SimError::ActorFailure`] naming this actor. The
-    /// reason should say *what* was malformed and *where* (file, line).
+    /// [`crate::error::SimError::ActorFailure`] naming this actor and
+    /// carrying the error unchanged, so the caller can downcast it back
+    /// to its own type. Its message should say *what* was malformed and
+    /// *where* (file, line).
     Fail {
         /// What was malformed and where (file, line) when known.
-        reason: String,
+        reason: Box<dyn std::error::Error + Send + Sync>,
     },
 }
 

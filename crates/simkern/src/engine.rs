@@ -982,7 +982,7 @@ impl Engine {
         if let Some(obs) = self.observer.as_mut() {
             obs.op_started(sender, tag, self.clock);
         }
-        let eager = size <= self.net.eager_threshold;
+        let eager = self.net.is_eager(size);
         let src_host = self.actors[sender].host;
         let dst_host = match self.actors.get(mb.dst as usize) {
             Some(slot) => slot.host,
@@ -1112,25 +1112,13 @@ impl Engine {
         let mut cnsts = std::mem::take(&mut self.cnst_scratch);
         cnsts.clear();
         let route = &self.routes[ri];
-        let mut bound = route.bound;
-        if let Some(gamma) = self.net.tcp_gamma {
-            if route.latency > 0.0 {
-                bound = bound.min(gamma / (2.0 * route.latency));
-            }
-        }
         if self.net.contention {
             for l in &route.shared {
                 // panics: kernel invariant; violation means simulator state corruption
                 cnsts.push(self.link_cnst[l.0 as usize].expect("shared link without constraint"));
             }
-        } else {
-            // Contention-free: the flow runs at the narrowest link speed.
-            bound = bound.min(route.min_bw);
         }
-        if cnsts.is_empty() && bound.is_infinite() {
-            bound = route.min_bw;
-        }
-        let var = self.lmm.new_variable(bound, &cnsts);
+        let var = self.lmm.new_variable(self.net.flow_bound(route), &cnsts);
         self.cnst_scratch = cnsts;
         self.add_activity(var, amount, Owner::Comm { comm });
     }
@@ -1965,7 +1953,7 @@ mod tests {
             SimError::ActorFailure { actor, time, reason } => {
                 assert_eq!(*actor, 0);
                 assert!((*time - 1.0).abs() < 1e-12, "failed at t={time}");
-                assert!(reason.contains("line 17"), "{reason}");
+                assert!(reason.to_string().contains("line 17"), "{reason}");
             }
             other => panic!("expected actor failure, got {other}"),
         }

@@ -71,7 +71,7 @@ impl std::fmt::Display for WaitFor {
 }
 
 /// Why a simulation did not run to completion.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum SimError {
     /// No events remain but live actors are still blocked: the replayed
     /// trace (or actor program) is not self-consistent.
@@ -88,8 +88,8 @@ pub enum SimError {
         actor: ActorId,
         /// Simulated time at which the failure was reported.
         time: f64,
-        /// The actor's own description of what went wrong.
-        reason: String,
+        /// The error the actor failed with, as it gave it.
+        reason: Box<dyn std::error::Error + Send + Sync>,
     },
     /// The engine caught an actor doing something structurally invalid
     /// (waiting on a foreign or unknown operation, sending to a rank

@@ -348,19 +348,6 @@ impl System {
         }))
     }
 
-    /// Removes a constraint. Callers must have removed all variables
-    /// crossing it first.
-    pub fn remove_constraint(&mut self, id: CnstId) {
-        assert!(
-            self.cnsts[id.0].vars.is_empty(),
-            "constraint removed while variables still cross it"
-        );
-        self.cnsts
-            .try_remove(id.0)
-            // panics: kernel invariant; violation means simulator state corruption
-            .expect("remove_constraint: constraint already removed");
-    }
-
     fn mark_cnst_dirty(&mut self, c: usize) {
         let cn = &mut self.cnsts[c];
         if !cn.queued_dirty {
@@ -437,11 +424,6 @@ impl System {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.cnsts.len()
-    }
-
     /// True when the system changed since the last solve.
     pub fn is_dirty(&self) -> bool {
         self.dirty
@@ -459,11 +441,13 @@ impl System {
     /// called on a *clean* system (`!is_dirty()`): scratch state is not
     /// captured, so a pending incremental solve would be lost.
     ///
-    /// The per-constraint `vars` order and the slab free-lists are part
-    /// of the snapshot because [`fill`](System::solve) subtracts shares
-    /// in `vars` order — floating-point subtraction is order-sensitive,
-    /// so restoring a permuted layout would drift the solved rates by
-    /// ulps and break bit-identical resume.
+    /// The slab free-lists are part of the snapshot because index reuse
+    /// follows them, and a variable's id fixes its place in every fill:
+    /// both [`solve`](System::solve) and
+    /// [`solve_dirty`](System::solve_dirty) subtract shares in ascending
+    /// variable id. A constraint's `vars` list is kept only as the
+    /// adjacency the island search walks, so its order is not state: a
+    /// snapshot restored with the lists permuted solves to the same bits.
     pub fn export_snapshot(&self) -> Result<LmmSnapshot, String> {
         if self.dirty {
             return Err("lmm snapshot requested while system is dirty".into());
@@ -492,9 +476,9 @@ impl System {
         })
     }
 
-    /// Rebuilds a system from a snapshot, byte-exact: slab layouts,
-    /// free-lists and per-constraint variable order are restored
-    /// verbatim; scratch state is reset; the system starts clean.
+    /// Rebuilds a system from a snapshot: slab layouts, free-lists and
+    /// per-constraint variable lists are restored verbatim; scratch
+    /// state is reset; the system starts clean.
     pub fn restore_snapshot(snap: &LmmSnapshot) -> Result<Self, String> {
         let cnsts = Slab::from_raw(
             snap.cnsts
@@ -1102,6 +1086,58 @@ mod tests {
         for v in [v1, v3, n1] {
             assert_eq!(s.rate(v).to_bits(), r.rate(v).to_bits());
         }
+    }
+
+    /// Both fills subtract in ascending variable id, so the order of a
+    /// constraint's variable list is not state: a snapshot restored
+    /// with every list permuted solves to the same rate bits, in full
+    /// and incremental solves, before and after the system changes.
+    #[test]
+    fn permuted_constraint_lists_restore_to_the_same_bits() {
+        let mut s = System::new();
+        let caps = [1.0 / 3.0, 0.7, 2.0 / 7.0, 1.1, 0.9];
+        let c: Vec<CnstId> = caps.iter().map(|&cap| s.new_constraint(cap)).collect();
+        let mut vars = Vec::new();
+        for i in 0..14usize {
+            let route = [c[i % 5], c[(i * 3 + 1) % 5], c[(i * 7 + 2) % 5]];
+            let bound = if i % 4 == 0 { 0.05 + i as f64 / 97.0 } else { f64::INFINITY };
+            vars.push(s.new_variable(bound, &route[..=i % 3]));
+        }
+        s.solve_dirty(&mut Vec::new());
+        // Shape the layout: vacant slots, and lists out of id order.
+        for v in [vars[3], vars[8], vars[0]] {
+            s.remove_variable(v);
+        }
+        vars.push(s.new_variable(f64::INFINITY, &[c[2], c[4]]));
+        s.solve_dirty(&mut Vec::new());
+
+        let snap = s.export_snapshot().unwrap();
+        let mut permuted = snap.clone();
+        for (i, cn) in permuted.cnsts.iter_mut().flatten().enumerate() {
+            cn.vars.reverse();
+            let n = cn.vars.len();
+            cn.vars.rotate_left(i % n.max(1));
+        }
+        assert_ne!(permuted, snap, "the lists must actually move");
+        let mut a = System::restore_snapshot(&snap).unwrap();
+        let mut b = System::restore_snapshot(&permuted).unwrap();
+        let same = |a: &System, b: &System| {
+            assert_eq!(a.num_variables(), b.num_variables());
+            for (v, var) in a.vars.iter() {
+                assert_eq!(var.value.to_bits(), b.rate(VarId(v)).to_bits(), "variable {v}");
+            }
+        };
+        same(&a, &b);
+        for sys in [&mut a, &mut b] {
+            sys.remove_variable(vars[1]);
+            sys.new_variable(f64::INFINITY, &[c[0], c[1], c[3]]);
+            sys.set_bound(vars[4], 0.02);
+            sys.solve_dirty(&mut Vec::new());
+        }
+        same(&a, &b);
+        a.solve();
+        b.solve();
+        same(&a, &b);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! i.e. 8 parameters: 2 segment boundaries plus a latency and a bandwidth
 //! correction factor per segment (Section 5).
 
+use crate::resource::Route;
+
 /// One segment of the piece-wise linear model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
@@ -143,6 +145,33 @@ impl NetworkConfig {
     /// Contention-free constant model (related-work baseline).
     pub fn constant() -> Self {
         NetworkConfig { contention: false, ..Default::default() }
+    }
+
+    /// Whether a send of `size` bytes is eager (the sender is released
+    /// at post time) rather than rendezvous.
+    pub fn is_eager(&self, size: f64) -> bool {
+        size <= self.eager_threshold
+    }
+
+    /// The rate bound of one flow over `route`, shared links aside: the
+    /// route's fat-pipe bound, capped by the TCP window
+    /// `gamma / (2 × latency)`; without contention, by the narrowest
+    /// link too. A flow no shared link constrains and no finite cap
+    /// bounds runs at the narrowest link's speed.
+    pub fn flow_bound(&self, route: &Route) -> f64 {
+        let mut bound = route.bound;
+        if let Some(gamma) = self.tcp_gamma {
+            if route.latency > 0.0 {
+                bound = bound.min(gamma / (2.0 * route.latency));
+            }
+        }
+        if !self.contention {
+            bound = bound.min(route.min_bw);
+        }
+        if (!self.contention || route.shared.is_empty()) && bound.is_infinite() {
+            bound = route.min_bw;
+        }
+        bound
     }
 }
 

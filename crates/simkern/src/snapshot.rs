@@ -7,9 +7,11 @@
 //! engine structures give different answers when rebuilt in a
 //! different order:
 //!
-//! * the LMM solver subtracts shares in per-constraint variable order
-//!   (floating-point subtraction is order-sensitive), and slab index
-//!   reuse follows free-list order;
+//! * slab index reuse follows free-list order, and a variable's slab
+//!   id fixes its place in the LMM solver's fills, which subtract
+//!   shares in ascending id (floating-point subtraction is
+//!   order-sensitive; the order of a constraint's variable list is not
+//!   state, see [`crate::lmm::System::export_snapshot`]);
 //! * activities carry partially-integrated `remaining` values that
 //!   cannot be recomputed from volumes.
 //!

@@ -21,11 +21,13 @@
 #![forbid(unsafe_code)]
 
 pub mod edf;
+pub mod mpi;
 pub mod records;
 pub mod reader;
 pub mod writer;
 
 pub use edf::{EventDef, EventKind, EventRegistry};
+pub use mpi::MpiCall;
 pub use reader::{read_trace_file, TraceCallbacks};
 pub use records::{Record, RecordKind, RECORD_BYTES};
 pub use writer::TauWriter;

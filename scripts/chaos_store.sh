@@ -8,8 +8,10 @@
 # typed diagnostic naming the damaged segment — never a panic, never a
 # silently wrong time — and --degraded replay must exit 3 with a
 # completeness ratio strictly below 1.0. The undamaged store must exit
-# 0 with ratio 1.0, and a store with a truncated tail must refuse to
-# open at all (exit 1 from both modes).
+# 0 with ratio 1.0, a budget smaller than one segment must be refused
+# with a typed memory error (exit 1 from both modes: the environment,
+# not damage), and a store with a truncated tail must refuse to open at
+# all (exit 1 from both modes).
 #
 # Part 2 — memory-budget smoke at scale: a 128-rank generator-fed
 # store far larger than the budget replays to completion under
@@ -71,6 +73,21 @@ if [ "$r" != "1" ] && [ "$r" != "1.0" ]; then
   exit 1
 fi
 echo "chaos_store:   clean: strict exit 0, degraded ratio $r"
+
+echo "chaos_store: part 1 — an impossible budget is refused, not damage"
+# A budget below one segment is the environment, not damage: --degraded
+# must refuse it with the same typed error (exit 1) as a strict replay.
+for mode in strict degraded; do
+  flags=()
+  [ "$mode" = degraded ] && flags=(--degraded)
+  expect_code 1 "$REPLAY" --store "$work/ring.tib2" --np 8 "${flags[@]}" --mem-budget 64
+  grep -q "memory budget exceeded" "$work/out.txt" || {
+    echo "chaos_store: FAIL: $mode: no typed budget refusal" >&2
+    cat "$work/out.txt" >&2
+    exit 1
+  }
+done
+echo "chaos_store:   --mem-budget 64: strict and degraded exit 1 (memory budget exceeded)"
 
 echo "chaos_store: part 1 — seeded segment flips fail closed or degrade"
 for seed in 1 2 3 4 5; do

@@ -11,7 +11,7 @@
 //! the engine has drifted — both are bugs.
 
 use proptest::prelude::*;
-use titr::analyze::{analyze, bounds, AnalyzeConfig, Pattern};
+use titr::analyze::{analyze, bounds, Pattern};
 use titr::npb::ring::RingConfig;
 use titr::npb::stencil::StencilConfig;
 use titr::npb::{program_trace, Class, LuConfig};
@@ -47,11 +47,10 @@ fn assert_sandwich(trace: &TiTrace, tag: &str) {
         for algo in [CollectiveAlgo::Binomial, CollectiveAlgo::Flat] {
             let platform = desc.build();
             let hosts = deployment.host_ids(&platform);
-            let cfg = AnalyzeConfig { network: net(), algo, ..Default::default() };
-            let (lower, upper) = bounds(trace, &platform, &hosts, &cfg)
+            let cfg = ReplayConfig { network: net(), algo, ..ReplayConfig::default() };
+            let (lower, upper) = bounds(trace, &platform, &hosts, &cfg, 1)
                 .unwrap_or_else(|e| panic!("{tag}/{net_name}: analysis failed: {e}"));
-            let rcfg = ReplayConfig { network: net(), algo, ..ReplayConfig::default() };
-            let out = replay_memory(trace, platform, &hosts, &rcfg)
+            let out = replay_memory(trace, platform, &hosts, &cfg)
                 .unwrap_or_else(|e| panic!("{tag}/{net_name}: replay failed: {e}"));
             let sim = out.simulated_time;
             let slop = EPS * sim.abs().max(1.0);
@@ -114,14 +113,14 @@ fn classifier_recognizes_the_seeded_workloads() {
     let desc = PlatformDesc::single(presets::bordereau_one_core(np));
     let platform = desc.build();
     let hosts = Deployment::round_robin(&desc.host_names(), np).host_ids(&platform);
-    let cfg = AnalyzeConfig::default();
+    let cfg = ReplayConfig::default();
 
     let ring = RingConfig { nproc: np, iters: 2, ..Default::default() }.trace();
-    let a = analyze(&ring, &platform, &hosts, &cfg).unwrap();
+    let a = analyze(&ring, &platform, &hosts, &cfg, 1).unwrap();
     assert_eq!(a.structure.pattern, Pattern::Ring);
 
     let st = StencilConfig { n: 64, px: 2, py: 2, iters: 2, check_every: 1, ..Default::default() };
-    let a = analyze(&st.trace(), &platform, &hosts, &cfg).unwrap();
+    let a = analyze(&st.trace(), &platform, &hosts, &cfg, 1).unwrap();
     assert_eq!(a.structure.pattern, Pattern::Stencil);
 }
 

@@ -135,7 +135,7 @@ proptest! {
 /// The analyzer report JSON parses too, with bounds where expected.
 #[test]
 fn analyze_report_json_is_parseable() {
-    use titr::analyze::{analyze, AnalyzeConfig};
+    use titr::analyze::analyze;
     use titr::npb::ring::RingConfig;
     use titr::platform::deployment::Deployment;
     use titr::platform::desc::PlatformDesc;
@@ -146,7 +146,8 @@ fn analyze_report_json_is_parseable() {
     let desc = PlatformDesc::single(presets::bordereau_one_core(np));
     let platform = desc.build();
     let hosts = Deployment::round_robin(&desc.host_names(), np).host_ids(&platform);
-    let a = analyze(&trace, &platform, &hosts, &AnalyzeConfig::default()).unwrap();
+    let cfg = titr::replay::ReplayConfig::default();
+    let a = analyze(&trace, &platform, &hosts, &cfg, 1).unwrap();
     let json = parse(&a.to_json()).expect("analyze JSON must parse");
     assert_eq!(json.get("schema").and_then(|s| s.as_str()), Some("tit-analyze-v1"));
     let lower = json.get("bounds").and_then(|b| b.get("lower_s")).and_then(Json::as_f64);
