@@ -93,18 +93,22 @@ fn write_ring(dir: &Path, iters: usize) -> u64 {
 }
 
 /// One closed-loop client: its own connection, `quota` sequential
-/// requests, returning per-request latencies in seconds.
+/// requests, returning per-request latencies in seconds. Each request
+/// goes out in one write with Nagle off, so no request waits for the
+/// server's delayed ACK of a previous segment.
 fn client(port: u16, line: &str, quota: usize) -> Vec<f64> {
+    let s = TcpStream::connect(("127.0.0.1", port)).and_then(|s| s.set_nodelay(true).map(|()| s));
     // panics: the server was started by this process, so failure is a bench bug
-    let s = TcpStream::connect(("127.0.0.1", port)).expect("connect to bench server");
+    let s = s.expect("connect to bench server");
     // panics: cloning a live loopback socket fails only on fd exhaustion
     let mut r = BufReader::new(s.try_clone().expect("clone bench socket"));
     let mut w = s;
+    let request = format!("{line}\n");
     let mut latencies = Vec::with_capacity(quota);
     for _ in 0..quota {
         let t0 = Instant::now();
         // panics: the in-process server never closes a connection mid-session
-        writeln!(w, "{line}").expect("send bench request");
+        w.write_all(request.as_bytes()).expect("send bench request");
         let mut resp = String::new();
         // panics: the in-process server never closes a connection mid-session
         r.read_line(&mut resp).expect("read bench response");

@@ -1035,6 +1035,34 @@ fn store_checkpoint_bytes_match_an_earlier_build() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The kernel's counters are pinned across builds, not only across runs:
+/// on the evicting LU S x16 store of
+/// [`store_checkpoint_bytes_match_an_earlier_build`], each kernel's
+/// deterministic profile equals the one an earlier build wrote.
+#[test]
+fn kernel_profile_counters_match_an_earlier_build() {
+    let dir = std::env::temp_dir().join(format!("titr-kpgolden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (store, kp) = (dir.join("lu16.tib2"), dir.join("kp.json"));
+    let (store, kp) = (store.to_str().unwrap(), kp.to_str().unwrap());
+    let gen = ["--tib2", store, "--np", "16", "--pattern", "lu", "--class", "S", "--iters", "2"];
+    let gen = [&gen[..], &["--seg-actions", "32"]].concat();
+    let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-gen"), &gen);
+    assert!(ok, "{msg}");
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for kernel in ["reference", "incremental"] {
+        let replay = ["--store", store, "--mem-budget", "16K", "--kernel", kernel];
+        let replay = [&replay[..], &["--kernel-profile", kp]].concat();
+        let (ok, msg) = run(env!("CARGO_BIN_EXE_tit-replay"), &replay);
+        assert!(ok, "{msg}");
+        let golden = fixtures.join(format!("lu16-kprof-{kernel}.json"));
+        let want = std::fs::read_to_string(golden).unwrap();
+        assert_eq!(std::fs::read_to_string(kp).unwrap(), want, "{kernel}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The store summary gives the segment budget and the governor's peak
 /// in exact bytes, the unit of `--metrics`, so a 16 KiB budget that
 /// filled does not read as nothing.

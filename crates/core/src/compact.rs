@@ -248,11 +248,6 @@ impl CompactTrace {
         self.ranks.iter().map(|c| c.len()).sum()
     }
 
-    /// Number of actions of one rank (0 for out-of-range ranks).
-    pub fn rank_len(&self, rank: usize) -> usize {
-        self.ranks.get(rank).map_or(0, |c| c.len())
-    }
-
     /// Every rank's columns, in rank order: what replay cursors read.
     pub fn columns(&self) -> &[Arc<SegmentColumns>] {
         &self.ranks
@@ -392,8 +387,8 @@ mod tests {
         t.push(2, Action::Barrier);
         let c = CompactTrace::from_trace(&t).unwrap();
         assert_eq!(c.num_processes(), 4);
-        assert_eq!(c.rank_len(0), 0);
-        assert_eq!(c.rank_len(2), 1);
+        assert_eq!(c.columns()[0].len(), 0);
+        assert_eq!(c.columns()[2].len(), 1);
         assert_eq!(c.to_trace(), t);
     }
 
@@ -405,11 +400,11 @@ mod tests {
         }
         let c = CompactTrace::from_trace(&t).unwrap();
         let via_iter: Vec<Action> = c.iter_rank(1).collect();
-        let via_get: Vec<Action> =
-            (0..c.rank_len(1)).map(|i| c.get(1, i).unwrap()).collect();
+        let n = t.actions[1].len();
+        let via_get: Vec<Action> = (0..n).map(|i| c.get(1, i).unwrap()).collect();
         assert_eq!(via_iter, via_get);
         assert_eq!(via_iter, t.actions[1]);
-        assert_eq!(c.get(1, c.rank_len(1)), None);
+        assert_eq!(c.get(1, n), None);
         assert_eq!(c.get(7, 0), None);
         assert_eq!(c.iter_rank(7).count(), 0);
     }

@@ -54,7 +54,6 @@
 use crate::action::Action;
 use crate::checkpoint::{fnv1a, Dec, Enc};
 use crate::compact::{decode_parts, encode_parts, tag, CompactError, CompactTrace, NO_PEER};
-use crate::ingest::for_each_rank;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -230,27 +229,6 @@ impl SegmentColumns {
         self.tags.push(t);
         self.peers.push(peer);
         self.vols.push(vol);
-        Ok(())
-    }
-
-    /// Appends another segment's actions, rebasing its side-table
-    /// indices onto this one's side table. Fails only when the joined
-    /// side table outgrows the `u32` index range.
-    pub(crate) fn append(&mut self, seg: &SegmentColumns) -> Result<(), CompactError> {
-        if self.aux.len() + seg.aux.len() > NO_PEER as usize {
-            return Err(CompactError::TooManyReduces);
-        }
-        let base = self.aux.len() as u32;
-        self.tags.extend_from_slice(&seg.tags);
-        self.vols.extend_from_slice(&seg.vols);
-        self.peers.extend(seg.tags.iter().zip(&seg.peers).map(|(&t, &peer)| {
-            if t == tag::REDUCE || t == tag::ALLREDUCE {
-                peer + base
-            } else {
-                peer
-            }
-        }));
-        self.aux.extend_from_slice(&seg.aux);
         Ok(())
     }
 
@@ -497,7 +475,8 @@ pub fn write_compact_atomic(
 }
 
 /// Converts a per-process text trace directory into a `TIB2` store.
-/// Parsing fans out over `jobs` workers ([`for_each_rank`]); the store
+/// Parsing fans out over `jobs` workers
+/// ([`for_each_rank`](crate::ingest::for_each_rank)); the store
 /// itself is written serially in rank order, so the output bytes are
 /// identical for every `jobs` value.
 pub fn convert_dir_atomic(
@@ -712,22 +691,6 @@ impl Tib2Store {
     pub fn verify_segment(&self, rank: usize, seg: usize) -> Result<(), StoreError> {
         self.read_segment(rank, seg).map(|_| ())
     }
-
-    /// Full-store verification sweep in O(one segment) memory: every
-    /// segment is read, checksummed and structurally decoded; damage
-    /// reports come back per segment (an empty list means the store is
-    /// bit-exact). This is what `--degraded` store replay runs first.
-    pub fn verify(&self) -> Vec<StoreError> {
-        let mut damage = Vec::new();
-        for rank in 0..self.num_ranks() {
-            for seg in 0..self.num_segments(rank) {
-                if let Err(e) = self.verify_segment(rank, seg) {
-                    damage.push(e);
-                }
-            }
-        }
-        damage
-    }
 }
 
 /// Decodes and sanity-checks the footer index.
@@ -832,43 +795,6 @@ fn decode_payload(payload: &[u8], n: usize) -> Result<SegmentColumns, String> {
     Ok(SegmentColumns { tags, peers, vols, aux })
 }
 
-/// Loads a whole store into a fully-resident [`CompactTrace`],
-/// verifying every segment. Decoding fans out over `jobs` workers at
-/// **segment** granularity using the footer index (no parsing, no
-/// scanning — each work unit seeks straight to its segment), so a
-/// store with few ranks but many segments still saturates the worker
-/// pool; each rank's segments are then concatenated in order, so the
-/// result is identical for every `jobs` value. On damage, the error
-/// of the rank-major-first failing segment is returned — exactly what
-/// a serial loop would have stopped at.
-pub fn load_compact_store(store: &Tib2Store, jobs: usize) -> Result<CompactTrace, StoreError> {
-    // One work unit per segment, flattened in rank-major order.
-    let units: Vec<(usize, usize)> = (0..store.num_ranks())
-        .flat_map(|rank| (0..store.num_segments(rank)).map(move |seg| (rank, seg)))
-        .collect();
-    let cols: Vec<SegmentColumns> = for_each_rank(units.len(), jobs, |i| {
-        let (rank, seg) = units[i];
-        store.read_segment(rank, seg)
-    })?;
-    let mut segs = cols.into_iter();
-    let mut ranks = Vec::with_capacity(store.num_ranks());
-    for rank in 0..store.num_ranks() {
-        let parts: Vec<SegmentColumns> = segs.by_ref().take(store.num_segments(rank)).collect();
-        let mut joined = SegmentColumns::with_capacity(parts.iter().map(SegmentColumns::len).sum());
-        joined.aux.reserve_exact(parts.iter().map(|p| p.aux.len()).sum());
-        for part in &parts {
-            // A validated segment's side table always rebase-fits: the
-            // store's total side-table entries were interned once
-            // already at write time.
-            joined.append(part).map_err(|e| StoreError::FooterDamaged {
-                detail: format!("side table overflow while stitching: {e}"),
-            })?;
-        }
-        ranks.push(joined);
-    }
-    Ok(CompactTrace::from_ranks(ranks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,6 +818,20 @@ mod tests {
             }
         }
         CompactTrace::from_trace(&t).unwrap()
+    }
+
+    /// Every rank's actions, read back segment by segment.
+    fn read_back(store: &Tib2Store) -> TiTrace {
+        let mut t = TiTrace::new(store.num_ranks());
+        for rank in 0..store.num_ranks() {
+            for seg in 0..store.num_segments(rank) {
+                let cols = store.read_segment(rank, seg).unwrap();
+                for i in 0..cols.len() {
+                    t.push(rank, cols.action(i));
+                }
+            }
+        }
+        t
     }
 
     fn write_tmp(trace: &CompactTrace, seg_actions: usize) -> (tempdir::TempDir, PathBuf) {
@@ -937,48 +877,13 @@ mod tests {
         assert_eq!(store.num_ranks(), 4);
         assert_eq!(store.num_actions() as usize, trace.num_actions());
         assert!(store.num_segments(0) > 1, "expected multiple segments");
-        let back = load_compact_store(&store, 1).unwrap();
+        let back = read_back(&store);
         // NaN vols (unannotated receives) defeat derived equality;
         // compare the decoded trace and the re-serialized bytes.
-        assert_eq!(back.to_trace(), trace.to_trace());
+        assert_eq!(back, trace.to_trace());
         let reser = dir.path().join("reser.tib2");
-        write_compact_atomic(&reser, &back, 64).unwrap();
+        write_compact_atomic(&reser, &CompactTrace::from_trace(&back).unwrap(), 64).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&reser).unwrap());
-    }
-
-    #[test]
-    fn parallel_load_equals_serial() {
-        let trace = sample_trace(6, 700);
-        let (dir, path) = write_tmp(&trace, 128);
-        let store = Tib2Store::open(&path).unwrap();
-        let serial = load_compact_store(&store, 1).unwrap();
-        let parallel = load_compact_store(&store, 4).unwrap();
-        // Byte-identity across --jobs values: re-serialize both loads.
-        let ps = dir.path().join("serial.tib2");
-        let pp = dir.path().join("parallel.tib2");
-        write_compact_atomic(&ps, &serial, 128).unwrap();
-        write_compact_atomic(&pp, &parallel, 128).unwrap();
-        assert_eq!(std::fs::read(&ps).unwrap(), std::fs::read(&pp).unwrap());
-        assert_eq!(std::fs::read(&ps).unwrap(), std::fs::read(&path).unwrap());
-    }
-
-    #[test]
-    fn parallel_load_is_segment_granular_on_a_single_rank() {
-        // One rank, many segments: rank-granular fan-out would leave
-        // every worker but one idle; segment-granular fan-out must
-        // still produce the serial loader's exact bytes.
-        let trace = sample_trace(1, 3000);
-        let (dir, path) = write_tmp(&trace, 64);
-        let store = Tib2Store::open(&path).unwrap();
-        assert!(store.num_segments(0) > 8);
-        let serial = load_compact_store(&store, 1).unwrap();
-        let parallel = load_compact_store(&store, 4).unwrap();
-        let ps = dir.path().join("serial.tib2");
-        let pp = dir.path().join("parallel.tib2");
-        write_compact_atomic(&ps, &serial, 64).unwrap();
-        write_compact_atomic(&pp, &parallel, 64).unwrap();
-        assert_eq!(std::fs::read(&ps).unwrap(), std::fs::read(&pp).unwrap());
-        assert_eq!(std::fs::read(&ps).unwrap(), std::fs::read(&path).unwrap());
     }
 
     #[test]
@@ -999,7 +904,7 @@ mod tests {
         assert_eq!(store.num_ranks(), 4);
         assert_eq!(store.num_segments(0), 0);
         assert_eq!(store.rank_actions(2), 1);
-        assert_eq!(load_compact_store(&store, 1).unwrap().to_trace(), t);
+        assert_eq!(read_back(&store), t);
     }
 
     #[test]
@@ -1022,7 +927,9 @@ mod tests {
         // Sibling segments still verify.
         store.read_segment(1, 0).unwrap();
         store.read_segment(0, 0).unwrap();
-        assert_eq!(store.verify().len(), 1);
+        let segs = (0..2).flat_map(|r| (0..store.num_segments(r)).map(move |g| (r, g)));
+        let damaged: Vec<_> = segs.filter(|&(r, g)| store.verify_segment(r, g).is_err()).collect();
+        assert_eq!(damaged, [(1, 2)]);
     }
 
     #[test]

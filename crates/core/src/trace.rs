@@ -59,11 +59,6 @@ impl TiTrace {
         Ok(t)
     }
 
-    /// Parses a merged trace from a string.
-    pub fn from_str_merged(s: &str) -> Result<Self, ParseError> {
-        Self::from_reader(s.as_bytes())
-    }
-
     /// Loads a merged trace file.
     pub fn load_merged(path: &Path) -> std::io::Result<Self> {
         let f = File::open(path)?;

@@ -607,7 +607,8 @@ mod tests {
         );
         // The named segment — and only it — fails verification.
         let s = tit_core::Tib2Store::open(&a).unwrap();
-        let errs = s.verify();
+        let segs = (0..s.num_ranks()).flat_map(|r| (0..s.num_segments(r)).map(move |g| (r, g)));
+        let errs: Vec<_> = segs.filter_map(|(r, g)| s.verify_segment(r, g).err()).collect();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(
             matches!(&errs[0], tit_core::StoreError::SegmentDamaged { rank: r, segment: sg, .. }

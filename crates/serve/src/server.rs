@@ -158,6 +158,10 @@ fn supervise(
             // the flag is set: dropped unserved.
             Ok(_) if drain.is_set() => break,
             Ok((stream, _)) => {
+                // Responses go out as soon as they are flushed, not
+                // after the client's delayed ACK. Best effort: a socket
+                // that refuses it is served all the same.
+                let _ = stream.set_nodelay(true);
                 let sh = Arc::clone(shared);
                 let dr = Arc::clone(drain);
                 std::thread::spawn(move || serve_connection(stream, &sh, &dr));

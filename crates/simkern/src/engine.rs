@@ -331,10 +331,21 @@ pub struct Engine {
     /// Start wakes already enqueued? Restored engines resume with this
     /// set so actors are not started a second time.
     started: bool,
-    /// Kernel self-profiling counters, allocated only while enabled so
-    /// the disabled path costs one untaken branch per phase. Excluded
-    /// from snapshots (profiling state, not simulation state).
-    kprof: Option<Box<crate::kprof::KernelProfile>>,
+    /// Kernel self-profiling counters, kept on every run; the wall
+    /// phases fill only while `profiled`. Excluded from snapshots
+    /// (profiling state, not simulation state).
+    kprof: crate::kprof::KernelProfile,
+    /// Set by [`Engine::enable_kernel_profiling`]: the loop times its
+    /// phases and [`Engine::take_kernel_profile`] hands the profile out.
+    profiled: bool,
+}
+
+/// The items one loop dispatches back to back: the timed events, or
+/// the activity completions, due at one instant (docs/KERNEL.md §4).
+#[derive(Clone, Copy)]
+enum Batch {
+    Events(f64),
+    Completions(f64),
 }
 
 /// How a [`Engine::run_until`] call ended.
@@ -392,7 +403,8 @@ impl Engine {
             ops_completed: 0,
             failure: None,
             started: false,
-            kprof: None,
+            kprof: crate::kprof::KernelProfile::default(),
+            profiled: false,
         }
     }
 
@@ -413,23 +425,27 @@ impl Engine {
         self.observer = Some(obs);
     }
 
-    /// Turns on kernel self-profiling (see [`crate::kprof`]). Counters
-    /// accumulate from this call on; the simulated outcome is
-    /// byte-identical with or without profiling.
+    /// Turns on kernel self-profiling (see [`crate::kprof`]): the
+    /// counters, kept on every run, are handed out by
+    /// [`Engine::take_kernel_profile`], and the loop's wall is timed
+    /// per phase. The simulated outcome is byte-identical with or
+    /// without profiling.
     pub fn enable_kernel_profiling(&mut self) {
-        if self.kprof.is_none() {
-            self.kprof = Some(Box::default());
-        }
+        self.profiled = true;
     }
 
     /// Detaches and returns the kernel profile (after `run`), with the
     /// solver counters and completed-op total filled in. `None` when
     /// profiling was never enabled.
     pub fn take_kernel_profile(&mut self) -> Option<crate::kprof::KernelProfile> {
-        let mut kp = self.kprof.take()?;
-        kp.solver = self.lmm.stats();
-        kp.ops_completed = self.ops_completed;
-        Some(*kp)
+        if !std::mem::take(&mut self.profiled) {
+            return None;
+        }
+        Some(crate::kprof::KernelProfile {
+            solver: self.lmm.stats(),
+            ops_completed: self.ops_completed,
+            ..std::mem::take(&mut self.kprof)
+        })
     }
 
     /// The simulated platform.
@@ -475,27 +491,34 @@ impl Engine {
     }
 
     /// Runs the simulation until completion or until `pause` asks for a
-    /// stop. The guard is consulted at every *safe point* — the top of
-    /// the engine loop, where the run queue is drained, no failure is
-    /// pending and activity rates are current — which is exactly where
-    /// [`Engine::export_state`] is allowed. A paused engine continues
-    /// with another `run_until` call; the guard is never consulted on
-    /// an already-finished simulation.
+    /// stop. The guard is consulted at every *safe point* — before the
+    /// first item of each batch of same-instant items, where the run
+    /// queue is drained, no failure is pending and activity rates are
+    /// current — which is exactly where [`Engine::export_state`] is
+    /// allowed. A paused engine continues with another `run_until`
+    /// call; the guard is never consulted on an already-finished
+    /// simulation.
     pub fn run_until(
         &mut self,
         pause: &mut dyn FnMut(&Engine) -> bool,
     ) -> Result<RunStatus, SimError> {
-        let t_run = self.kprof.as_ref().map(|_| std::time::Instant::now());
-        let result = self.run_loop(pause);
-        if let (Some(t0), Some(kp)) = (t_run, self.kprof.as_mut()) {
-            kp.wall.total_s += t0.elapsed().as_secs_f64();
+        let start = self.profiled.then(std::time::Instant::now);
+        let result = self.run_loop(pause, crate::kprof::Laps(start));
+        if let Some(t0) = start {
+            self.kprof.wall.total_s += t0.elapsed().as_secs_f64();
         }
         result
     }
 
+    /// One loop: drain the run queue, solve, then dispatch one timed
+    /// event or activity completion. Items due at one instant form a
+    /// batch; the pause guard runs only before a batch's first item,
+    /// and stale completion tops are refreshed after each completion
+    /// and when a batch ends, never between same-instant events.
     fn run_loop(
         &mut self,
         pause: &mut dyn FnMut(&Engine) -> bool,
+        mut laps: crate::kprof::Laps,
     ) -> Result<RunStatus, SimError> {
         if !self.started {
             self.started = true;
@@ -503,110 +526,55 @@ impl Engine {
                 self.runq.push_back((a, Wake::Start));
             }
         }
+        let mut batch = None;
         loop {
-            let t0 = self.kprof.as_ref().map(|_| std::time::Instant::now());
             self.drain_runq();
-            if let (Some(t0), Some(kp)) = (t0, self.kprof.as_mut()) {
-                kp.wall.drain_s += t0.elapsed().as_secs_f64();
-            }
+            laps.lap(&mut self.kprof.wall.drain_s);
             if let Some(e) = self.failure.take() {
                 return Err(e);
             }
-            let t0 = self.kprof.as_ref().map(|_| std::time::Instant::now());
             self.resolve_if_dirty();
-            if let (Some(t0), Some(kp)) = (t0, self.kprof.as_mut()) {
-                kp.wall.solve_s += t0.elapsed().as_secs_f64();
-            }
-            self.refresh_stale_tops();
-            // Next event: the earlier of the timed-event queue and the
-            // earliest predicted activity completion (ties: timed events
-            // first — they can only start new work, never unfinish it).
             let t_ev = self.events.peek().map(|Reverse(e)| e.time);
-            let t_act = self.completions.peek().map(|(t, _)| t);
-            if t_ev.is_none() && t_act.is_none() {
-                break;
-            }
-            if pause(self) {
-                return Ok(RunStatus::Paused(self.clock));
-            }
-            match (t_ev, t_act) {
-                (None, None) => break,
-                (Some(te), ta) if ta.map(|ta| te <= ta).unwrap_or(true) => {
-                    let t0 = self.kprof.as_ref().map(|_| std::time::Instant::now());
-                    // Batch: dispatch every timed event at exactly `te`
-                    // before re-checking the pause guard — one trip
-                    // through the loop head per *timestamp*, not per
-                    // event. The drain/resolve interleaving is the same
-                    // as the outer loop's, so the operation sequence
-                    // (and thus every simulated bit) is unchanged.
-                    loop {
-                        // panics: kernel invariant; violation means simulator state corruption
-                        let Reverse(ev) = self.events.pop().unwrap();
-                        debug_assert!(ev.time >= self.clock - 1e-9);
-                        self.clock = self.clock.max(ev.time);
-                        if let Some(kp) = self.kprof.as_mut() {
-                            kp.heap_pops += 1;
-                            match ev.kind {
-                                EventKind::LatencyDone { .. } => kp.latency_events += 1,
-                                EventKind::SleepDone { .. } => kp.sleep_events += 1,
-                            }
-                        }
-                        match ev.kind {
-                            EventKind::LatencyDone { comm } => self.start_transfer(comm),
-                            EventKind::SleepDone { op } => self.complete_op(op),
-                        }
-                        self.drain_runq();
-                        if self.failure.is_some() {
-                            break;
-                        }
-                        self.resolve_if_dirty();
-                        match self.events.peek() {
-                            Some(Reverse(e2)) if e2.time == te => {}
-                            _ => break,
-                        }
+            // Same-instant timed events go back to back; every other
+            // item is picked from a fresh completion top.
+            if !matches!(batch, Some(Batch::Events(t)) if t_ev == Some(t)) {
+                self.refresh_stale_tops();
+                // Timed events keep tie priority: one due by `t` ends a
+                // completion batch (new events are never earlier than
+                // the clock, so nothing is skipped).
+                batch = batch.filter(|&b| match b {
+                    Batch::Events(_) => false,
+                    Batch::Completions(t) => {
+                        self.completions.peek().is_some_and(|(t2, _)| t2 == t)
+                            && !t_ev.is_some_and(|te| te <= t)
                     }
-                    if let (Some(t0), Some(kp)) = (t0, self.kprof.as_mut()) {
-                        kp.wall.events_s += t0.elapsed().as_secs_f64();
+                });
+            }
+            laps.lap(&mut self.kprof.wall.solve_s);
+            let item = match batch {
+                Some(b) => b,
+                None => {
+                    // Next instant: the earlier of the timed-event queue
+                    // and the earliest predicted activity completion
+                    // (ties: timed events first — they can only start
+                    // new work, never unfinish it).
+                    let b = match (t_ev, self.completions.peek().map(|(t, _)| t)) {
+                        (Some(te), ta) if ta.is_none_or(|ta| te <= ta) => Batch::Events(te),
+                        (_, Some(ta)) => Batch::Completions(ta),
+                        _ => break,
+                    };
+                    if pause(self) {
+                        return Ok(RunStatus::Paused(self.clock));
                     }
+                    b
                 }
-                _ => {
-                    let t0 = self.kprof.as_ref().map(|_| std::time::Instant::now());
-                    // Batch same-deadline completions, same discipline
-                    // as the event batch above. Timed events keep tie
-                    // priority: an event pushed *during* the batch at
-                    // this timestamp sends control back to the outer
-                    // loop (new events are never earlier than the
-                    // clock, so nothing can be skipped).
-                    loop {
-                        // panics: kernel invariant; violation means simulator state corruption
-                        let (t, act) = self.completions.pop().unwrap();
-                        debug_assert!(t >= self.clock - 1e-9);
-                        self.clock = self.clock.max(t);
-                        if let Some(kp) = self.kprof.as_mut() {
-                            kp.completion_pops += 1;
-                        }
-                        self.finish_activity(act);
-                        self.drain_runq();
-                        if self.failure.is_some() {
-                            break;
-                        }
-                        self.resolve_if_dirty();
-                        self.refresh_stale_tops();
-                        match self.completions.peek() {
-                            Some((t2, _))
-                                if t2 == t
-                                    && !self
-                                        .events
-                                        .peek()
-                                        .is_some_and(|Reverse(e)| e.time <= t2) => {}
-                            _ => break,
-                        }
-                    }
-                    if let (Some(t0), Some(kp)) = (t0, self.kprof.as_mut()) {
-                        kp.wall.completions_s += t0.elapsed().as_secs_f64();
-                    }
-                }
-            }
+            };
+            batch = Some(item);
+            self.dispatch(item);
+            laps.lap(match item {
+                Batch::Events(_) => &mut self.kprof.wall.events_s,
+                Batch::Completions(_) => &mut self.kprof.wall.completions_s,
+            });
         }
         let blocked: Vec<WaitFor> = self
             .actors
@@ -635,6 +603,38 @@ impl Engine {
         }
     }
 
+    /// Pops the next item of `batch`'s kind, advances the clock to it
+    /// and dispatches it.
+    fn dispatch(&mut self, batch: Batch) {
+        match batch {
+            Batch::Events(_) => {
+                // panics: kernel invariant; violation means simulator state corruption
+                let Reverse(ev) = self.events.pop().unwrap();
+                debug_assert!(ev.time >= self.clock - 1e-9);
+                self.clock = self.clock.max(ev.time);
+                self.kprof.heap_pops += 1;
+                match ev.kind {
+                    EventKind::LatencyDone { comm } => {
+                        self.kprof.latency_events += 1;
+                        self.start_transfer(comm);
+                    }
+                    EventKind::SleepDone { op } => {
+                        self.kprof.sleep_events += 1;
+                        self.complete_op(op);
+                    }
+                }
+            }
+            Batch::Completions(_) => {
+                // panics: kernel invariant; violation means simulator state corruption
+                let (t, act) = self.completions.pop().unwrap();
+                debug_assert!(t >= self.clock - 1e-9);
+                self.clock = self.clock.max(t);
+                self.kprof.completion_pops += 1;
+                self.finish_activity(act);
+            }
+        }
+    }
+
     /// Records the first failure of the run (later ones are byproducts of
     /// the aborted state and would only obscure the root cause).
     fn fail(&mut self, e: SimError) {
@@ -649,10 +649,8 @@ impl Engine {
     fn push_event(&mut self, time: f64, kind: EventKind) {
         self.seq += 1;
         self.events.push(Reverse(Event { time, seq: self.seq, kind }));
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.heap_pushes += 1;
-            kp.heap_peak = kp.heap_peak.max(self.events.len() as u64);
-        }
+        self.kprof.heap_pushes += 1;
+        self.kprof.heap_peak = self.kprof.heap_peak.max(self.events.len() as u64);
     }
 
     /// Integrates an activity's progress up to the current clock.
@@ -675,9 +673,8 @@ impl Engine {
             KernelMode::Reference => self.resolve_reference(),
             KernelMode::Incremental => self.resolve_incremental(),
         }
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.completions_peak = kp.completions_peak.max(self.completions.len() as u64);
-        }
+        let kp = &mut self.kprof;
+        kp.completions_peak = kp.completions_peak.max(self.completions.len() as u64);
     }
 
     /// Oracle resolve: full system re-solve, eager re-key of every
@@ -688,14 +685,13 @@ impl Engine {
         let mut acts = std::mem::take(&mut self.ref_scratch);
         acts.clear();
         acts.extend(self.activities.iter().map(|(id, _)| id));
-        let mut updates = 0u64;
         for &act in &acts {
             let var = self.activities[act].var;
             let new_rate = self.lmm.rate(var);
             if new_rate == self.activities[act].rate {
                 continue;
             }
-            updates += 1;
+            self.kprof.completion_updates += 1;
             self.integrate(act);
             let a = &mut self.activities[act];
             a.rate = new_rate;
@@ -703,9 +699,6 @@ impl Engine {
                 Some(t) => self.completions.set(act, t),
                 None => self.completions.remove(act),
             }
-        }
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.completion_updates += updates;
         }
         self.ref_scratch = acts;
     }
@@ -721,8 +714,6 @@ impl Engine {
         let mut changed = std::mem::take(&mut self.changed_vars);
         changed.clear();
         self.lmm.solve_dirty(&mut changed);
-        let mut updates = 0u64;
-        let mut lazy = 0u64;
         for v in &changed {
             let act = *self
                 .var_act
@@ -741,11 +732,11 @@ impl Engine {
                         // Later than the stored key: defer. The key
                         // stays a valid lower bound on `t`.
                         self.completions.mark_stale(act);
-                        lazy += 1;
+                        self.kprof.lazy_rekeys += 1;
                     }
                     _ => {
                         self.completions.set(act, t);
-                        updates += 1;
+                        self.kprof.completion_updates += 1;
                     }
                 },
                 // Rate zero: completion at infinity — every stored key
@@ -753,14 +744,10 @@ impl Engine {
                 // entry if the rate is still zero when it surfaces.
                 None => {
                     if self.completions.mark_stale(act) {
-                        lazy += 1;
+                        self.kprof.lazy_rekeys += 1;
                     }
                 }
             }
-        }
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.completion_updates += updates;
-            kp.lazy_rekeys += lazy;
         }
         self.changed_vars = changed;
     }
@@ -770,7 +757,6 @@ impl Engine {
     /// hidden beneath a stale top — refreshing only the top yields the
     /// exact eager pop sequence.
     fn refresh_stale_tops(&mut self) {
-        let mut refreshed = 0u64;
         while let Some((_, act)) = self.completions.peek() {
             if !self.completions.is_stale(act) {
                 break;
@@ -779,12 +765,7 @@ impl Engine {
                 Some(t) => self.completions.set(act, t),
                 None => self.completions.remove(act),
             }
-            refreshed += 1;
-        }
-        if refreshed > 0 {
-            if let Some(kp) = self.kprof.as_mut() {
-                kp.stale_pops += refreshed;
-            }
+            self.kprof.stale_pops += 1;
         }
     }
 
@@ -821,9 +802,8 @@ impl Engine {
             self.var_act.resize(var.0 + 1, usize::MAX);
         }
         self.var_act[var.0] = act;
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.activities_peak = kp.activities_peak.max(self.activities.len() as u64);
-        }
+        let kp = &mut self.kprof;
+        kp.activities_peak = kp.activities_peak.max(self.activities.len() as u64);
         act
     }
 
@@ -847,9 +827,7 @@ impl Engine {
         if !self.actors[aid].alive {
             return;
         }
-        if let Some(kp) = self.kprof.as_mut() {
-            kp.actor_steps += 1;
-        }
+        self.kprof.actor_steps += 1;
         if wake == Wake::Start {
             if let Some(obs) = self.observer.as_mut() {
                 obs.actor_started(aid, self.clock);
@@ -967,21 +945,29 @@ impl Engine {
         i
     }
 
+    /// Inserts a pending op posted now and tells the observer it
+    /// started.
+    fn post_op(
+        &mut self,
+        actor: ActorId,
+        kind: OpKind,
+        tag: u32,
+        volume: f64,
+        mailbox: Option<MailboxKey>,
+    ) -> OpId {
+        let t_start = self.clock;
+        let op = Op { actor, kind, tag, t_start, volume, mailbox, state: OpState::Pending };
+        let op = OpId(self.ops.insert(op));
+        if let Some(obs) = self.observer.as_mut() {
+            obs.op_started(actor, tag, t_start);
+        }
+        op
+    }
+
     /// Posts a send. The mailbox's `dst` field must name the receiving
     /// actor (the engine resolves its host for eagerly-started flows).
     fn post_send(&mut self, sender: ActorId, mb: MailboxKey, size: f64, tag: u32) -> OpId {
-        let send_op = OpId(self.ops.insert(Op {
-            actor: sender,
-            kind: OpKind::Send,
-            tag,
-            t_start: self.clock,
-            volume: size,
-            mailbox: Some(mb),
-            state: OpState::Pending,
-        }));
-        if let Some(obs) = self.observer.as_mut() {
-            obs.op_started(sender, tag, self.clock);
-        }
+        let send_op = self.post_op(sender, OpKind::Send, tag, size, Some(mb));
         let eager = self.net.is_eager(size);
         let src_host = self.actors[sender].host;
         let dst_host = match self.actors.get(mb.dst as usize) {
@@ -1040,18 +1026,7 @@ impl Engine {
     }
 
     fn post_recv(&mut self, receiver: ActorId, mb: MailboxKey, tag: u32) -> OpId {
-        let recv_op = OpId(self.ops.insert(Op {
-            actor: receiver,
-            kind: OpKind::Recv,
-            tag,
-            t_start: self.clock,
-            volume: 0.0,
-            mailbox: Some(mb),
-            state: OpState::Pending,
-        }));
-        if let Some(obs) = self.observer.as_mut() {
-            obs.op_started(receiver, tag, self.clock);
-        }
+        let recv_op = self.post_op(receiver, OpKind::Recv, tag, 0.0, Some(mb));
         let matched = self
             .mailboxes
             .get_mut(&mb)
@@ -1150,12 +1125,6 @@ impl Engine {
         // panics: kernel invariant; violation means simulator state corruption
         let recv_op = c.recv_op.expect("finish_comm without a receive");
         self.complete_op(recv_op);
-    }
-
-    /// Number of unmatched sends + receives left in mailboxes (should be 0
-    /// after a well-formed replay).
-    pub fn pending_mailbox_entries(&self) -> usize {
-        self.mailboxes.values().map(|m| m.comms.len() + m.recvs.len()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -1426,13 +1395,9 @@ impl Ctx<'_> {
         self.eng.actors[self.actor].phase = phase;
     }
 
-    /// Starts a computation of `flops` on this actor's host. Completes
-    /// immediately when `flops <= 0`.
-    pub fn execute(&mut self, flops: f64) -> OpId {
-        self.execute_tagged(flops, 0)
-    }
-
-    /// [`Ctx::execute`] with an observer tag.
+    /// Starts a computation of `flops` on this actor's host, recorded
+    /// under observer tag `tag`. Completes immediately when
+    /// `flops <= 0`.
     pub fn execute_tagged(&mut self, flops: f64, tag: u32) -> OpId {
         self.execute_bound(flops, f64::INFINITY, tag)
     }
@@ -1441,18 +1406,7 @@ impl Ctx<'_> {
     /// phase running below nominal core speed.
     pub fn execute_bound(&mut self, flops: f64, rate_cap: f64, tag: u32) -> OpId {
         let host = self.eng.actors[self.actor].host;
-        let op = OpId(self.eng.ops.insert(Op {
-            actor: self.actor,
-            kind: OpKind::Compute,
-            tag,
-            t_start: self.eng.clock,
-            volume: flops.max(0.0),
-            mailbox: None,
-            state: OpState::Pending,
-        }));
-        if let Some(obs) = self.eng.observer.as_mut() {
-            obs.op_started(self.actor, tag, self.eng.clock);
-        }
+        let op = self.eng.post_op(self.actor, OpKind::Compute, tag, flops.max(0.0), None);
         if flops <= 0.0 {
             self.eng.complete_op(op);
             return op;
@@ -1465,45 +1419,22 @@ impl Ctx<'_> {
         op
     }
 
-    /// Posts an asynchronous send of `bytes` to mailbox `mb`.
-    pub fn isend(&mut self, mb: MailboxKey, bytes: f64) -> OpId {
-        self.isend_tagged(mb, bytes, 0)
-    }
-
-    /// [`Ctx::isend`] with an observer tag.
+    /// Posts an asynchronous send of `bytes` to mailbox `mb`, recorded
+    /// under observer tag `tag`.
     pub fn isend_tagged(&mut self, mb: MailboxKey, bytes: f64, tag: u32) -> OpId {
         self.eng.post_send(self.actor, mb, bytes.max(0.0), tag)
     }
 
-    /// Posts an asynchronous receive on mailbox `mb`.
-    pub fn irecv(&mut self, mb: MailboxKey) -> OpId {
-        self.irecv_tagged(mb, 0)
-    }
-
-    /// [`Ctx::irecv`] with an observer tag.
+    /// Posts an asynchronous receive on mailbox `mb`, recorded under
+    /// observer tag `tag`.
     pub fn irecv_tagged(&mut self, mb: MailboxKey, tag: u32) -> OpId {
         self.eng.post_recv(self.actor, mb, tag)
     }
 
-    /// An operation completing after `dt` simulated seconds.
-    pub fn sleep(&mut self, dt: f64) -> OpId {
-        self.sleep_tagged(dt, 0)
-    }
-
-    /// [`Ctx::sleep`] with an observer tag.
+    /// An operation completing after `dt` simulated seconds, recorded
+    /// under observer tag `tag`.
     pub fn sleep_tagged(&mut self, dt: f64, tag: u32) -> OpId {
-        let op = OpId(self.eng.ops.insert(Op {
-            actor: self.actor,
-            kind: OpKind::Sleep,
-            tag,
-            t_start: self.eng.clock,
-            volume: 0.0,
-            mailbox: None,
-            state: OpState::Pending,
-        }));
-        if let Some(obs) = self.eng.observer.as_mut() {
-            obs.op_started(self.actor, tag, self.eng.clock);
-        }
+        let op = self.eng.post_op(self.actor, OpKind::Sleep, tag, 0.0, None);
         if dt <= 0.0 {
             self.eng.complete_op(op);
         } else {
@@ -1528,6 +1459,11 @@ mod tests {
     use crate::actor::FnActor;
     use crate::resource::PlatformBuilder;
 
+    /// Unmatched sends and receives left in the mailboxes.
+    fn pending_mailbox_entries(eng: &Engine) -> usize {
+        eng.mailboxes.values().map(|m| m.comms.len() + m.recvs.len()).sum()
+    }
+
     fn simple_platform(nhosts: usize) -> (Platform, Vec<HostId>) {
         let mut pb = PlatformBuilder::new();
         let hosts: Vec<HostId> =
@@ -1548,7 +1484,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.execute(2e9)),
+                Wake::Start => Step::Wait(ctx.execute_tagged(2e9, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -1563,7 +1499,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.execute(0.0)),
+                Wake::Start => Step::Wait(ctx.execute_tagged(0.0, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -1578,7 +1514,7 @@ mod tests {
         for _ in 0..2 {
             eng.spawn(
                 Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.execute(1e9)),
+                    Wake::Start => Step::Wait(ctx.execute_tagged(1e9, 0)),
                     Wake::Op(_) => Step::Done,
                 })),
                 hs[0],
@@ -1596,7 +1532,7 @@ mod tests {
         for _ in 0..2 {
             eng.spawn(
                 Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.execute(1e9)),
+                    Wake::Start => Step::Wait(ctx.execute_tagged(1e9, 0)),
                     Wake::Op(_) => Step::Done,
                 })),
                 h,
@@ -1618,7 +1554,7 @@ mod tests {
                     return Step::Done;
                 }
                 left -= 1;
-                Step::Wait(ctx.execute(1e6))
+                Step::Wait(ctx.execute_tagged(1e6, 0))
             }))
         }
         let (p1, hs1) = simple_platform(1);
@@ -1650,14 +1586,14 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.isend(MailboxKey::p2p(0, 1), 1.25e8)),
+                Wake::Start => Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 1), 1.25e8, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
         );
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1))),
+                Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[1],
@@ -1677,10 +1613,10 @@ mod tests {
             let delay_recver = if recv_first { 0.0 } else { 0.5 };
             eng.spawn(
                 Box::new(FnActor(move |ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.sleep(delay_sender)),
+                    Wake::Start => Step::Wait(ctx.sleep_tagged(delay_sender, 0)),
                     Wake::Op(_) if ctx.phase() == 0 => {
                         ctx.set_phase(1);
-                        Step::Wait(ctx.isend(MailboxKey::p2p(0, 1), 1.25e8))
+                        Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 1), 1.25e8, 0))
                     }
                     _ => Step::Done,
                 })),
@@ -1688,10 +1624,10 @@ mod tests {
             );
             eng.spawn(
                 Box::new(FnActor(move |ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.sleep(delay_recver)),
+                    Wake::Start => Step::Wait(ctx.sleep_tagged(delay_recver, 0)),
                     Wake::Op(_) if ctx.phase() == 0 => {
                         ctx.set_phase(1);
-                        Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1)))
+                        Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0))
                     }
                     _ => Step::Done,
                 })),
@@ -1713,7 +1649,7 @@ mod tests {
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
                 Wake::Start => {
-                    let op = ctx.isend(MailboxKey::p2p(0, 1), 1024.0);
+                    let op = ctx.isend_tagged(MailboxKey::p2p(0, 1), 1024.0, 0);
                     assert!(ctx.is_complete(op), "eager send completes at post");
                     Step::Wait(op)
                 }
@@ -1726,7 +1662,7 @@ mod tests {
         let t = eng.run_checked().unwrap();
         // The flow still travels (latency + transfer) even with no recv.
         assert!(t > 0.0 && t < 0.01, "got {t}");
-        assert_eq!(eng.pending_mailbox_entries(), 1);
+        assert_eq!(pending_mailbox_entries(&eng), 1);
     }
 
     #[test]
@@ -1736,7 +1672,7 @@ mod tests {
         // 1 MB > eager threshold: sender blocks until transfer completes.
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.isend(MailboxKey::p2p(0, 1), 1e6)),
+                Wake::Start => Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 1), 1e6, 0)),
                 Wake::Op(_) => {
                     assert!(ctx.now() > 0.005, "sender released too early at {}", ctx.now());
                     Step::Done
@@ -1746,7 +1682,7 @@ mod tests {
         );
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1))),
+                Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[1],
@@ -1762,7 +1698,7 @@ mod tests {
                 Box::new(FnActor(move |ctx: &mut Ctx, wake| match wake {
                     Wake::Start => {
                         let mb = MailboxKey::p2p(ctx.id(), dst_actor);
-                        Step::Wait(ctx.isend(mb, bytes))
+                        Step::Wait(ctx.isend_tagged(mb, bytes, 0))
                     }
                     Wake::Op(_) => Step::Done,
                 })),
@@ -1774,7 +1710,7 @@ mod tests {
                 Box::new(FnActor(move |ctx: &mut Ctx, wake| match wake {
                     Wake::Start => {
                         let mb = MailboxKey::p2p(src_actor, ctx.id());
-                        Step::Wait(ctx.irecv(mb))
+                        Step::Wait(ctx.irecv_tagged(mb, 0))
                     }
                     Wake::Op(_) => Step::Done,
                 })),
@@ -1822,12 +1758,12 @@ mod tests {
                 // Compute 1 ms then send, K times.
                 let k = ctx.phase();
                 match wake {
-                    Wake::Start => Step::Wait(ctx.execute(1e6)),
+                    Wake::Start => Step::Wait(ctx.execute_tagged(1e6, 0)),
                     Wake::Op(_) if k < K => {
                         ctx.set_phase(k + 1);
-                        ctx.isend(MailboxKey::p2p(0, 1), 512.0);
+                        ctx.isend_tagged(MailboxKey::p2p(0, 1), 512.0, 0);
                         if k + 1 < K {
-                            Step::Wait(ctx.execute(1e6))
+                            Step::Wait(ctx.execute_tagged(1e6, 0))
                         } else {
                             Step::Done
                         }
@@ -1841,10 +1777,10 @@ mod tests {
             Box::new(FnActor(|ctx: &mut Ctx, wake| {
                 let k = ctx.phase();
                 match wake {
-                    Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1))),
+                    Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0)),
                     Wake::Op(_) if k < K - 1 => {
                         ctx.set_phase(k + 1);
-                        Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1)))
+                        Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0))
                     }
                     _ => Step::Done,
                 }
@@ -1872,8 +1808,8 @@ mod tests {
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
                 Wake::Start => {
                     let mb = MailboxKey::p2p(0, 1);
-                    ctx.isend(mb, 1.25e8); // 1 s transfer
-                    Step::Wait(ctx.isend(mb, 1.25e6)) // 10 ms transfer
+                    ctx.isend_tagged(mb, 1.25e8, 0); // 1 s transfer
+                    Step::Wait(ctx.isend_tagged(mb, 1.25e6, 0)) // 10 ms transfer
                 }
                 Wake::Op(_) => Step::Done,
             })),
@@ -1883,7 +1819,7 @@ mod tests {
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
                 Wake::Start => {
                     let mb = MailboxKey::p2p(0, 1);
-                    let first = ctx.irecv(mb);
+                    let first = ctx.irecv_tagged(mb, 0);
                     ctx.set_phase(0);
                     Step::Wait(first)
                 }
@@ -1891,7 +1827,7 @@ mod tests {
                     // First recv completes only after the big transfer.
                     assert!(ctx.now() >= 0.5, "FIFO violated: t={}", ctx.now());
                     ctx.set_phase(1);
-                    Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1)))
+                    Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0))
                 }
                 _ => Step::Done,
             })),
@@ -1906,7 +1842,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(1, 0))),
+                Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(1, 0), 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -1934,7 +1870,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.sleep(1.0)),
+                Wake::Start => Step::Wait(ctx.sleep_tagged(1.0, 0)),
                 Wake::Op(_) => Step::Fail { reason: "corrupt trace line 17".into() },
             })),
             hs[0],
@@ -1943,7 +1879,7 @@ mod tests {
         // failure (the run aborts at the failure time, not at the end).
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.sleep(10.0)),
+                Wake::Start => Step::Wait(ctx.sleep_tagged(10.0, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[1],
@@ -1966,7 +1902,7 @@ mod tests {
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
                 // Rank 7 was never spawned (only 1 actor exists).
-                Wake::Start => Step::Wait(ctx.isend(MailboxKey::p2p(0, 7), 1e6)),
+                Wake::Start => Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 7), 1e6, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -1987,7 +1923,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.sleep(0.5)),
+                Wake::Start => Step::Wait(ctx.sleep_tagged(0.5, 0)),
                 // The op was delivered and freed: waiting on it again is
                 // a protocol violation, reported, not a panic.
                 Wake::Op(op) => Step::Wait(op),
@@ -2005,14 +1941,14 @@ mod tests {
         // Both actors on host 0: message crosses loopback, not the link.
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.isend(MailboxKey::p2p(0, 1), 1.25e8)),
+                Wake::Start => Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 1), 1.25e8, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
         );
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1))),
+                Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -2119,13 +2055,13 @@ mod tests {
             let sending = k.is_multiple_of(2) == (self.rank == 0);
             if sending {
                 if self.rank == 0 {
-                    ctx.execute(1e7); // fire-and-forget CPU burst
+                    ctx.execute_tagged(1e7, 0); // fire-and-forget CPU burst
                 }
                 let mb = MailboxKey::p2p(self.rank, 1 - self.rank);
-                Step::Wait(ctx.isend(mb, 2e6))
+                Step::Wait(ctx.isend_tagged(mb, 2e6, 0))
             } else {
                 let mb = MailboxKey::p2p(1 - self.rank, self.rank);
-                Step::Wait(ctx.irecv(mb))
+                Step::Wait(ctx.irecv_tagged(mb, 0))
             }
         }
         fn export_state(&self) -> Option<Vec<u8>> {
@@ -2203,7 +2139,7 @@ mod tests {
             ctx.set_phase(k + 1);
             let tag = 100 + 2 * self.rank as u32;
             match k {
-                0 => Step::Wait(ctx.sleep(f64::from(TIE_PRE[self.rank]) * 0.25)),
+                0 => Step::Wait(ctx.sleep_tagged(f64::from(TIE_PRE[self.rank]) * 0.25, 0)),
                 1 => {
                     // Dyadic instants: `now + dt` is exactly TIE_AT.
                     let dt = TIE_AT - ctx.now();
@@ -2275,7 +2211,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.sleep(1.0)),
+                Wake::Start => Step::Wait(ctx.sleep_tagged(1.0, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -2314,7 +2250,7 @@ mod tests {
         let mut eng = Engine::new(p);
         eng.spawn(
             Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                Wake::Start => Step::Wait(ctx.sleep(3.5)),
+                Wake::Start => Step::Wait(ctx.sleep_tagged(3.5, 0)),
                 Wake::Op(_) => Step::Done,
             })),
             hs[0],
@@ -2332,14 +2268,14 @@ mod tests {
         for (eng, hs) in [(&mut eng1, &hs1), (&mut eng2, &hs2)] {
             eng.spawn(
                 Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.isend(MailboxKey::p2p(0, 1), 1e8)),
+                    Wake::Start => Step::Wait(ctx.isend_tagged(MailboxKey::p2p(0, 1), 1e8, 0)),
                     Wake::Op(_) => Step::Done,
                 })),
                 hs[0],
             );
             eng.spawn(
                 Box::new(FnActor(|ctx: &mut Ctx, wake| match wake {
-                    Wake::Start => Step::Wait(ctx.irecv(MailboxKey::p2p(0, 1))),
+                    Wake::Start => Step::Wait(ctx.irecv_tagged(MailboxKey::p2p(0, 1), 0)),
                     Wake::Op(_) => Step::Done,
                 })),
                 hs[1],

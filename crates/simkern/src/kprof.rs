@@ -4,43 +4,66 @@
 //! The question this module answers is *"why is replay slow at this
 //! scale?"* — BENCH_replay.json shows records/s **falling** with rank
 //! count, and without visibility into the LMM solver and the event
-//! machinery that open item is unactionable. When profiling is enabled
-//! ([`crate::Engine::enable_kernel_profiling`]), the engine counts the
-//! work its hot loop performs (solver islands, constraints and
+//! machinery that open item is unactionable. The engine always counts
+//! the work its hot loop performs (solver islands, constraints and
 //! variables touched, event-heap traffic, completion-heap updates,
-//! peak structure sizes) and attributes wall-clock time to the four
-//! engine phases (run-queue drain, incremental solve, timed events,
-//! activity completions). When disabled — the default — the only cost
-//! is one untaken `Option` branch per phase, measured by the
-//! observer-overhead bench gate.
+//! peak structure sizes): each counter is a plain field increment.
+//! Enabling profiling ([`crate::Engine::enable_kernel_profiling`])
+//! hands the counters out and turns on wall timing, which reads the
+//! clock once per phase boundary of the engine loop and so splits its
+//! wall into the four phases (run-queue drain, solve, timed events,
+//! activity completions). With profiling off no clock is read.
 //!
 //! Counters are profiling state, **not** simulation state: they are
 //! excluded from [`crate::snapshot::EngineSnapshot`] so enabling the
 //! profiler cannot perturb bit-identical checkpoint/resume, and the
 //! simulated outcome is byte-identical with and without it.
 
+use std::time::Instant;
+
 use crate::lmm::SolverStats;
 
 /// Wall-clock seconds attributed to each engine phase, accumulated
 /// over every [`crate::Engine::run_until`] call since profiling was
-/// enabled. Phases are disjoint; `total_s` additionally covers loop
-/// bookkeeping between them, so `total_s >=` the sum of the parts.
+/// enabled. One clock read closes each phase and opens the next, so
+/// the four phases partition the loop: `total_s` exceeds their sum
+/// only by the call's exit (the last pick of the next item, the
+/// deadlock check) and a failed or paused call's last step.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WallPhases {
     /// Draining the run queue (stepping actors, posting operations).
     pub drain_s: f64,
-    /// Incremental LMM solves + completion-prediction refresh.
+    /// LMM solves, completion-prediction updates and stale-top
+    /// refreshes.
     pub solve_s: f64,
-    /// Timed-event dispatch (latency expiries, sleep expiries).
+    /// Timed-event dispatch (latency expiries, sleep expiries), with
+    /// the pause guard and the pick of the batch they open.
     pub events_s: f64,
-    /// Activity-completion dispatch (transfers/computes finishing).
+    /// Activity-completion dispatch (transfers/computes finishing),
+    /// with the pause guard and the pick of the batch they open.
     pub completions_s: f64,
-    /// Whole engine loop, end to end.
+    /// Whole [`crate::Engine::run_until`] call, end to end.
     pub total_s: f64,
 }
 
-/// Counters and wall-phase attribution collected by the engine while
-/// kernel profiling is enabled. Retrieved (and detached) with
+/// The engine loop's wall clock while profiling: `None` reads no clock.
+pub(crate) struct Laps(pub(crate) Option<Instant>);
+
+impl Laps {
+    /// Closes the phase that just ran, adding its wall to `phase`; the
+    /// same clock read opens the next phase.
+    pub(crate) fn lap(&mut self, phase: &mut f64) {
+        if let Some(last) = &mut self.0 {
+            let now = Instant::now();
+            *phase += now.duration_since(*last).as_secs_f64();
+            *last = now;
+        }
+    }
+}
+
+/// Counters and wall-phase attribution collected by the engine: the
+/// counters on every run, the wall phases while kernel profiling is
+/// enabled. Retrieved (and detached) with
 /// [`crate::Engine::take_kernel_profile`].
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct KernelProfile {

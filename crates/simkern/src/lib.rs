@@ -44,12 +44,12 @@
 //!     fn step(&mut self, ctx: &mut Ctx, wake: Wake) -> Step {
 //!         match wake {
 //!             Wake::Start => {
-//!                 let op = ctx.execute(1e6);
+//!                 let op = ctx.execute_tagged(1e6, 0);
 //!                 Step::Wait(op)
 //!             }
 //!             Wake::Op(_) if ctx.phase() == 0 => {
 //!                 ctx.set_phase(1);
-//!                 let op = ctx.isend(simkern::engine::MailboxKey::p2p(0, 1), 1e6);
+//!                 let op = ctx.isend_tagged(simkern::engine::MailboxKey::p2p(0, 1), 1e6, 0);
 //!                 Step::Wait(op)
 //!             }
 //!             _ => Step::Done,
@@ -61,7 +61,7 @@
 //!     fn step(&mut self, ctx: &mut Ctx, wake: Wake) -> Step {
 //!         match wake {
 //!             Wake::Start => {
-//!                 let op = ctx.irecv(simkern::engine::MailboxKey::p2p(0, 1));
+//!                 let op = ctx.irecv_tagged(simkern::engine::MailboxKey::p2p(0, 1), 0);
 //!                 Step::Wait(op)
 //!             }
 //!             _ => Step::Done,

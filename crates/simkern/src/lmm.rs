@@ -403,27 +403,6 @@ impl System {
         self.vars[id.0].value
     }
 
-    /// Updates a variable's bound (e.g. when a model changes a cap).
-    pub fn set_bound(&mut self, id: VarId, bound: f64) {
-        assert!(bound > 0.0);
-        self.vars[id.0].bound = bound;
-        if self.vars[id.0].cnsts.is_empty() {
-            self.dirty_free_vars.push(id.0);
-            self.dirty = true;
-        } else {
-            let n = self.vars[id.0].cnsts.len();
-            for i in 0..n {
-                let c = self.vars[id.0].cnsts.get(i);
-                self.mark_cnst_dirty(c);
-            }
-        }
-    }
-
-    /// Number of active variables.
-    pub fn num_variables(&self) -> usize {
-        self.vars.len()
-    }
-
     /// True when the system changed since the last solve.
     pub fn is_dirty(&self) -> bool {
         self.dirty
@@ -1122,7 +1101,7 @@ mod tests {
         let mut a = System::restore_snapshot(&snap).unwrap();
         let mut b = System::restore_snapshot(&permuted).unwrap();
         let same = |a: &System, b: &System| {
-            assert_eq!(a.num_variables(), b.num_variables());
+            assert_eq!(a.vars.len(), b.vars.len());
             for (v, var) in a.vars.iter() {
                 assert_eq!(var.value.to_bits(), b.rate(VarId(v)).to_bits(), "variable {v}");
             }
@@ -1131,7 +1110,6 @@ mod tests {
         for sys in [&mut a, &mut b] {
             sys.remove_variable(vars[1]);
             sys.new_variable(f64::INFINITY, &[c[0], c[1], c[3]]);
-            sys.set_bound(vars[4], 0.02);
             sys.solve_dirty(&mut Vec::new());
         }
         same(&a, &b);
@@ -1197,7 +1175,7 @@ mod tests {
         let mut r = System::restore_snapshot(&s.export_snapshot().unwrap()).unwrap();
         r.remove_variable(v);
         r.solve_dirty(&mut Vec::new());
-        assert_eq!(r.num_variables(), 0);
+        assert_eq!(r.vars.len(), 0);
     }
 
     #[test]
@@ -1393,8 +1371,8 @@ mod tests {
         /// systems of mostly small islands: routes of zero to two of up
         /// to sixteen constraints give free variables, lone variables,
         /// pairs sharing a NIC and, after removals, constraints no
-        /// variable crosses. Adds, removes (whose slab ids are reused)
-        /// and bound changes come in batches, each ended by a solve.
+        /// variable crosses. Adds and removes (whose slab ids are
+        /// reused) come in batches, each ended by a solve.
         #[test]
         fn trivial_islands_match_the_packed_fill(
             caps in proptest::collection::vec(0..TIE_CAPS.len(), 4..17),
@@ -1424,11 +1402,6 @@ mod tests {
                     for s in &mut twins {
                         s.remove_variable(v);
                     }
-                } else if live > 0 && op < 4 {
-                    let v = vars[pick % live];
-                    for s in &mut twins {
-                        s.set_bound(v, TIE_BOUNDS[bound]);
-                    }
                 } else {
                     let mut cs: Vec<CnstId> = Vec::new();
                     for r in route {
@@ -1454,7 +1427,7 @@ mod tests {
         /// islands with exact ties: 20–60 live variables over at most
         /// ten constraints, routes of up to seven constraints (longer
         /// than [`INLINE_CNSTS`]), and interleaved adds, removes (whose
-        /// slab ids are reused), bound changes and solves.
+        /// slab ids are reused) and solves.
         #[test]
         fn incremental_matches_full_solve_on_tied_big_islands(
             caps in proptest::collection::vec(0..TIE_CAPS.len(), 3..11),
@@ -1484,10 +1457,6 @@ mod tests {
                     let v = vars.swap_remove(pick % live);
                     inc.remove_variable(v);
                     full.remove_variable(v);
-                } else if live >= 20 && choice == 2 {
-                    let v = vars[pick % live];
-                    inc.set_bound(v, TIE_BOUNDS[bound]);
-                    full.set_bound(v, TIE_BOUNDS[bound]);
                 } else {
                     let mut cs: Vec<CnstId> = Vec::new();
                     for r in route {

@@ -33,7 +33,9 @@ tit-kprof-v1 (or a tit-kprof-sweep-v1 envelope of them, as
 KPROF_replay.json), no unknown top-level sections, engine/solver
 counter sanity (pops never exceed pushes, ops completed on a non-empty
 replay) and finite derived ratios. The wall section is optional — the
-deterministic core that CI byte-diffs must not carry it.
+deterministic core that CI byte-diffs must not carry it. Where present,
+its four phases (drain, solve, events, completions) must add up: their
+sum may not exceed total_s, nor fall below KPROF_COVERAGE of it.
 
 With --robustness, instead checks the DESIGN.md §5f counters: the
 degraded metrics must carry degraded.ranks_stubbed /
@@ -47,6 +49,11 @@ Exits 0 when all pass, 1 with a message otherwise.
 import json
 import math
 import sys
+
+# The kernel profile's phases partition the engine loop's wall: the
+# share of total_s they may leave unattributed is the call's exit and
+# the clock reads themselves (docs/OBSERVABILITY.md).
+KPROF_COVERAGE = 0.95
 
 
 def fail(msg):
@@ -324,6 +331,9 @@ def check_kprof_doc(doc, path):
         total = wall.get("total_s", 0)
         if parts > total * (1 + 1e-6) + 1e-9:
             fail(f"{path}: wall phases {parts} exceed total {total}")
+        if parts < KPROF_COVERAGE * total:
+            fail(f"{path}: wall phases {parts} cover {parts / total:.1%} of "
+                 f"total {total}, below {KPROF_COVERAGE:.0%}")
     return "with walls" if wall is not None else "deterministic core"
 
 

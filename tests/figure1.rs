@@ -63,7 +63,7 @@ p3 recv p2
 p3 compute 1e6
 p3 send p0 1e6
 ";
-    let parsed = TiTrace::from_str_merged(paper_text).unwrap();
+    let parsed = TiTrace::from_reader(paper_text.as_bytes()).unwrap();
     assert_eq!(parsed, RingConfig::figure_1().trace());
 }
 

@@ -198,13 +198,12 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// `TIB2` ingestion is `--jobs`-invariant end to end: converting a
-/// trace directory to a store and loading a store back are both
-/// byte-identical whatever the worker count (the parallel paths fan
-/// out over ranks and segments respectively, but stitch serially).
+/// `TIB2` conversion is `--jobs`-invariant: converting a trace
+/// directory to a store is byte-identical whatever the worker count
+/// (parsing fans out over ranks, the store is written serially).
 #[test]
 fn tib2_conversion_and_load_are_jobs_invariant() {
-    use titr::trace::tib2::{convert_dir_atomic, load_compact_store, Tib2Store};
+    use titr::trace::tib2::convert_dir_atomic;
 
     let trace = rich_trace(5, 40);
     let dir = tmp("tib2-jobs");
@@ -220,16 +219,6 @@ fn tib2_conversion_and_load_are_jobs_invariant() {
     for (path, fp) in &stores[1..] {
         assert_eq!(std::fs::read(path).unwrap(), baseline, "conversion differs by --jobs");
         assert_eq!(*fp, stores[0].1);
-    }
-
-    // Loading back: serial and parallel decodes re-serialize to the
-    // same bytes as the store itself.
-    let store = Tib2Store::open(&stores[0].0).unwrap();
-    for jobs in [1usize, 3, 8] {
-        let loaded = load_compact_store(&store, jobs).unwrap();
-        let re = dir.join(format!("re{jobs}.tib2"));
-        titr::trace::tib2::write_compact_atomic(&re, &loaded, 32).unwrap();
-        assert_eq!(std::fs::read(&re).unwrap(), baseline, "load differs at jobs={jobs}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -118,7 +118,7 @@ fn bitflipped_tau_trace_is_detected_or_extracted_without_panic() {
 #[test]
 fn missing_wait_in_trace_is_caught_by_validation() {
     let text = "p0 Irecv p1\np1 send p0 100\n";
-    let trace = titr::trace::TiTrace::from_str_merged(text).unwrap();
+    let trace = titr::trace::TiTrace::from_reader(text.as_bytes()).unwrap();
     let report = titr::lint::analyze(&trace);
     assert!(
         report.findings.iter().any(|f| f.code == titr::lint::LintCode::DanglingRequests),
